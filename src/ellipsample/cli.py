@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionOutOfRange, EllipsampleError, InsufficientSamples
-from .geometry import Ellipsoid, centre_from_foci
+from .errors import EllipsampleError
+from .geometry import Ellipsoid
 from .linalg import parse_matrix_text
 from .sampling import RngStream, SampleBatch, sample_batch
 from .validation import (
@@ -47,7 +47,8 @@ def _parse_float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
+def _add_shared_flags(sub: argparse.ArgumentParser, batch: bool) -> None:
+    """Ellipsoid source, --seed and --out; with ``batch`` also --count and --method."""
     src = sub.add_argument_group("ellipsoid definition (exactly one source)")
     src.add_argument("--spec", metavar="FILE.json", help="ellipsoid spec JSON file")
     src.add_argument("--shape", metavar="FILE", help="transform matrix, text format")
@@ -57,16 +58,17 @@ def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
     src.add_argument("--dim", type=int, metavar="N", help="unit n-ball of this dimension")
     src.add_argument("--centre", type=_parse_float_list, metavar="c1,...", help="centre point")
     src.add_argument("--foci", metavar="FILE.json", help="JSON [f1, f2]; centre is the midpoint")
-    sub.add_argument("--count", type=int, default=10_000, metavar="N", help="number of points")
     sub.add_argument("--seed", type=int, required=True, metavar="U64", help="RNG seed (required)")
+    sub.add_argument("--out", metavar="FILE", help="output file (default standard output)")
+    if not batch:
+        return
+    sub.add_argument("--count", type=int, default=10_000, metavar="N", help="number of points")
     sub.add_argument(
         "--method",
         choices=sorted(_METHOD_BY_FLAG),
         default="transform",
         help="point generator: transform (default), reject (bounding box), biased (negative control)",
     )
-    sub.add_argument("--format", choices=("csv", "json", "svg"), default="csv", help="output format")
-    sub.add_argument("--out", metavar="FILE", help="output file (default standard output)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,11 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_sample = subs.add_parser("sample", help="generate a sample batch")
-    _add_shared_flags(p_sample)
+    _add_shared_flags(p_sample, batch=True)
+    p_sample.add_argument(
+        "--format", choices=("csv", "json", "svg"), default="csv", help="output format"
+    )
     p_sample.set_defaults(func=cmd_sample)
 
     p_check = subs.add_parser("check", help="run uniformity certification tests")
-    _add_shared_flags(p_check)
+    _add_shared_flags(p_check, batch=True)
     p_check.add_argument("--alpha", type=float, choices=(0.01, 0.001), default=0.001)
     p_check.add_argument("--shells", type=int, default=4, metavar="K")
     p_check.add_argument(
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_volume = subs.add_parser("volume", help="closed-form volume, optional MC cross-check")
-    _add_shared_flags(p_volume)
+    _add_shared_flags(p_volume, batch=False)
     p_volume.add_argument("--mc", type=int, metavar="N", help="Monte Carlo draws for the cross-check")
     p_volume.set_defaults(func=cmd_volume)
 
@@ -105,21 +110,12 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _resolve_centre(args, dim: int) -> np.ndarray:
-    if args.centre is not None and args.foci is not None:
-        raise ConfigError("--centre and --foci are mutually exclusive")
-    if args.foci is not None:
-        foci = json.loads(_read_text(args.foci))
-        if not isinstance(foci, list) or len(foci) != 2:
-            raise ConfigError("--foci file must hold a JSON list [f1, f2]")
-        return centre_from_foci(foci[0], foci[1])
-    if args.centre is not None:
-        return np.asarray(args.centre, dtype=float)
-    return np.zeros(dim)
-
-
 def resolve_ellipsoid(args) -> Ellipsoid:
-    """Build the ellipsoid described by the command line (exactly one source)."""
+    """Build the ellipsoid described by the command line (exactly one source).
+
+    The flags become an ellipsoid spec dict, so Ellipsoid.from_spec makes
+    every shape and centre decision, exactly as for a --spec file.
+    """
     sources = [
         name
         for name in ("spec", "shape", "quadratic", "radii", "dim")
@@ -133,28 +129,29 @@ def resolve_ellipsoid(args) -> Ellipsoid:
     kind = sources[0]
     if args.rotation is not None and kind != "radii":
         raise ConfigError("--rotation is only valid together with --radii")
+    if kind == "spec" and (args.centre is not None or args.foci is not None):
+        raise ConfigError("--spec files carry their own centre/foci")
+    if args.centre is not None and args.foci is not None:
+        raise ConfigError("--centre and --foci are mutually exclusive")
 
     try:
         if kind == "spec":
-            if args.centre is not None or args.foci is not None:
-                raise ConfigError("--spec files carry their own centre/foci")
             return Ellipsoid.from_spec(json.loads(_read_text(args.spec)))
-        if kind == "shape":
-            shape = parse_matrix_text(_read_text(args.shape))
-            return Ellipsoid.from_shape(shape, _resolve_centre(args, shape.shape[0]))
-        if kind == "quadratic":
-            quad = parse_matrix_text(_read_text(args.quadratic))
-            return Ellipsoid.from_quadratic(quad, _resolve_centre(args, quad.shape[0]))
         if kind == "radii":
-            n = len(args.radii)
-            rotation = (
-                parse_matrix_text(_read_text(args.rotation))
-                if args.rotation is not None
-                else np.eye(n)
-            )
-            return Ellipsoid.from_radii_rotation(args.radii, rotation, _resolve_centre(args, n))
-        return Ellipsoid.from_shape(np.eye(args.dim), _resolve_centre(args, args.dim))
-    except (EllipsampleError, ValueError, json.JSONDecodeError) as exc:
+            spec = {"dim": len(args.radii), "radii": args.radii}
+            if args.rotation is not None:
+                spec["rotation"] = parse_matrix_text(_read_text(args.rotation))
+        elif kind == "dim":
+            spec = {"dim": args.dim, "shape": np.eye(args.dim)}
+        else:
+            matrix = parse_matrix_text(_read_text(getattr(args, kind)))
+            spec = {"dim": matrix.shape[0], kind: matrix}
+        if args.centre is not None:
+            spec["centre"] = args.centre
+        if args.foci is not None:
+            spec["foci"] = json.loads(_read_text(args.foci))
+        return Ellipsoid.from_spec(spec)
+    except (EllipsampleError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -180,8 +177,6 @@ def _render_json(batch: SampleBatch) -> str:
 def _render_svg(batch: SampleBatch, e: Ellipsoid) -> str:
     # Data coordinates with y negated so the picture's y axis points up;
     # vector-effect keeps the outline one device pixel at any scale.
-    if e.dim != 2:
-        raise ConfigError("svg output requires dimension 2")
     half = 1.08 * e.bounding_halfwidths()
     hx, hy = float(half[0]), float(half[1])
     cx, cy = float(e.centre[0]), float(e.centre[1])
@@ -241,7 +236,7 @@ def cmd_check(args) -> int:
         if name == "chi2":
             reports.append(chi_square_uniformity(batch, e, shells=args.shells, alpha=args.alpha))
         elif name == "ks":
-            reports.append(radial_ks(batch, e))
+            reports.append(radial_ks(batch, e, alpha=args.alpha))
         else:
             rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
             reports.append(proof_identity_check(e, _IDENTITY_TRIALS, rng))
@@ -274,7 +269,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, InsufficientSamples, DimensionOutOfRange, ValueError) as exc:
+    except (ConfigError, EllipsampleError, ArithmeticError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

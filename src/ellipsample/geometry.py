@@ -198,7 +198,7 @@ class Ellipsoid:
             raise ValueError(f"dim must be positive, got {n}")
 
         if "foci" in spec:
-            foci = spec["foci"]
+            foci = list(spec["foci"])
             if len(foci) != 2:
                 raise ValueError("'foci' must hold exactly two points")
             centre = centre_from_foci(foci[0], foci[1])

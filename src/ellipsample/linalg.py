@@ -1,10 +1,11 @@
 """Minimal dense linear algebra for small dimensions (1..64).
 
-The Cholesky factorization and triangular substitutions are written out
+The Cholesky factorization and the back substitution are written out
 rather than delegated so the error contract stays explicit: symmetry is
 checked (not silently repaired) and pivots are guarded by a scale-aware
-threshold instead of an absolute epsilon.  Everything operates on plain
-float64 numpy arrays.
+threshold instead of an absolute epsilon.  They also fix the floating-point
+bits of ``Ellipsoid.from_quadratic``, and with them the CLI's output bytes.
+Everything operates on plain float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ def as_square(m) -> np.ndarray:
     return arr
 
 
-def check_lower_triangular(l) -> np.ndarray:
-    """Validate a lower-triangular factor: zero strict upper, positive diagonal."""
-    arr = as_square(l)
-    if np.any(np.triu(arr, 1) != 0.0):
-        raise ValueError("strict upper triangle must be exactly zero")
-    if np.any(np.diag(arr) <= 0.0):
-        raise ValueError("diagonal entries must be strictly positive")
-    return arr
-
-
 def cholesky(m) -> np.ndarray:
     """Factor a symmetric positive definite matrix as L L^T, L lower triangular.
 
@@ -94,21 +85,8 @@ def cholesky(m) -> np.ndarray:
     return lower
 
 
-def solve_lower(lower, b) -> np.ndarray:
-    """Solve lower @ y = b by forward substitution."""
-    l = check_lower_triangular(lower)
-    rhs = as_vector(b)
-    n = l.shape[0]
-    if rhs.size != n:
-        raise DimensionMismatch(f"matrix is {n}x{n} but vector has length {rhs.size}")
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (rhs[i] - l[i, :i] @ y[:i]) / l[i, i]
-    return y
-
-
 def solve_upper(upper, b) -> np.ndarray:
-    """Solve upper @ y = b by back substitution (companion to solve_lower)."""
+    """Solve upper @ y = b by back substitution."""
     u = as_square(upper)
     if np.any(np.tril(u, -1) != 0.0):
         raise ValueError("strict lower triangle must be exactly zero")
@@ -124,12 +102,6 @@ def solve_upper(upper, b) -> np.ndarray:
     return y
 
 
-def det_triangular(lower) -> float:
-    """Determinant of a lower-triangular factor: product of the diagonal."""
-    l = check_lower_triangular(lower)
-    return float(np.prod(np.diag(l)))
-
-
 def is_rotation(c, tol: float) -> bool:
     """True iff c is orthogonal within tol and det(c) is within tol of +1.
 
@@ -143,22 +115,6 @@ def is_rotation(c, tol: float) -> bool:
     if ortho_err > tol:
         return False
     return abs(float(np.linalg.det(arr)) - 1.0) <= tol
-
-
-def invert_spd(m) -> np.ndarray:
-    """Invert a symmetric positive definite matrix via Cholesky.
-
-    With m = R R^T the inverse is R^-T R^-1, obtained column by column from
-    two triangular substitutions; no general inverse is ever formed.
-    """
-    r = cholesky(m)
-    n = r.shape[0]
-    out = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        y = solve_lower(r, eye[j])
-        out[:, j] = solve_upper(r.T, y)
-    return out
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

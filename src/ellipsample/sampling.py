@@ -8,13 +8,13 @@ sampler (radius u instead of u^(1/n)) serves as the negative control that
 proves the validation suite can detect non-uniformity.
 
 Batches are generated from fixed-size chunks, each filled from its own
-derived child stream, so the result is bit-identical no matter how many
-worker threads participate.
+derived child stream, so a batch is a pure function of (seed, ellipsoid,
+method, count) and a shorter batch is a prefix of a longer one at every
+chunk boundary.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +40,8 @@ class RngStream:
 
     Equal seeds (and derivation paths) reproduce identical sequences.
     ``derive(i)`` returns an independent child stream without consuming any
-    state, so chunked or parallel code can hand out children freely; the
-    stream itself is single-owner and must not be shared across threads.
+    state, so chunked code can hand out children freely; the stream itself
+    is single-owner and must not be shared across threads.
     """
 
     __slots__ = ("seed", "spawn_key", "_gen")
@@ -128,54 +128,48 @@ def _ball_chunk(n: int, m: int, rng: RngStream, radius_exponent: float) -> np.nd
     return g * (radii / norms)[:, None]
 
 
-def _ball_rejection_chunk(n: int, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
-    """m unit-ball points by rejection from [-1, 1]^n.
+def _rejection_chunk(
+    m: int, rng: RngStream, widths: np.ndarray, centre: np.ndarray, inside, rate: float
+) -> tuple[np.ndarray, int, int]:
+    """m points by rejection from the box centre +- widths.
 
+    ``inside`` maps an (N, n) proposal block to its accept mask and ``rate``
+    is the expected acceptance rate, which only sizes the proposal blocks.
     Returns (points, attempts, accepted); accepted counts every proposal
     that landed inside, including surplus beyond m, so accepted/attempts is
     an unbiased binomial estimate of the acceptance rate.
     """
-    rate = unit_ball_volume(n) / 2.0**n
-    out = np.empty((m, n))
+    out = np.empty((m, widths.size))
     filled = 0
     attempts = 0
     accepted = 0
     while filled < m:
         need = m - filled
         draw = min(_MAX_PROPOSALS, max(16, int(1.25 * need / rate) + 1))
-        props = 2.0 * rng.uniforms((draw, n)) - 1.0
-        keep = props[(props * props).sum(axis=1) <= 1.0]
+        props = (2.0 * rng.uniforms((draw, widths.size)) - 1.0) * widths + centre
+        keep = props[inside(props)]
         take = min(need, keep.shape[0])
         out[filled : filled + take] = keep[:take]
         filled += take
         attempts += draw
         accepted += keep.shape[0]
     return out, attempts, accepted
+
+
+def _ball_rejection_chunk(n: int, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
+    """m unit-ball points by rejection from [-1, 1]^n."""
+
+    def inside(p: np.ndarray) -> np.ndarray:
+        return (p * p).sum(axis=1) <= 1.0
+
+    return _rejection_chunk(m, rng, np.ones(n), np.zeros(n), inside, unit_ball_volume(n) / 2.0**n)
 
 
 def _box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
-    """m ellipsoid points by rejection from the bounding box.
-
-    Same (points, attempts, accepted) contract as _ball_rejection_chunk.
-    """
+    """m ellipsoid points by rejection from the bounding box."""
     widths = e.bounding_halfwidths()
-    box_volume = float(np.prod(2.0 * widths))
-    rate = e.volume() / box_volume
-    out = np.empty((m, e.dim))
-    filled = 0
-    attempts = 0
-    accepted = 0
-    while filled < m:
-        need = m - filled
-        draw = min(_MAX_PROPOSALS, max(16, int(1.25 * need / rate) + 1))
-        props = (2.0 * rng.uniforms((draw, e.dim)) - 1.0) * widths + e.centre
-        keep = props[e.contains_many(props)]
-        take = min(need, keep.shape[0])
-        out[filled : filled + take] = keep[:take]
-        filled += take
-        attempts += draw
-        accepted += keep.shape[0]
-    return out, attempts, accepted
+    rate = e.volume() / float(np.prod(2.0 * widths))
+    return _rejection_chunk(m, rng, widths, e.centre, e.contains_many, rate)
 
 
 def sample_unit_ball(n: int, rng: RngStream) -> BallPoint:
@@ -252,19 +246,13 @@ def _chunk_points(e: Ellipsoid, method: str, m: int, rng: RngStream) -> np.ndarr
     return u @ e.shape.T + e.centre
 
 
-def sample_batch(
-    e: Ellipsoid,
-    count: int,
-    seed: int,
-    method: str = "transform",
-    workers: int = 1,
-) -> SampleBatch:
+def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform") -> SampleBatch:
     """Generate a reproducible batch of ``count`` points from ``e``.
 
     The batch is split into fixed CHUNK_SIZE chunks; chunk i is filled from
-    the child stream derive(i) of the root stream for ``seed``.  Because the
-    chunk layout never depends on ``workers``, the same (seed, spec, method,
-    count) yields bit-identical batches at any thread count.
+    the child stream derive(i) of the root stream for ``seed`` and depends
+    on nothing else, so the first k * CHUNK_SIZE points of a larger batch
+    equal the batch of k * CHUNK_SIZE points.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -276,16 +264,9 @@ def sample_batch(
     sizes = [CHUNK_SIZE] * (count // CHUNK_SIZE)
     if count % CHUNK_SIZE:
         sizes.append(count % CHUNK_SIZE)
-
-    def fill(index: int) -> np.ndarray:
-        return _chunk_points(e, method, sizes[index], root.derive(index))
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(fill, range(len(sizes))))
-    else:
-        chunks = [fill(i) for i in range(len(sizes))]
-    points = np.vstack(chunks)
+    points = np.vstack(
+        [_chunk_points(e, method, size, root.derive(i)) for i, size in enumerate(sizes)]
+    )
     return SampleBatch(
         dim=e.dim,
         points=points,

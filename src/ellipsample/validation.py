@@ -9,8 +9,8 @@ point is Uniform(0, 1).
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
-of freedom used here.  The KS critical value is the asymptotic 1.95/sqrt(N)
-at alpha ~ 0.001.
+of freedom used here.  The KS critical value is the asymptotic Kolmogorov
+quantile over sqrt(N): 1.63/sqrt(N) at alpha 0.01, 1.95/sqrt(N) at 0.001.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .sampling import REJECTION_DIM_MAX, RngStream, SampleBatch, sample_ellipsoi
 # Upper-tail standard normal quantiles for the supported significance levels.
 _Z_UPPER = {0.01: 2.3263478740408408, 0.001: 3.090232306167813}
 
-KS_CRITICAL_SCALE = 1.95  # asymptotic Kolmogorov quantile at alpha ~ 0.001
+# Asymptotic Kolmogorov upper quantiles for the supported significance levels.
+_KS_SCALE = {0.01: 1.63, 0.001: 1.95}
 KS_MIN_SAMPLES = 100
 
 MIN_EXPECTED_PER_BIN = 5.0
@@ -116,14 +117,19 @@ class TestReport:
         return json.dumps(self.as_dict())
 
 
+def _quantile(table: dict, alpha: float) -> float:
+    """The entry of a per-alpha quantile table; unsupported levels are a ValueError."""
+    try:
+        return table[alpha]
+    except KeyError:
+        raise ValueError(f"alpha must be one of {sorted(table)}, got {alpha}") from None
+
+
 def wilson_hilferty_critical(dof: int, alpha: float) -> float:
     """Chi-square upper-alpha critical value via the cube-root normal approximation."""
     if dof < 1:
         raise ValueError("dof must be positive")
-    try:
-        z = _Z_UPPER[alpha]
-    except KeyError:
-        raise ValueError(f"alpha must be one of {sorted(_Z_UPPER)}, got {alpha}") from None
+    z = _quantile(_Z_UPPER, alpha)
     h = 2.0 / (9.0 * dof)
     return dof * (1.0 - h + z * math.sqrt(h)) ** 3
 
@@ -196,13 +202,15 @@ def chi_square_two_sample(
     return TestReport("chi_square_two_sample", statistic, dof, critical, alpha, na + nb)
 
 
-def radial_ks(batch: SampleBatch, e: Ellipsoid) -> TestReport:
+def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestReport:
     """One-sample Kolmogorov-Smirnov test of the pulled-back radii.
 
     Uniformity over the ellipsoid makes t = ||pullback(x)||^n exactly
     Uniform(0, 1); the statistic is the empirical-CDF sup gap D, passed
-    against the asymptotic critical value 1.95/sqrt(N) (alpha ~ 0.001).
+    against the asymptotic critical value 1.63/sqrt(N) at alpha 0.01 or
+    1.95/sqrt(N) at alpha 0.001.
     """
+    scale = _quantile(_KS_SCALE, alpha)
     n = batch.count
     if n < KS_MIN_SAMPLES:
         raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {n}")
@@ -212,8 +220,8 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid) -> TestReport:
     d_plus = float((grid - t).max())
     d_minus = float((t - (grid - 1.0 / n)).max())
     statistic = max(d_plus, d_minus)
-    critical = KS_CRITICAL_SCALE / math.sqrt(n)
-    return TestReport("radial_ks", statistic, None, critical, 0.001, n)
+    critical = scale / math.sqrt(n)
+    return TestReport("radial_ks", statistic, None, critical, alpha, n)
 
 
 def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:

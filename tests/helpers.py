@@ -24,15 +24,3 @@ def rand_ball_point(n: int, rng: RngStream) -> np.ndarray:
     norm = float(np.linalg.norm(g))
     return (rng.uniform() ** (1.0 / n) / norm) * g
 
-
-def cofactor_det(m: np.ndarray) -> float:
-    """Determinant by cofactor expansion; independent oracle for dims <= 4."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * m[0, j] * cofactor_det(minor)
-    return total

@@ -171,6 +171,17 @@ class TestEllipsoidResolution:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("foci", [5, {"a": 1, "b": 2}, [[0.0, 0.0]]], ids=repr)
+    def test_malformed_foci_are_config_errors(self, foci, capsys, tmp_path):
+        spec = tmp_path / "e.json"
+        spec.write_text(json.dumps({"dim": 2, "radii": [2.0, 1.0], "foci": foci}))
+        foci_file = tmp_path / "f.json"
+        foci_file.write_text(json.dumps(foci))
+        for source in (["--spec", str(spec)], ["--radii", "2,1", "--foci", str(foci_file)]):
+            code, _, err = run(["sample", *source, "--count", "3", "--seed", "2"], capsys)
+            assert code == 2
+            assert err.startswith("error: ")
+
     def test_singular_shape_is_config_error(self, capsys, tmp_path):
         shape = tmp_path / "bad.txt"
         shape.write_text("1 0\n0 0\n")
@@ -240,6 +251,21 @@ class TestCheckCommand:
         assert report["alpha"] == 0.01
         assert report["dof"] == 8 * 4 - 1
 
+    def test_ks_uses_the_requested_alpha(self, capsys):
+        reports = {}
+        for alpha in ("0.01", "0.001"):
+            code, out, _ = run(
+                ["check", *RADII_ARGS, "--count", "5000", "--seed", "7", "--alpha", alpha,
+                 "--tests", "ks"],
+                capsys,
+            )
+            assert code == 0
+            reports[alpha] = json.loads(out.strip())
+        assert reports["0.01"]["alpha"] == 0.01
+        assert reports["0.01"]["critical"] == 1.63 / math.sqrt(5000)
+        assert reports["0.001"]["critical"] == 1.95 / math.sqrt(5000)
+        assert reports["0.01"]["statistic"] == reports["0.001"]["statistic"]
+
 
 class TestVolumeCommand:
     def test_closed_form(self, capsys):
@@ -297,3 +323,28 @@ class TestExitCodeDiscipline:
             capsys,
         )
         assert code == 2
+
+    def test_overflowing_volume_is_exit_2_without_traceback(self, capsys):
+        code, out, err = run(["volume", "--radii", ",".join(["1e11"] * 30), "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["volume", "--format", "svg", "--method", "biased", "--count", "3"],
+            ["volume", "--format", "csv"],
+            ["volume", "--method", "transform"],
+            ["volume", "--count", "3"],
+            ["check", "--format", "json"],
+        ],
+        ids=lambda extra: " ".join(extra),
+    )
+    def test_flags_outside_their_subcommand_are_exit_2(self, extra, capsys):
+        command, *flags = extra
+        code = main([command, "--radii", "2,1", "--seed", "1", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments" in err

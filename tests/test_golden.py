@@ -1,0 +1,117 @@
+"""Golden-bytes test: pinned SHA-256 hashes of the CLI's output.
+
+Each case runs ``cli.main`` on a fixed command line over literal input files
+and compares the hash of its standard output (and its exit code) with a
+pinned value, so any change to the output bytes of ``sample``, ``check`` or
+``volume`` shows up here.  The hashes depend on numpy's PCG64 bit generator
+and its ziggurat Gaussian/uniform streams: a numpy release that changes
+either changes the hashes without any change in this package.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ellipsample.cli import main
+
+ROTATION = "0.6 -0.8\n0.8 0.6\n"
+QUADRATIC = "4 1 0.5\n1 3 0.25\n0.5 0.25 2\n"
+SHAPE = "# non-symmetric transform\n1 0.2 0\n0.1 2 0.3\n0 -0.4 0.5\n"
+FOCI = [[0.0, 1.0, -1.0], [2.0, 1.0, 0.0]]
+SPEC = {
+    "dim": 2,
+    "radii": [3.0, 0.5],
+    "rotation": [[0.6, -0.8], [0.8, 0.6]],
+    "foci": [[-1.0, 0.0], [1.0, 2.0]],
+}
+
+# name -> (argv with {R}/{Q}/{S}/{F}/{SPEC} file placeholders, exit code, sha256 of stdout)
+CASES = {
+    "sample-csv": (
+        "sample --radii 2,1 --centre 1,0 --count 300 --seed 7",
+        0,
+        "156c44788d8d9d075a402f18250d278ee11891b524a9a355a21fa1848d9c58c8",
+    ),
+    "sample-json-rotation": (
+        "sample --radii 2,1 --rotation {R} --centre=-1,0.5 --count 50 --seed 3 --format json",
+        0,
+        "5654bfb45c2f9bcb678282954715aa360181a94c49cbf4c80cfb347c4ed071e0",
+    ),
+    "sample-svg": (
+        "sample --dim 2 --count 200 --seed 5 --format svg",
+        0,
+        "51253aca67641690deaab3f7bfc3e6b7071a9e756b843c83c572abe7104d4a77",
+    ),
+    "sample-quadratic": (
+        "sample --quadratic {Q} --count 100 --seed 11",
+        0,
+        "1bee589856129b2ee34998f46863b9f16ac8165f5e90cec980db981b89de91ae",
+    ),
+    "sample-shape-foci": (
+        "sample --shape {S} --foci {F} --count 100 --seed 13 --format json",
+        0,
+        "a16a1bf10c1e1b7838731b1f4719fc9c9b75fc64092756cea07dabcf72b8224a",
+    ),
+    "sample-spec": (
+        "sample --spec {SPEC} --count 100 --seed 17",
+        0,
+        "bdaaf7439376260b3a58a57276e1278f5d220288e6ff6be7207b18fde419c3c1",
+    ),
+    "sample-reject": (
+        "sample --radii 2,1 --method reject --count 500 --seed 9 --format json",
+        0,
+        "26c6bdbfc96a8705d1c2e8a630f93a8d3b932fe0e2a15e58a4a3c08d1eb6b569",
+    ),
+    "sample-biased": (
+        "sample --dim 3 --method biased --count 100 --seed 9",
+        0,
+        "b9752b85a65b509227b31a4f42039a675392371499be00e1abf178b45c918bec",
+    ),
+    "check-default": (
+        "check --radii 2,1 --centre 1,0 --count 20000 --seed 7",
+        0,
+        "8b81115c268a1f3cd48fc727d494f58c8c6ee832f51e20d42c75a4732d2dd9c4",
+    ),
+    "check-ks-identity": (
+        "check --quadratic {Q} --count 5000 --seed 7 --tests ks,identity",
+        0,
+        "69363bc641a548300f417cd501f62ed64bf610da55f4041fc1321c329956c43d",
+    ),
+    "volume-mc": (
+        "volume --radii 2,1 --seed 1 --mc 20000",
+        0,
+        "355d876269995e6d1feea898e6788c5453f39b48b499c5826ec73fadd6203fc7",
+    ),
+    "volume-quadratic": (
+        "volume --quadratic {Q} --seed 1",
+        0,
+        "71adb90a397f180d306b3a010a9cf77997c970b8acbc3996913cbb7d865ad00e",
+    ),
+}
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {
+        "R": tmp_path / "rotation.txt",
+        "Q": tmp_path / "quadratic.txt",
+        "S": tmp_path / "shape.txt",
+        "F": tmp_path / "foci.json",
+        "SPEC": tmp_path / "spec.json",
+    }
+    paths["R"].write_text(ROTATION)
+    paths["Q"].write_text(QUADRATIC)
+    paths["S"].write_text(SHAPE)
+    paths["F"].write_text(json.dumps(FOCI))
+    paths["SPEC"].write_text(json.dumps(SPEC))
+    return {key: str(path) for key, path in paths.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_are_pinned(name, files, capsys):
+    template, expected_code, expected_hash = CASES[name]
+    code = main(template.format(**files).split())
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_hash

@@ -7,21 +7,17 @@ import pytest
 
 from ellipsample import RngStream, random_rotation
 from ellipsample.errors import (
-    DimensionMismatch,
     DimensionOutOfRange,
     NotPositiveDefinite,
     NotSymmetric,
 )
 from ellipsample.linalg import (
     cholesky,
-    det_triangular,
-    invert_spd,
     is_rotation,
     parse_matrix_text,
-    solve_lower,
     solve_upper,
 )
-from helpers import cofactor_det, rand_spd
+from helpers import rand_spd
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,37 +67,6 @@ class TestCholesky:
             cholesky(np.zeros((2, 2)))
 
 
-class TestSolveLower:
-    def test_identity(self):
-        np.testing.assert_array_equal(solve_lower(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_forward_substitution_by_hand(self):
-        lower = [[2.0, 0.0], [1.0, SQRT2]]
-        y = solve_lower(lower, [2.0, 1.0 + SQRT2])
-        np.testing.assert_allclose(y, [1.0, 1.0], rtol=1e-15)
-
-    def test_diagonal_scaling(self):
-        np.testing.assert_allclose(solve_lower(np.diag([2.0, 4.0]), [2.0, 4.0]), [1.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve_lower(np.eye(3), [1.0, 2.0])
-
-    def test_nontriangular_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lower([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
-
-    def test_residual_random(self):
-        rng = RngStream(11)
-        for n in [1, 2, 5, 9, 16]:
-            child = rng.derive(n)
-            lower = np.tril(np.asarray(child.normals((n, n))))
-            np.fill_diagonal(lower, 1.0 + np.abs(child.normals(n)))
-            b = np.asarray(child.normals(n))
-            y = solve_lower(lower, b)
-            assert np.linalg.norm(lower @ y - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
-
-
 class TestSolveUpper:
     def test_round_trip_with_lower(self):
         rng = RngStream(12)
@@ -109,31 +74,12 @@ class TestSolveUpper:
             m = rand_spd(n, rng.derive(n))
             r = cholesky(m)
             b = np.asarray(rng.derive(100 + n).normals(n))
-            x = solve_upper(r.T, solve_lower(r, b))
+            x = solve_upper(r.T, np.linalg.solve(r, b))
             np.testing.assert_allclose(m @ x, b, atol=1e-9 * np.linalg.norm(b))
 
     def test_nontriangular_rejected(self):
         with pytest.raises(ValueError):
             solve_upper([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0])
-
-
-class TestDetTriangular:
-    def test_identity(self):
-        assert det_triangular(np.eye(5)) == 1.0
-
-    def test_diagonal(self):
-        assert det_triangular(np.diag([2.0, 1.0])) == 2.0
-
-    def test_cholesky_factor(self):
-        assert det_triangular([[2.0, 0.0], [1.0, SQRT2]]) == pytest.approx(2.0 * SQRT2, rel=1e-15)
-
-    def test_squared_matches_cofactor_expansion(self):
-        rng = RngStream(21)
-        for n in range(1, 5):
-            for trial in range(10):
-                m = rand_spd(n, rng.derive(n).derive(trial))
-                det_m = cofactor_det(m)
-                assert det_triangular(cholesky(m)) ** 2 == pytest.approx(det_m, rel=1e-8)
 
 
 class TestIsRotation:
@@ -162,31 +108,6 @@ class TestIsRotation:
             c1 = random_rotation(n, rng.derive(2 * n))
             c2 = random_rotation(n, rng.derive(2 * n + 1))
             assert is_rotation(c1 @ c2, 1e-8)
-
-
-class TestInvertSpd:
-    def test_identity(self):
-        np.testing.assert_allclose(invert_spd(np.eye(4)), np.eye(4))
-
-    def test_diagonal_reciprocal(self):
-        np.testing.assert_allclose(invert_spd(np.diag([4.0, 1.0])), np.diag([0.25, 1.0]))
-
-    def test_known_2x2(self):
-        m = np.array([[4.0, 2.0], [2.0, 3.0]])
-        inv = invert_spd(m)
-        np.testing.assert_allclose(inv, [[0.375, -0.25], [-0.25, 0.5]], rtol=1e-14)
-        # the defining property: product with the input is the identity
-        assert np.abs(m @ inv - np.eye(2)).max() <= 1e-8
-
-    def test_product_identity_random(self):
-        rng = RngStream(41)
-        for n in [1, 2, 5, 10, 16]:
-            m = rand_spd(n, rng.derive(n))
-            assert np.abs(m @ invert_spd(m) - np.eye(n)).max() <= 1e-8
-
-    def test_propagates_cholesky_errors(self):
-        with pytest.raises(NotPositiveDefinite):
-            invert_spd([[1.0, 2.0], [2.0, 1.0]])
 
 
 class TestMatrixTextFormat:

@@ -22,7 +22,7 @@ from ellipsample import (
     unit_ball_volume,
 )
 from ellipsample.linalg import is_rotation
-from ellipsample.sampling import _ball_rejection_chunk, _box_rejection_chunk
+from ellipsample.sampling import CHUNK_SIZE, _ball_rejection_chunk, _box_rejection_chunk
 from helpers import rand_ellipsoid
 
 
@@ -229,11 +229,12 @@ class TestSampleBatch:
         e = ellipse_2x1_at_1_0()
         assert not np.array_equal(sample_batch(e, 100, 7).points, sample_batch(e, 100, 8).points)
 
-    def test_independent_of_worker_count(self):
+    def test_chunk_layout_prefix(self):
+        # chunk i depends only on (seed, i): a shorter batch is a prefix at chunk boundaries
         e = rand_ellipsoid(3, RngStream(26))
-        serial = sample_batch(e, 30_000, 9, workers=1)
-        threaded = sample_batch(e, 30_000, 9, workers=4)
-        np.testing.assert_array_equal(serial.points, threaded.points)
+        longer = sample_batch(e, 3 * CHUNK_SIZE + 5, 9)
+        shorter = sample_batch(e, 2 * CHUNK_SIZE, 9)
+        np.testing.assert_array_equal(longer.points[: 2 * CHUNK_SIZE], shorter.points)
 
     @pytest.mark.parametrize("method", ["transform", "ball_rejection", "ellipsoid_rejection", "biased"])
     def test_all_points_contained(self, method):
