@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EllipsampleError
 from .geometry import Ellipsoid
 from .linalg import parse_matrix_text
-from .sampling import RngStream, SampleBatch, sample_batch
+from .sampling import CHUNK_SIZE, RngStream, SampleBatch, sample_batch
 from .validation import (
     chi_square_uniformity,
     mc_volume,
@@ -155,14 +156,21 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         raise ConfigError(str(exc)) from exc
 
 
-def _render_csv(batch: SampleBatch) -> str:
-    lines = [",".join(f"x{i + 1}" for i in range(batch.dim))]
-    for row in batch.points:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _blocks(points: np.ndarray) -> Iterator[np.ndarray]:
+    """``points`` as consecutive CHUNK_SIZE-row slices."""
+    for start in range(0, points.shape[0], CHUNK_SIZE):
+        yield points[start : start + CHUNK_SIZE]
 
 
-def _render_json(batch: SampleBatch) -> str:
+def _render_csv(batch: SampleBatch) -> Iterator[str]:
+    yield ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
+    # %r of a Python float is its repr, the shortest round-tripping text.
+    row = ",".join(["%r"] * batch.dim) + "\n"
+    for block in _blocks(batch.points):
+        yield row * len(block) % tuple(block.ravel().tolist())
+
+
+def _render_json(batch: SampleBatch) -> Iterator[str]:
     doc = {
         "dim": batch.dim,
         "count": batch.count,
@@ -171,10 +179,10 @@ def _render_json(batch: SampleBatch) -> str:
         "ellipsoid": batch.ellipsoid_spec,
         "points": batch.points.tolist(),
     }
-    return json.dumps(doc) + "\n"
+    yield json.dumps(doc) + "\n"
 
 
-def _render_svg(batch: SampleBatch, e: Ellipsoid) -> str:
+def _render_svg(batch: SampleBatch, e: Ellipsoid) -> Iterator[str]:
     # Data coordinates with y negated so the picture's y axis points up;
     # vector-effect keeps the outline one device pixel at any scale.
     half = 1.08 * e.bounding_halfwidths()
@@ -187,24 +195,26 @@ def _render_svg(batch: SampleBatch, e: Ellipsoid) -> str:
     ring = np.column_stack([np.cos(theta), np.sin(theta)]) @ np.asarray(e.shape).T + e.centre
     outline = " ".join(f"{float(x)!r},{float(-y)!r}" for x, y in ring)
 
-    lines = [
+    yield (
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
-        f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">',
+        f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">\n'
         f'<polygon points="{outline}" fill="none" stroke="black" stroke-width="1" '
-        'vector-effect="non-scaling-stroke"/>',
-    ]
-    for x, y in batch.points:
-        lines.append(f'<circle cx="{float(x)!r}" cy="{float(-y)!r}" r="{dot!r}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        'vector-effect="non-scaling-stroke"/>\n'
+    )
+    circle = '<circle cx="%r" cy="%r" r="' + repr(dot) + '"/>\n'
+    for block in _blocks(batch.points):
+        # Multiplying by -1.0 is IEEE negation, the same bits as -y.
+        yield circle * len(block) % tuple((block * (1.0, -1.0)).ravel().tolist())
+    yield "</svg>\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write each piece as it is produced, to ``out`` or standard output."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def cmd_sample(args) -> int:
@@ -213,14 +223,15 @@ def cmd_sample(args) -> int:
         raise ConfigError("--count must be at least 1")
     if args.format == "svg" and e.dim != 2:
         raise ConfigError("svg output requires dimension 2")
+    # Sampled before --out is opened, so a failed run leaves the file untouched.
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
     if args.format == "csv":
-        text = _render_csv(batch)
+        pieces = _render_csv(batch)
     elif args.format == "json":
-        text = _render_json(batch)
+        pieces = _render_json(batch)
     else:
-        text = _render_svg(batch, e)
-    _emit(text, args.out)
+        pieces = _render_svg(batch, e)
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -240,7 +251,7 @@ def cmd_check(args) -> int:
         else:
             rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
             reports.append(proof_identity_check(e, _IDENTITY_TRIALS, rng))
-    _emit("".join(r.to_json() + "\n" for r in reports), args.out)
+    _emit(["".join(r.to_json() + "\n" for r in reports)], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STATISTICAL
 
 
@@ -257,7 +268,7 @@ def cmd_volume(args) -> int:
         lines.append(f"verdict {'agree' if agree else 'disagree'}")
         if not agree:
             status = EXIT_STATISTICAL
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return status
 
 

@@ -105,7 +105,9 @@ class Ellipsoid:
             raise DimensionMismatch(
                 f"shape is {shape.shape[0]}x{shape.shape[0]} but centre has length {n}"
             )
-        det = float(np.linalg.det(shape))
+        # Overflow raises FloatingPointError (exit 2), not a printed RuntimeWarning.
+        with np.errstate(over="raise"):
+            det = float(np.linalg.det(shape))
         scale = float(np.abs(shape).max())
         if abs(det) <= n * 1e-12 * scale**n:
             raise SingularShape(f"|det| = {abs(det):.3e} is numerically singular")

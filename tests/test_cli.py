@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -325,11 +326,28 @@ class TestExitCodeDiscipline:
         assert code == 2
 
     def test_overflowing_volume_is_exit_2_without_traceback(self, capsys):
-        code, out, err = run(["volume", "--radii", ",".join(["1e11"] * 30), "--seed", "1"], capsys)
+        # pytest records warnings instead of printing them, so catch them here.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                ["volume", "--radii", ",".join(["1e11"] * 30), "--seed", "1"], capsys
+            )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dim", "3", "--format", "svg"], ["--dim", "2", "--count", "0"]],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_config_error_leaves_out_file_untouched(self, flags, capsys, tmp_path):
+        out_file = tmp_path / "out.txt"
+        out_file.write_text("sentinel\n")
+        code, _, _ = run(["sample", *flags, "--seed", "1", "--out", str(out_file)], capsys)
+        assert code == 2
+        assert out_file.read_text() == "sentinel\n"
 
     @pytest.mark.parametrize(
         "extra",

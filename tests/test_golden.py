@@ -78,6 +78,22 @@ CASES = {
         0,
         "69363bc641a548300f417cd501f62ed64bf610da55f4041fc1321c329956c43d",
     ),
+    # Counts past CHUNK_SIZE (8192) so the rows cross chunk boundaries.
+    "sample-csv-chunks": (
+        "sample --radii 2,1 --centre 1,-0.5 --count 16389 --seed 4",
+        0,
+        "5dc1d6f989db3a2abf422f6bd5dd4bab81d995b07efffbe3822ccabc43aa6933",
+    ),
+    "sample-svg-chunks": (
+        "sample --radii 2,1 --centre 1,-0.5 --count 16389 --seed 4 --format svg",
+        0,
+        "dc263147f63f2c9226cca16f8657ee1d5ea7d2dbc9faa419f56701f1bc237439",
+    ),
+    "sample-biased-chunks": (
+        "sample --dim 5 --method biased --count 8193 --seed 3",
+        0,
+        "68543ca69895c74efa8dc6f29e14c9cd5f2f7edaa22edc706fb779a6b53e45fc",
+    ),
     "volume-mc": (
         "volume --radii 2,1 --seed 1 --mc 20000",
         0,
@@ -115,3 +131,13 @@ def test_output_bytes_are_pinned(name, files, capsys):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected_hash
+
+
+def test_out_file_bytes_equal_stdout(tmp_path, capsys):
+    argv = CASES["sample-csv-chunks"][0].split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
