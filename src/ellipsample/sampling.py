@@ -252,7 +252,7 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     The batch is split into fixed CHUNK_SIZE chunks; chunk i is filled from
     the child stream derive(i) of the root stream for ``seed`` and depends
     on nothing else, so the first k * CHUNK_SIZE points of a larger batch
-    equal the batch of k * CHUNK_SIZE points.
+    equal the batch of k * CHUNK_SIZE points.  Chunks fill one preallocated array.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -261,12 +261,10 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     if method in ("ball_rejection", "ellipsoid_rejection"):
         _check_dim(e.dim, REJECTION_DIM_MAX)
     root = RngStream(seed)
-    sizes = [CHUNK_SIZE] * (count // CHUNK_SIZE)
-    if count % CHUNK_SIZE:
-        sizes.append(count % CHUNK_SIZE)
-    points = np.vstack(
-        [_chunk_points(e, method, size, root.derive(i)) for i, size in enumerate(sizes)]
-    )
+    points = np.empty((count, e.dim))
+    for i, start in enumerate(range(0, count, CHUNK_SIZE)):
+        rows = points[start : start + CHUNK_SIZE]
+        rows[:] = _chunk_points(e, method, rows.shape[0], root.derive(i))
     return SampleBatch(
         dim=e.dim,
         points=points,

@@ -7,6 +7,11 @@ hold probability 1/K, and the 2^n sign orthants are equal by symmetry.  The
 radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
+The tests read at most two scalars per point, ||u||^2 and the orthant code,
+so ``pull_back`` pulls each point back once, in CHUNK_SIZE-row blocks, and
+keeps only those.  That is bit-identical to one solve over the whole batch:
+LAPACK's solve treats each right-hand side column on its own.
+
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
 of freedom used here.  The KS critical value is the asymptotic Kolmogorov
@@ -28,7 +33,7 @@ from .errors import (
     PointOutsideEllipsoid,
 )
 from .geometry import Ellipsoid, unit_ball_volume
-from .sampling import REJECTION_DIM_MAX, RngStream, SampleBatch, sample_ellipsoid
+from .sampling import CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, sample_ellipsoid
 
 # Upper-tail standard normal quantiles for the supported significance levels.
 _Z_UPPER = {0.01: 2.3263478740408408, 0.001: 3.090232306167813}
@@ -58,11 +63,13 @@ class BinPartition:
     dim: int
     shells: int
 
+    # Unannotated, so not a field.  Orthant codes must fit in int64; far past
+    # usable bin counts anyway (expected counts need N >= 5 * shells * 2^dim).
+    MAX_DIM = 62
+
     def __post_init__(self):
-        # bit-shifted orthant indices must fit in int64; far past usable
-        # bin counts anyway (expected counts need N >= 5 * shells * 2^dim)
-        if not 1 <= self.dim <= 62:
-            raise ValueError("dim must be in 1..62")
+        if not 1 <= self.dim <= self.MAX_DIM:
+            raise ValueError(f"dim must be in 1..{self.MAX_DIM}")
         if self.shells < 1:
             raise ValueError("shells must be positive")
 
@@ -74,15 +81,36 @@ class BinPartition:
         """The shells + 1 shell boundaries (k/shells)^(1/dim), k = 0..shells."""
         return (np.arange(self.shells + 1) / self.shells) ** (1.0 / self.dim)
 
+    @staticmethod
+    def orthant_codes(u: np.ndarray) -> np.ndarray:
+        """Sign-orthant code of each row of ``u``: bit j is set iff u_j < 0."""
+        return (u < 0.0) @ (1 << np.arange(u.shape[1]))
+
+    def bins(self, pb: PulledBack) -> np.ndarray:
+        """Bin index of each point, from its squared norm and orthant code."""
+        t = pb.sq_norms ** (self.dim / 2.0)
+        shell = np.minimum((t * self.shells).astype(int), self.shells - 1)
+        return shell * 2**self.dim + pb.orthants
+
     def assign(self, pulled_back: np.ndarray) -> np.ndarray:
         """Bin index for each pulled-back (ball-coordinate) point."""
         u = np.asarray(pulled_back, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.dim:
             raise DimensionMismatch(f"points have shape {u.shape}, expected (N, {self.dim})")
-        t = ((u * u).sum(axis=1)) ** (self.dim / 2.0)
-        shell = np.minimum((t * self.shells).astype(int), self.shells - 1)
-        orthant = (u < 0.0) @ (1 << np.arange(self.dim))
-        return shell * 2**self.dim + orthant
+        return self.bins(PulledBack(self.dim, (u * u).sum(axis=1), self.orthant_codes(u)))
+
+
+@dataclass(frozen=True, eq=False)
+class PulledBack:
+    """Each pulled-back point's ||u||^2 and orthant code (None above BinPartition.MAX_DIM)."""
+
+    dim: int
+    sq_norms: np.ndarray
+    orthants: np.ndarray | None
+
+    @property
+    def count(self) -> int:
+        return self.sq_norms.shape[0]
 
 
 @dataclass(frozen=True)
@@ -134,18 +162,28 @@ def wilson_hilferty_critical(dof: int, alpha: float) -> float:
     return dof * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
-def _pullback_checked(batch: SampleBatch, e: Ellipsoid) -> np.ndarray:
-    if batch.dim != e.dim:
-        raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
-    u = e.pullback(batch.points)
-    worst = float(np.sqrt((u * u).sum(axis=1).max()))
+def pull_back(data: SampleBatch | PulledBack, e: Ellipsoid) -> PulledBack:
+    """The batch pulled back in CHUNK_SIZE-row blocks; a PulledBack is returned as is."""
+    if data.dim != e.dim:
+        raise DimensionMismatch(f"batch dim {data.dim} != ellipsoid dim {e.dim}")
+    if isinstance(data, PulledBack):
+        return data
+    sq_norms = np.empty(data.count)
+    orthants = np.empty(data.count, dtype=np.int64) if e.dim <= BinPartition.MAX_DIM else None
+    for start in range(0, data.count, CHUNK_SIZE):
+        rows = slice(start, start + CHUNK_SIZE)
+        u = e.pullback(data.points[rows])
+        sq_norms[rows] = (u * u).sum(axis=1)
+        if orthants is not None:
+            orthants[rows] = BinPartition.orthant_codes(u)
+    worst = float(np.sqrt(sq_norms.max()))
     if worst > 1.0 + PULLBACK_SLACK:
         raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
-    return u
+    return PulledBack(e.dim, sq_norms, orthants)
 
 
 def chi_square_uniformity(
-    batch: SampleBatch,
+    batch: SampleBatch | PulledBack,
     e: Ellipsoid,
     shells: int = 4,
     alpha: float = 0.001,
@@ -165,8 +203,7 @@ def chi_square_uniformity(
         )
     dof = part.bin_count - 1
     critical = wilson_hilferty_critical(dof, alpha)
-    u = _pullback_checked(batch, e)
-    observed = np.bincount(part.assign(u), minlength=part.bin_count)
+    observed = np.bincount(part.bins(pull_back(batch, e)), minlength=part.bin_count)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     return TestReport("chi_square_uniformity", statistic, dof, critical, alpha, batch.count)
 
@@ -185,10 +222,8 @@ def chi_square_two_sample(
     bins are skipped and each reduces the degrees of freedom by one.
     """
     part = BinPartition(e.dim, shells)
-    ua = _pullback_checked(batch_a, e)
-    ub = _pullback_checked(batch_b, e)
-    counts_a = np.bincount(part.assign(ua), minlength=part.bin_count).astype(float)
-    counts_b = np.bincount(part.assign(ub), minlength=part.bin_count).astype(float)
+    counts_a = np.bincount(part.bins(pull_back(batch_a, e)), minlength=part.bin_count)
+    counts_b = np.bincount(part.bins(pull_back(batch_b, e)), minlength=part.bin_count)
     na, nb = batch_a.count, batch_b.count
     occupied = (counts_a + counts_b) > 0
     dof = int(occupied.sum()) - 1
@@ -202,7 +237,7 @@ def chi_square_two_sample(
     return TestReport("chi_square_two_sample", statistic, dof, critical, alpha, na + nb)
 
 
-def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestReport:
+def radial_ks(batch: SampleBatch | PulledBack, e: Ellipsoid, alpha: float = 0.001) -> TestReport:
     """One-sample Kolmogorov-Smirnov test of the pulled-back radii.
 
     Uniformity over the ellipsoid makes t = ||pullback(x)||^n exactly
@@ -214,8 +249,7 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     n = batch.count
     if n < KS_MIN_SAMPLES:
         raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {n}")
-    u = _pullback_checked(batch, e)
-    t = np.sort(((u * u).sum(axis=1)) ** (e.dim / 2.0))
+    t = np.sort(pull_back(batch, e).sq_norms ** (e.dim / 2.0))
     grid = np.arange(1, n + 1) / n
     d_plus = float((grid - t).max())
     d_minus = float((t - (grid - 1.0 / n)).max())

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from ellipsample import Ellipsoid, sample_batch, unit_ball_volume
 from ellipsample.cli import main
+from ellipsample.sampling import CHUNK_SIZE
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
 
@@ -266,6 +268,37 @@ class TestCheckCommand:
         assert reports["0.01"]["critical"] == 1.63 / math.sqrt(5000)
         assert reports["0.001"]["critical"] == 1.95 / math.sqrt(5000)
         assert reports["0.01"]["statistic"] == reports["0.001"]["statistic"]
+
+    def test_each_point_is_pulled_back_once(self, capsys, monkeypatch):
+        rows = []
+        pullback = Ellipsoid.pullback
+
+        def recording(self, points):
+            rows.append(points.shape[0])
+            return pullback(self, points)
+
+        monkeypatch.setattr(Ellipsoid, "pullback", recording)
+        argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7"]
+        assert run(argv, capsys)[0] == 0
+        assert sum(rows) == 20000
+        assert max(rows) <= CHUNK_SIZE
+        rows.clear()
+        assert run([*argv, "--tests", "identity"], capsys)[0] == 0
+        assert rows == []
+
+    @pytest.mark.parametrize("dim, count, tests", [(64, 65536, "ks"), (10, 100_000, "chi2,ks")])
+    def test_peak_memory_under_twice_the_batch(self, dim, count, tests, capsys):
+        argv = ["check", "--dim", str(dim), "--count", str(count), "--seed", "3", "--tests", tests]
+        batch_bytes = count * dim * 8
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 2 * batch_bytes, peak / batch_bytes
 
 
 class TestVolumeCommand:

@@ -94,6 +94,22 @@ CASES = {
         0,
         "68543ca69895c74efa8dc6f29e14c9cd5f2f7edaa22edc706fb779a6b53e45fc",
     ),
+    "check-quadratic-chunks": (
+        "check --quadratic {Q} --count 16389 --seed 5 --tests chi2,ks",
+        0,
+        "3fcef14d3a94e8d42978cd883e5b67d9ddf2102c6771201cb806b8b464f24f40",
+    ),
+    "check-10d-chunks": (
+        "check --dim 10 --count 40961 --seed 2",
+        0,
+        "2488a3ff46f84913cfc2b90d11148ecfaae0a90430294bae2d1c1193f90a1ab4",
+    ),
+    # Above 62 dimensions there are no orthant codes; KS alone.
+    "check-64d-ks-chunks": (
+        "check --dim 64 --count 8193 --seed 3 --tests ks",
+        0,
+        "3f173ae538b18ea31642bcaf0aa5e356e75d31fa4634b9fc1978a2a2b267ff0f",
+    ),
     "volume-mc": (
         "volume --radii 2,1 --seed 1 --mc 20000",
         0,

@@ -26,6 +26,7 @@ from ellipsample import (
     unit_ball_volume,
     wilson_hilferty_critical,
 )
+from ellipsample.sampling import CHUNK_SIZE
 from helpers import rand_ellipsoid
 
 
@@ -261,6 +262,43 @@ class TestRadialKs:
         batch = sample_batch(e, 99, 22)
         with pytest.raises(InsufficientSamples):
             radial_ks(batch, e)
+
+
+class TestChunkedPullBack:
+    """The tests pull back in CHUNK_SIZE-row blocks; a partial last block included."""
+
+    COUNT = 3 * CHUNK_SIZE + 5
+
+    @pytest.mark.parametrize("dim", [2, 10, 64])
+    def test_statistics_equal_one_shot_reference(self, dim):
+        e = rand_ellipsoid(dim, RngStream(93 + dim))
+        batch = sample_batch(e, self.COUNT, 23)
+        u = e.pullback(batch.points)
+        n = self.COUNT
+        t = np.sort(((u * u).sum(axis=1)) ** (dim / 2.0))
+        grid = np.arange(1, n + 1) / n
+        d = max(float((grid - t).max()), float((t - (grid - 1.0 / n)).max()))
+        assert radial_ks(batch, e).statistic == d
+        if dim > BinPartition.MAX_DIM:
+            return
+        part = BinPartition(dim, 4)
+        expected = n / part.bin_count
+        observed = np.bincount(part.assign(u), minlength=part.bin_count)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi_square_uniformity(batch, e, shells=4).statistic == chi2
+
+    def test_outside_point_in_last_partial_chunk_detected(self):
+        e = ellipse_2x1()
+        pts = sample_batch(e, self.COUNT, 24).points.copy()
+        pts[-2] = e.centre + 1.01 * np.asarray(e.shape)[:, 0]  # pulls back to norm 1.01
+        bad = SampleBatch(2, pts, 24, "transform", e.spec_dict())
+        good = sample_batch(e, self.COUNT, 25)
+        with pytest.raises(PointOutsideEllipsoid):
+            chi_square_uniformity(bad, e)
+        with pytest.raises(PointOutsideEllipsoid):
+            radial_ks(bad, e)
+        with pytest.raises(PointOutsideEllipsoid):
+            chi_square_two_sample(good, bad, e)
 
 
 class TestMcVolume:
