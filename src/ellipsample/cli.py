@@ -22,7 +22,6 @@ from .validation import (
     chi_square_uniformity,
     mc_volume,
     proof_identity_check,
-    pull_back,
     radial_ks,
 )
 
@@ -243,15 +242,12 @@ def cmd_check(args) -> int:
     if unknown or not selected:
         raise ConfigError(f"--tests entries must be among {_CHECK_NAMES}, got {selected}")
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
-    # chi2 and ks share one pull-back pass; only its per-point scalars are kept.
-    pulled = pull_back(batch, e) if {"chi2", "ks"} & set(selected) else None
-    del batch
     reports = []
     for name in selected:
         if name == "chi2":
-            reports.append(chi_square_uniformity(pulled, e, shells=args.shells, alpha=args.alpha))
+            reports.append(chi_square_uniformity(batch, e, shells=args.shells, alpha=args.alpha))
         elif name == "ks":
-            reports.append(radial_ks(pulled, e, alpha=args.alpha))
+            reports.append(radial_ks(batch, e, alpha=args.alpha))
         else:
             rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
             reports.append(proof_identity_check(e, _IDENTITY_TRIALS, rng))

@@ -7,9 +7,9 @@ hold probability 1/K, and the 2^n sign orthants are equal by symmetry.  The
 radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
-The tests read at most two scalars per point, ||u||^2 and the orthant code,
-so ``pull_back`` pulls each point back once, in CHUNK_SIZE-row blocks, and
-keeps only those.  That is bit-identical to one solve over the whole batch:
+A test reads at most two scalars per point, ||u||^2 and the orthant code,
+so each test pulls each point back once, in CHUNK_SIZE-row blocks, and keeps
+only those.  That is bit-identical to one solve over the whole batch:
 LAPACK's solve treats each right-hand side column on its own.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
@@ -63,13 +63,11 @@ class BinPartition:
     dim: int
     shells: int
 
-    # Unannotated, so not a field.  Orthant codes must fit in int64; far past
-    # usable bin counts anyway (expected counts need N >= 5 * shells * 2^dim).
-    MAX_DIM = 62
-
     def __post_init__(self):
-        if not 1 <= self.dim <= self.MAX_DIM:
-            raise ValueError(f"dim must be in 1..{self.MAX_DIM}")
+        # bit-shifted orthant indices must fit in int64; far past usable
+        # bin counts anyway (expected counts need N >= 5 * shells * 2^dim)
+        if not 1 <= self.dim <= 62:
+            raise ValueError("dim must be in 1..62")
         if self.shells < 1:
             raise ValueError("shells must be positive")
 
@@ -86,31 +84,18 @@ class BinPartition:
         """Sign-orthant code of each row of ``u``: bit j is set iff u_j < 0."""
         return (u < 0.0) @ (1 << np.arange(u.shape[1]))
 
-    def bins(self, pb: PulledBack) -> np.ndarray:
-        """Bin index of each point, from its squared norm and orthant code."""
-        t = pb.sq_norms ** (self.dim / 2.0)
+    def bins(self, sq_norms: np.ndarray, orthants: np.ndarray) -> np.ndarray:
+        """Bin index of each point, from its squared norm ||u||^2 and orthant code."""
+        t = sq_norms ** (self.dim / 2.0)
         shell = np.minimum((t * self.shells).astype(int), self.shells - 1)
-        return shell * 2**self.dim + pb.orthants
+        return shell * 2**self.dim + orthants
 
     def assign(self, pulled_back: np.ndarray) -> np.ndarray:
         """Bin index for each pulled-back (ball-coordinate) point."""
         u = np.asarray(pulled_back, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.dim:
             raise DimensionMismatch(f"points have shape {u.shape}, expected (N, {self.dim})")
-        return self.bins(PulledBack(self.dim, (u * u).sum(axis=1), self.orthant_codes(u)))
-
-
-@dataclass(frozen=True, eq=False)
-class PulledBack:
-    """Each pulled-back point's ||u||^2 and orthant code (None above BinPartition.MAX_DIM)."""
-
-    dim: int
-    sq_norms: np.ndarray
-    orthants: np.ndarray | None
-
-    @property
-    def count(self) -> int:
-        return self.sq_norms.shape[0]
+        return self.bins((u * u).sum(axis=1), self.orthant_codes(u))
 
 
 @dataclass(frozen=True)
@@ -162,28 +147,32 @@ def wilson_hilferty_critical(dof: int, alpha: float) -> float:
     return dof * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
-def pull_back(data: SampleBatch | PulledBack, e: Ellipsoid) -> PulledBack:
-    """The batch pulled back in CHUNK_SIZE-row blocks; a PulledBack is returned as is."""
-    if data.dim != e.dim:
-        raise DimensionMismatch(f"batch dim {data.dim} != ellipsoid dim {e.dim}")
-    if isinstance(data, PulledBack):
-        return data
-    sq_norms = np.empty(data.count)
-    orthants = np.empty(data.count, dtype=np.int64) if e.dim <= BinPartition.MAX_DIM else None
-    for start in range(0, data.count, CHUNK_SIZE):
+def _pull_back(
+    batch: SampleBatch, e: Ellipsoid, orthants: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(||u||^2, orthant codes or None) of each point, pulled back in CHUNK_SIZE-row blocks."""
+    if batch.dim != e.dim:
+        raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
+    sq_norms = np.empty(batch.count)
+    codes = np.empty(batch.count, dtype=np.int64) if orthants else None
+    for start in range(0, batch.count, CHUNK_SIZE):
         rows = slice(start, start + CHUNK_SIZE)
-        u = e.pullback(data.points[rows])
+        u = e.pullback(batch.points[rows])
         sq_norms[rows] = (u * u).sum(axis=1)
-        if orthants is not None:
-            orthants[rows] = BinPartition.orthant_codes(u)
+        if orthants:
+            codes[rows] = BinPartition.orthant_codes(u)
     worst = float(np.sqrt(sq_norms.max()))
     if worst > 1.0 + PULLBACK_SLACK:
         raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
-    return PulledBack(e.dim, sq_norms, orthants)
+    return sq_norms, codes
+
+
+def _bin_counts(batch: SampleBatch, e: Ellipsoid, part: BinPartition) -> np.ndarray:
+    return np.bincount(part.bins(*_pull_back(batch, e, orthants=True)), minlength=part.bin_count)
 
 
 def chi_square_uniformity(
-    batch: SampleBatch | PulledBack,
+    batch: SampleBatch,
     e: Ellipsoid,
     shells: int = 4,
     alpha: float = 0.001,
@@ -203,7 +192,7 @@ def chi_square_uniformity(
         )
     dof = part.bin_count - 1
     critical = wilson_hilferty_critical(dof, alpha)
-    observed = np.bincount(part.bins(pull_back(batch, e)), minlength=part.bin_count)
+    observed = _bin_counts(batch, e, part)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     return TestReport("chi_square_uniformity", statistic, dof, critical, alpha, batch.count)
 
@@ -222,8 +211,8 @@ def chi_square_two_sample(
     bins are skipped and each reduces the degrees of freedom by one.
     """
     part = BinPartition(e.dim, shells)
-    counts_a = np.bincount(part.bins(pull_back(batch_a, e)), minlength=part.bin_count)
-    counts_b = np.bincount(part.bins(pull_back(batch_b, e)), minlength=part.bin_count)
+    counts_a = _bin_counts(batch_a, e, part)
+    counts_b = _bin_counts(batch_b, e, part)
     na, nb = batch_a.count, batch_b.count
     occupied = (counts_a + counts_b) > 0
     dof = int(occupied.sum()) - 1
@@ -237,7 +226,7 @@ def chi_square_two_sample(
     return TestReport("chi_square_two_sample", statistic, dof, critical, alpha, na + nb)
 
 
-def radial_ks(batch: SampleBatch | PulledBack, e: Ellipsoid, alpha: float = 0.001) -> TestReport:
+def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestReport:
     """One-sample Kolmogorov-Smirnov test of the pulled-back radii.
 
     Uniformity over the ellipsoid makes t = ||pullback(x)||^n exactly
@@ -249,7 +238,7 @@ def radial_ks(batch: SampleBatch | PulledBack, e: Ellipsoid, alpha: float = 0.00
     n = batch.count
     if n < KS_MIN_SAMPLES:
         raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {n}")
-    t = np.sort(pull_back(batch, e).sq_norms ** (e.dim / 2.0))
+    t = np.sort(_pull_back(batch, e)[0] ** (e.dim / 2.0))
     grid = np.arange(1, n + 1) / n
     d_plus = float((grid - t).max())
     d_minus = float((t - (grid - 1.0 / n)).max())

@@ -269,7 +269,7 @@ class TestCheckCommand:
         assert reports["0.001"]["critical"] == 1.95 / math.sqrt(5000)
         assert reports["0.01"]["statistic"] == reports["0.001"]["statistic"]
 
-    def test_each_point_is_pulled_back_once(self, capsys, monkeypatch):
+    def test_each_test_pulls_each_point_back_once_in_chunks(self, capsys, monkeypatch):
         rows = []
         pullback = Ellipsoid.pullback
 
@@ -278,12 +278,16 @@ class TestCheckCommand:
             return pullback(self, points)
 
         monkeypatch.setattr(Ellipsoid, "pullback", recording)
-        argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7"]
-        assert run(argv, capsys)[0] == 0
-        assert sum(rows) == 20000
-        assert max(rows) <= CHUNK_SIZE
+        argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7", "--tests"]
+        for tests, pulled_back in (("chi2,ks,identity", 2 * 20000), ("ks", 20000), ("identity", 0)):
+            rows.clear()
+            assert run([*argv, tests], capsys)[0] == 0
+            assert sum(rows) == pulled_back
+            assert all(r <= CHUNK_SIZE for r in rows)
+        # Inputs a test rejects are rejected before any point is pulled back.
         rows.clear()
-        assert run([*argv, "--tests", "identity"], capsys)[0] == 0
+        assert run(["check", "--dim", "64", "--count", "20000", "--tests", "chi2"], capsys)[0] == 2
+        assert run(["check", "--dim", "3", "--count", "10", "--tests", "ks"], capsys)[0] == 2
         assert rows == []
 
     @pytest.mark.parametrize("dim, count, tests", [(64, 65536, "ks"), (10, 100_000, "chi2,ks")])

@@ -279,7 +279,7 @@ class TestChunkedPullBack:
         grid = np.arange(1, n + 1) / n
         d = max(float((grid - t).max()), float((t - (grid - 1.0 / n)).max()))
         assert radial_ks(batch, e).statistic == d
-        if dim > BinPartition.MAX_DIM:
+        if dim == 64:  # above BinPartition's 62-d limit: KS only
             return
         part = BinPartition(dim, 4)
         expected = n / part.bin_count
