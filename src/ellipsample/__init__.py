@@ -20,18 +20,8 @@ from .errors import (
     PointOutsideEllipsoid,
     SingularShape,
 )
-from .geometry import BallPoint, Ellipsoid, centre_from_foci, unit_ball_volume
-from .sampling import (
-    RngStream,
-    SampleBatch,
-    biased_ellipsoid_sampler,
-    random_rotation,
-    sample_batch,
-    sample_ellipsoid,
-    sample_ellipsoid_rejection,
-    sample_unit_ball,
-    sample_unit_ball_rejection,
-)
+from .geometry import Ellipsoid, centre_from_foci, unit_ball_volume
+from .sampling import RngStream, SampleBatch, random_rotation, sample_batch
 from .validation import (
     BinPartition,
     TestReport,
@@ -46,7 +36,6 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallPoint",
     "BinPartition",
     "DimensionMismatch",
     "DimensionOutOfRange",
@@ -62,7 +51,6 @@ __all__ = [
     "SampleBatch",
     "SingularShape",
     "TestReport",
-    "biased_ellipsoid_sampler",
     "centre_from_foci",
     "chi_square_two_sample",
     "chi_square_uniformity",
@@ -71,10 +59,6 @@ __all__ = [
     "radial_ks",
     "random_rotation",
     "sample_batch",
-    "sample_ellipsoid",
-    "sample_ellipsoid_rejection",
-    "sample_unit_ball",
-    "sample_unit_ball_rejection",
     "unit_ball_volume",
     "wilson_hilferty_critical",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: ``sample``, ``check``, and ``volume``.
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration error, 3 statistical
-failure.  A seed is always required; there is no silent time-based seeding,
-so identical command lines produce byte-identical output.
+failure, which includes a sampled point outside the ellipsoid.  A seed is
+always required; there is no silent time-based seeding, so identical command
+lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EllipsampleError
+from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import parse_matrix_text
 from .sampling import CHUNK_SIZE, RngStream, SampleBatch, sample_batch
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, EllipsampleError, ArithmeticError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_STATISTICAL if isinstance(exc, PointOutsideEllipsoid) else EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -61,27 +61,16 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class BallPoint:
-    """A point of the closed unit ball (Euclidean norm <= 1, tiny slack)."""
+def _in_unit_ball(u: np.ndarray) -> np.ndarray:
+    """The membership rule ||u||^2 <= (1 + slack)^2 for each point along the last axis.
 
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = linalg.as_vector(self.coords).copy()
-        norm = float(np.linalg.norm(coords))
-        if norm > 1.0 + MEMBERSHIP_SLACK:
-            raise ValueError(f"norm {norm!r} exceeds 1 + {MEMBERSHIP_SLACK}")
-        object.__setattr__(self, "coords", _lock(coords))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.coords
-        return self.coords.astype(dtype)
+    The squares are summed coordinate by coordinate, so a point gets the
+    same verdict whether it is tested alone or in a block of any size.
+    """
+    sq = np.zeros(u.shape[:-1])
+    for coord in np.moveaxis(u, -1, 0):
+        sq += coord * coord
+    return sq <= (1.0 + MEMBERSHIP_SLACK) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,12 +246,11 @@ class Ellipsoid:
 
     def contains(self, x) -> bool:
         """True iff x pulls back into the closed unit ball (with slack)."""
-        return float(np.linalg.norm(self.inverse(x))) <= 1.0 + MEMBERSHIP_SLACK
+        return bool(_in_unit_ball(self.inverse(x)))
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership test; returns a boolean mask."""
-        u = self.pullback(points)
-        return (u * u).sum(axis=1) <= (1.0 + MEMBERSHIP_SLACK) ** 2
+        return _in_unit_ball(self.pullback(points))
 
     def volume(self) -> float:
         """Volume of the membership set: unit-ball volume times |det shape|."""

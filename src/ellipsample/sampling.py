@@ -1,11 +1,12 @@
-"""Random point generation for balls and hyperellipsoids.
+"""Random point generation for hyperellipsoids.
 
-The primary sampler draws a uniform unit-ball point (Gaussian direction,
-radius u^(1/n)) and pushes it through the ellipsoid's affine map, which
-preserves uniformity.  Rejection samplers over the cube and the bounding
-box are kept as independent oracles, and a deliberately centre-biased
-sampler (radius u instead of u^(1/n)) serves as the negative control that
-proves the validation suite can detect non-uniformity.
+Every sampler is a ``sample_batch`` method.  The primary one, "transform",
+draws uniform unit-ball points (Gaussian direction, radius u^(1/n)) and
+pushes them through the ellipsoid's affine map, which preserves uniformity.
+Rejection from the cube ("ball_rejection") and from the bounding box
+("ellipsoid_rejection") is kept as an independent oracle, and "biased"
+(radius u instead of u^(1/n)) is the negative control that proves the
+validation suite can detect non-uniformity.
 
 Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOutOfRange
-from .geometry import BallPoint, Ellipsoid, unit_ball_volume
+from .geometry import Ellipsoid, unit_ball_volume
 from .linalg import DIM_MAX
 
 # Cube/box rejection beyond this dimension wastes almost every draw.
@@ -62,16 +63,8 @@ class RngStream:
             raise ValueError("child_index must be non-negative")
         return RngStream(self.seed, self.spawn_key + (int(child_index),))
 
-    def uniform(self) -> float:
-        """One uniform variate in [0, 1)."""
-        return float(self._gen.random())
-
     def uniforms(self, size) -> np.ndarray:
         return self._gen.random(size)
-
-    def normal(self) -> float:
-        """One standard Gaussian variate."""
-        return float(self._gen.standard_normal())
 
     def normals(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)
@@ -172,49 +165,6 @@ def _box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream) -> tuple[np.ndarr
     return _rejection_chunk(m, rng, widths, e.centre, e.contains_many, rate)
 
 
-def sample_unit_ball(n: int, rng: RngStream) -> BallPoint:
-    """One point uniform over the closed unit n-ball.
-
-    Direction comes from n independent standard Gaussians normalized to
-    unit length; the radius is u^(1/n) with u uniform in [0, 1).
-    """
-    _check_dim(n, DIM_MAX)
-    return BallPoint(_ball_chunk(n, 1, rng, 1.0 / n)[0])
-
-
-def sample_unit_ball_rejection(n: int, rng: RngStream) -> BallPoint:
-    """One unit-ball point by cube rejection; exact by construction.
-
-    Only practical for n <= REJECTION_DIM_MAX (acceptance decays like
-    unit-ball volume over 2^n).
-    """
-    _check_dim(n, REJECTION_DIM_MAX)
-    return BallPoint(_ball_rejection_chunk(n, 1, rng)[0][0])
-
-
-def sample_ellipsoid(e: Ellipsoid, rng: RngStream) -> np.ndarray:
-    """One point uniform over the ellipsoid: forward-mapped ball sample."""
-    return e.forward(sample_unit_ball(e.dim, rng))
-
-
-def sample_ellipsoid_rejection(e: Ellipsoid, rng: RngStream) -> np.ndarray:
-    """One ellipsoid point by bounding-box rejection; independent oracle."""
-    _check_dim(e.dim, REJECTION_DIM_MAX)
-    return _box_rejection_chunk(e, 1, rng)[0][0]
-
-
-def biased_ellipsoid_sampler(e: Ellipsoid, rng: RngStream) -> np.ndarray:
-    """Deliberately NON-uniform ellipsoid sampler (negative control).
-
-    Uses ball radius u instead of u^(1/n), which piles samples toward the
-    centre for n >= 2 (for n = 1 it coincides with the uniform sampler).
-    Exists to prove the uniformity tests have power; never use it for real
-    sampling.
-    """
-    u = _ball_chunk(e.dim, 1, rng, 1.0)[0]
-    return e.forward(u)
-
-
 def random_rotation(n: int, rng: RngStream) -> np.ndarray:
     """A random n-dimensional proper rotation (QR of a Gaussian matrix).
 
@@ -233,6 +183,7 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
 
 
 def _chunk_points(e: Ellipsoid, method: str, m: int, rng: RngStream) -> np.ndarray:
+    """m points of ``e`` drawn from ``rng`` by ``method``; the only branch on the method."""
     if method == "transform":
         u = _ball_chunk(e.dim, m, rng, 1.0 / e.dim)
     elif method == "biased":

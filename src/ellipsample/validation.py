@@ -26,14 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOutOfRange,
-    InsufficientSamples,
-    PointOutsideEllipsoid,
-)
+from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, unit_ball_volume
-from .sampling import CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, sample_ellipsoid
+from .sampling import CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, _check_dim, _chunk_points
 
 # Upper-tail standard normal quantiles for the supported significance levels.
 _Z_UPPER = {0.01: 2.3263478740408408, 0.001: 3.090232306167813}
@@ -75,10 +70,6 @@ class BinPartition:
     def bin_count(self) -> int:
         return self.shells * 2**self.dim
 
-    def shell_cut_radii(self) -> np.ndarray:
-        """The shells + 1 shell boundaries (k/shells)^(1/dim), k = 0..shells."""
-        return (np.arange(self.shells + 1) / self.shells) ** (1.0 / self.dim)
-
     @staticmethod
     def orthant_codes(u: np.ndarray) -> np.ndarray:
         """Sign-orthant code of each row of ``u``: bit j is set iff u_j < 0."""
@@ -89,13 +80,6 @@ class BinPartition:
         t = sq_norms ** (self.dim / 2.0)
         shell = np.minimum((t * self.shells).astype(int), self.shells - 1)
         return shell * 2**self.dim + orthants
-
-    def assign(self, pulled_back: np.ndarray) -> np.ndarray:
-        """Bin index for each pulled-back (ball-coordinate) point."""
-        u = np.asarray(pulled_back, dtype=float)
-        if u.ndim != 2 or u.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have shape {u.shape}, expected (N, {self.dim})")
-        return self.bins((u * u).sum(axis=1), self.orthant_codes(u))
 
 
 @dataclass(frozen=True)
@@ -255,10 +239,7 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     Independent of the closed-form determinant route, so the two can be
     cross-checked.
     """
-    if not 1 <= e.dim <= REJECTION_DIM_MAX:
-        raise DimensionOutOfRange(
-            f"dimension {e.dim} outside supported range 1..{REJECTION_DIM_MAX}"
-        )
+    _check_dim(e.dim, REJECTION_DIM_MAX)
     if count < _MC_MIN_COUNT:
         raise InsufficientSamples(f"need at least {_MC_MIN_COUNT} draws, got {count}")
     widths = e.bounding_halfwidths()
@@ -305,7 +286,7 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     inverse_map = np.linalg.solve(np.asarray(e.shape), np.eye(n))
     worst = 0.0
     for _ in range(trials):
-        x = sample_ellipsoid(e, rng)
+        x = _chunk_points(e, "transform", 1, rng)[0]
         pdf_err = abs(e.pdf(x) - expected_pdf) / expected_pdf
         jac = np.empty((n, n))
         for j in range(n):

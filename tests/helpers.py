@@ -22,5 +22,5 @@ def rand_ball_point(n: int, rng: RngStream) -> np.ndarray:
     """A point of the unit ball, without using the sampler under test."""
     g = np.asarray(rng.normals(n))
     norm = float(np.linalg.norm(g))
-    return (rng.uniform() ** (1.0 / n) / norm) * g
+    return (rng.uniforms(1)[0] ** (1.0 / n) / norm) * g
 

@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ellipsample import Ellipsoid, sample_batch, unit_ball_volume
+from ellipsample import Ellipsoid, SampleBatch, sample_batch, unit_ball_volume
 from ellipsample.cli import main
 from ellipsample.sampling import CHUNK_SIZE
 
@@ -354,6 +357,38 @@ class TestExitCodeDiscipline:
             capsys,
         )
         assert code == 3
+
+    def test_point_outside_ellipsoid_is_exit_3(self, capsys, monkeypatch):
+        # a batch point outside the ellipsoid fails certification; it is not a config error
+        def stretched(e, count, seed, method="transform"):
+            batch = sample_batch(e, count, seed, method)
+            points = 1.01 * (batch.points - e.centre) + e.centre
+            return SampleBatch(batch.dim, points, batch.seed, batch.method, batch.ellipsoid_spec)
+
+        monkeypatch.setattr("ellipsample.cli.sample_batch", stretched)
+        code, out, err = run(
+            ["check", "--dim", "3", "--count", "5000", "--seed", "1", "--tests", "ks"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: PointOutsideEllipsoid: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_exit_1_with_one_error_line(self, unbuffered):
+        # more than CHUNK_SIZE rows, so output is still being written when the reader leaves
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "ellipsample", "sample", "--dim", "2", "--count", "20000",
+                "--seed", "1"]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen(argv, env=env, **pipes) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert len(head) == 10
+        assert proc.returncode == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_rejection_method_dimension_cap_is_exit_2(self, capsys):
         code, _, err = run(

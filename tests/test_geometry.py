@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ellipsample import (
-    BallPoint,
     DimensionMismatch,
     DimensionOutOfRange,
     Ellipsoid,
@@ -18,6 +17,7 @@ from ellipsample import (
     random_rotation,
     unit_ball_volume,
 )
+from ellipsample.geometry import MEMBERSHIP_SLACK
 from helpers import rand_ball_point, rand_ellipsoid
 
 
@@ -177,10 +177,6 @@ class TestTransforms:
         e = rand_ellipsoid(3, RngStream(7))
         np.testing.assert_array_equal(e.forward(np.zeros(3)), e.centre)
 
-    def test_forward_accepts_ball_point(self):
-        e = Ellipsoid.from_shape(np.diag([2.0, 1.0]), [1.0, 0.0])
-        np.testing.assert_allclose(e.forward(BallPoint(np.array([0.5, 0.5]))), [2.0, 0.5])
-
     def test_inverse_identity(self):
         e = Ellipsoid.from_shape(np.eye(2), np.zeros(2))
         np.testing.assert_allclose(e.inverse([0.3, 0.4]), [0.3, 0.4])
@@ -224,6 +220,19 @@ class TestTransforms:
         assert not disc.contains([2.0, 0.0])
         e = Ellipsoid.from_radii_rotation([2.0, 1.0], np.eye(2), np.zeros(2))
         assert e.contains([2.0, 0.0])  # boundary point on the major axis
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 64])
+    def test_contains_agrees_with_contains_many_at_boundary(self, n):
+        # the unit ball pulls back exactly one by one and in a block, so
+        # the membership rule alone decides points a few ulps off its edge
+        ball = Ellipsoid.from_shape(np.eye(n), np.zeros(n))
+        g = np.asarray(RngStream(190 + n).normals((50, n)))
+        directions = g / np.linalg.norm(g, axis=1)[:, None]
+        radii = (1.0 + MEMBERSHIP_SLACK) + np.arange(-8, 9) * np.finfo(float).eps
+        pts = (directions[:, None, :] * radii[:, None]).reshape(-1, n)
+        one_by_one = np.array([ball.contains(x) for x in pts])
+        assert 0 < one_by_one.sum() < len(pts)
+        np.testing.assert_array_equal(one_by_one, ball.contains_many(pts))
 
 
 class TestVolumeAndDensity:
@@ -368,21 +377,3 @@ class TestSpecParsing:
         np.testing.assert_array_equal(rebuilt.shape, e.shape)
         np.testing.assert_array_equal(rebuilt.centre, e.centre)
 
-
-class TestBallPoint:
-    def test_valid(self):
-        p = BallPoint(np.array([0.6, 0.8]))
-        assert p.dim == 2
-        assert np.asarray(p).shape == (2,)
-
-    def test_boundary_allowed(self):
-        BallPoint(np.array([1.0, 0.0]))
-
-    def test_outside_rejected(self):
-        with pytest.raises(ValueError):
-            BallPoint(np.array([1.0, 0.1]))
-
-    def test_immutable(self):
-        p = BallPoint(np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            p.coords[0] = 5.0

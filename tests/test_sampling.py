@@ -10,19 +10,14 @@ from ellipsample import (
     Ellipsoid,
     RngStream,
     SampleBatch,
-    biased_ellipsoid_sampler,
     chi_square_two_sample,
     radial_ks,
     random_rotation,
     sample_batch,
-    sample_ellipsoid,
-    sample_ellipsoid_rejection,
-    sample_unit_ball,
-    sample_unit_ball_rejection,
     unit_ball_volume,
 )
 from ellipsample.linalg import is_rotation
-from ellipsample.sampling import CHUNK_SIZE, _ball_rejection_chunk, _box_rejection_chunk
+from ellipsample.sampling import CHUNK_SIZE, _ball_chunk, _ball_rejection_chunk, _box_rejection_chunk
 from helpers import rand_ellipsoid
 
 
@@ -30,29 +25,39 @@ def ellipse_2x1_at_1_0() -> Ellipsoid:
     return Ellipsoid.from_radii_rotation([2.0, 1.0], np.eye(2), [1.0, 0.0])
 
 
+def unit_ball(n: int) -> Ellipsoid:
+    """The unit n-ball: its batch points are exactly the ball draws."""
+    return Ellipsoid.from_shape(np.eye(n), np.zeros(n))
+
+
+def ball_norms(n: int, count: int, seed: int, method: str = "transform") -> np.ndarray:
+    return np.linalg.norm(sample_batch(unit_ball(n), count, seed, method).points, axis=1)
+
+
 class TestRngStream:
     def test_equal_seeds_equal_sequences(self):
         a, b = RngStream(42), RngStream(42)
-        assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
-        assert a.normal() == b.normal()
+        np.testing.assert_array_equal(a.uniforms(5), b.uniforms(5))
+        np.testing.assert_array_equal(a.normals(3), b.normals(3))
 
     def test_different_seeds_differ(self):
-        assert RngStream(1).uniform() != RngStream(2).uniform()
+        assert RngStream(1).uniforms(1)[0] != RngStream(2).uniforms(1)[0]
 
     def test_derive_is_pure(self):
         # deriving depends only on (seed, path), not on consumed state
         a = RngStream(9)
         a.uniforms(100)
-        assert a.derive(3).uniform() == RngStream(9).derive(3).uniform()
+        assert a.derive(3).uniforms(1)[0] == RngStream(9).derive(3).uniforms(1)[0]
 
     def test_children_are_distinct(self):
         root = RngStream(5)
-        vals = {root.derive(i).uniform() for i in range(10)}
-        vals.add(RngStream(5).uniform())
+        vals = {root.derive(i).uniforms(1)[0] for i in range(10)}
+        vals.add(RngStream(5).uniforms(1)[0])
         assert len(vals) == 11
 
     def test_nested_derivation(self):
-        assert RngStream(7).derive(1).derive(2).uniform() == RngStream(7).derive(1).derive(2).uniform()
+        a, b = RngStream(7).derive(1).derive(2), RngStream(7).derive(1).derive(2)
+        assert a.uniforms(1)[0] == b.uniforms(1)[0]
 
     def test_seed_range(self):
         RngStream(0)
@@ -69,27 +74,24 @@ class TestRngStream:
 
 class TestSampleUnitBall:
     def test_deterministic(self):
-        p1 = sample_unit_ball(2, RngStream(42))
-        p2 = sample_unit_ball(2, RngStream(42))
-        np.testing.assert_array_equal(p1.coords, p2.coords)
+        np.testing.assert_array_equal(
+            sample_batch(unit_ball(2), 100, 42).points, sample_batch(unit_ball(2), 100, 42).points
+        )
 
     def test_all_inside(self):
-        rng = RngStream(3)
-        for _ in range(10_000):
-            assert np.linalg.norm(sample_unit_ball(3, rng).coords) <= 1.0
+        assert ball_norms(3, 10_000, 3).max() <= 1.0
 
     def test_radius_power_law(self):
         # r = u^(1/n) makes ||x||^n uniform on (0,1), mean 1/2
-        rng = RngStream(4)
         n = 100_000
-        t = np.array([np.linalg.norm(sample_unit_ball(4, rng).coords) ** 4 for _ in range(n)])
+        t = ball_norms(4, n, 4) ** 4
         stderr = t.std(ddof=1) / math.sqrt(n)
         assert abs(t.mean() - 0.5) <= 3.0 * stderr
 
     @pytest.mark.parametrize("n", [0, 65])
     def test_dimension_range(self, n):
         with pytest.raises(DimensionOutOfRange):
-            sample_unit_ball(n, RngStream(1))
+            sample_batch(unit_ball(n), 1, 1)
 
     def test_zero_norm_gaussian_redrawn(self):
         class StubStream(RngStream):
@@ -105,9 +107,9 @@ class TestSampleUnitBall:
                 return super().normals(size)
 
         stub = StubStream()
-        point = sample_unit_ball(3, stub)
+        point = _ball_chunk(3, 1, stub, 1.0 / 3.0)[0]
         assert stub.gaussian_calls >= 2
-        assert 0.0 < np.linalg.norm(point.coords) <= 1.0
+        assert 0.0 < np.linalg.norm(point) <= 1.0
 
 
 class TestBallRejection:
@@ -123,21 +125,14 @@ class TestBallRejection:
         assert abs(rate - math.pi / 4.0) <= 3.0 * stderr
 
     def test_outputs_inside(self):
-        rng = RngStream(7)
-        for _ in range(2000):
-            assert np.linalg.norm(sample_unit_ball_rejection(3, rng).coords) <= 1.0
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionOutOfRange):
-            sample_unit_ball_rejection(13, RngStream(1))
+        assert ball_norms(3, 2000, 7, "ball_rejection").max() <= 1.0
 
 
 class TestSampleEllipsoid:
     def test_unit_disc_equals_ball_sampler(self):
-        disc = Ellipsoid.from_shape(np.eye(2), np.zeros(2))
-        x = sample_ellipsoid(disc, RngStream(42))
-        u = sample_unit_ball(2, RngStream(42))
-        np.testing.assert_array_equal(x, u.coords)
+        x = sample_batch(unit_ball(2), 100, 42).points
+        u = _ball_chunk(2, 100, RngStream(42).derive(0), 0.5)
+        np.testing.assert_array_equal(x, u)
 
     def test_mean_is_centre(self):
         e = ellipse_2x1_at_1_0()
@@ -154,9 +149,7 @@ class TestSampleEllipsoid:
 
     def test_all_contained(self):
         e = rand_ellipsoid(3, RngStream(13))
-        rng = RngStream(14)
-        for _ in range(2000):
-            assert e.contains(sample_ellipsoid(e, rng))
+        assert bool(e.contains_many(sample_batch(e, 2000, 14).points).all())
 
 
 class TestEllipsoidRejection:
@@ -178,14 +171,8 @@ class TestEllipsoidRejection:
 
     def test_outputs_contained(self):
         e = rand_ellipsoid(3, RngStream(18))
-        rng = RngStream(19)
-        for _ in range(1000):
-            assert e.contains(sample_ellipsoid_rejection(e, rng))
-
-    def test_dimension_cap(self):
-        e = Ellipsoid.from_shape(np.eye(13), np.zeros(13))
-        with pytest.raises(DimensionOutOfRange):
-            sample_ellipsoid_rejection(e, RngStream(1))
+        batch = sample_batch(e, 1000, 19, "ellipsoid_rejection")
+        assert bool(e.contains_many(batch.points).all())
 
 
 class TestBiasedSampler:
@@ -193,17 +180,13 @@ class TestBiasedSampler:
         # u^(1/1) = u: in one dimension the bias vanishes
         seg = Ellipsoid.from_shape([[3.0]], [1.0])
         np.testing.assert_array_equal(
-            biased_ellipsoid_sampler(seg, RngStream(21)),
-            sample_ellipsoid(seg, RngStream(21)),
+            sample_batch(seg, 100, 21, "biased").points, sample_batch(seg, 100, 21).points
         )
 
     def test_2d_mean_radius_is_half(self):
         e = ellipse_2x1_at_1_0()
-        rng = RngStream(22)
         n = 100_000
-        r_biased = np.array(
-            [np.linalg.norm(e.inverse(biased_ellipsoid_sampler(e, rng))) for _ in range(n)]
-        )
+        r_biased = np.linalg.norm(e.pullback(sample_batch(e, n, 22, "biased").points), axis=1)
         stderr = r_biased.std(ddof=1) / math.sqrt(n)
         assert abs(r_biased.mean() - 0.5) <= 3.0 * stderr  # E[u] = 1/2
         uniform = sample_batch(e, n, 23).points
@@ -213,9 +196,7 @@ class TestBiasedSampler:
 
     def test_outputs_contained(self):
         e = rand_ellipsoid(2, RngStream(24))
-        rng = RngStream(25)
-        for _ in range(1000):
-            assert e.contains(biased_ellipsoid_sampler(e, rng))
+        assert bool(e.contains_many(sample_batch(e, 1000, 25, "biased").points).all())
 
 
 class TestSampleBatch:
@@ -268,10 +249,10 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(ellipse_2x1_at_1_0(), 0, 1)
 
-    def test_rejection_dimension_cap(self):
-        e = Ellipsoid.from_shape(np.eye(13), np.zeros(13))
+    @pytest.mark.parametrize("method", ["ball_rejection", "ellipsoid_rejection"])
+    def test_rejection_dimension_cap(self, method):
         with pytest.raises(DimensionOutOfRange):
-            sample_batch(e, 10, 1, "ellipsoid_rejection")
+            sample_batch(unit_ball(13), 10, 1, method)
 
 
 class TestDistributionalInvariants:

@@ -40,28 +40,32 @@ def batch_from_pullbacks(e: Ellipsoid, pullbacks: np.ndarray, method="transform"
     return SampleBatch(e.dim, pts, 0, method, e.spec_dict())
 
 
+def bins_of(part: BinPartition, u: np.ndarray) -> np.ndarray:
+    """Bin index of each ball-coordinate row of u."""
+    return part.bins((u * u).sum(axis=1), BinPartition.orthant_codes(u))
+
+
 class TestBinPartition:
     def test_counts(self):
         part = BinPartition(dim=3, shells=4)
         assert part.bin_count == 32
 
-    def test_shell_cut_radii_algebra(self):
-        # cut radii satisfy r_k^n = k/K exactly up to rounding, so every
+    def test_shell_boundaries_algebra(self):
+        # shell k holds radii in [(k/K)^(1/n), ((k+1)/K)^(1/n)), so every
         # shell holds probability 1/K under the t = ||u||^n uniform law
         for n in [1, 2, 3, 7]:
             for k_shells in [1, 4, 8]:
                 part = BinPartition(dim=n, shells=k_shells)
-                cuts = part.shell_cut_radii()
-                assert cuts[0] == 0.0 and cuts[-1] == 1.0
-                np.testing.assert_allclose(
-                    cuts**n, np.arange(k_shells + 1) / k_shells, atol=1e-15
-                )
+                radii = ((np.arange(k_shells) + 0.5) / k_shells) ** (1.0 / n)
+                orthant_zero = np.zeros(k_shells, dtype=np.int64)
+                shells = part.bins(radii**2, orthant_zero) // 2**n
+                np.testing.assert_array_equal(shells, np.arange(k_shells))
 
     def test_assign_hand_cases(self):
         part = BinPartition(dim=2, shells=2)
         # t = ||u||^2: 0.02 -> shell 0; 0.9 -> shell 1; sign bits little-endian
         u = np.array([[0.1, 0.1], [-0.9, 0.3], [0.3, -0.9], [-0.6, -0.6]])
-        np.testing.assert_array_equal(part.assign(u), [0, 4 + 1, 4 + 2, 4 + 3])
+        np.testing.assert_array_equal(bins_of(part, u), [0, 4 + 1, 4 + 2, 4 + 3])
 
     def test_assign_matches_scalar_loop(self):
         part = BinPartition(dim=3, shells=4)
@@ -75,17 +79,17 @@ class TestBinPartition:
             shell = min(int(t * 4), 3)
             orthant = sum((1 << i) for i in range(3) if row[i] < 0)
             expected.append(shell * 8 + orthant)
-        np.testing.assert_array_equal(part.assign(u), expected)
+        np.testing.assert_array_equal(bins_of(part, u), expected)
 
     def test_boundary_point_clamped_to_last_shell(self):
         part = BinPartition(dim=2, shells=4)
-        assert part.assign(np.array([[1.0, 0.0]]))[0] == 3 * 4 + 0
+        assert bins_of(part, np.array([[1.0, 0.0]]))[0] == 3 * 4 + 0
 
     def test_bins_equiprobable_empirically(self):
         e = Ellipsoid.from_shape(np.eye(2), np.zeros(2))
         part = BinPartition(dim=2, shells=4)
         u = sample_batch(e, 64_000, 3).points  # unit ball: points are pullbacks
-        counts = np.bincount(part.assign(u), minlength=part.bin_count)
+        counts = np.bincount(bins_of(part, u), minlength=part.bin_count)
         expected = 64_000 / part.bin_count
         # 5 sigma guard band per bin
         assert np.all(np.abs(counts - expected) <= 5.0 * math.sqrt(expected))
@@ -95,8 +99,6 @@ class TestBinPartition:
             BinPartition(dim=0, shells=4)
         with pytest.raises(ValueError):
             BinPartition(dim=2, shells=0)
-        with pytest.raises(DimensionMismatch):
-            BinPartition(dim=2, shells=4).assign(np.zeros((3, 3)))
 
 
 class TestTestReport:
@@ -283,7 +285,7 @@ class TestChunkedPullBack:
             return
         part = BinPartition(dim, 4)
         expected = n / part.bin_count
-        observed = np.bincount(part.assign(u), minlength=part.bin_count)
+        observed = np.bincount(bins_of(part, u), minlength=part.bin_count)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi_square_uniformity(batch, e, shells=4).statistic == chi2
 
