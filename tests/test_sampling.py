@@ -127,6 +127,10 @@ class TestBallRejection:
     def test_outputs_inside(self):
         assert ball_norms(3, 2000, 7, "ball_rejection").max() <= 1.0
 
+    def test_dimension_cap(self):
+        with pytest.raises(DimensionOutOfRange):
+            sample_batch(unit_ball(13), 10, 1, "ball_rejection")
+
 
 class TestSampleEllipsoid:
     def test_unit_disc_equals_ball_sampler(self):
@@ -173,6 +177,10 @@ class TestEllipsoidRejection:
         e = rand_ellipsoid(3, RngStream(18))
         batch = sample_batch(e, 1000, 19, "ellipsoid_rejection")
         assert bool(e.contains_many(batch.points).all())
+
+    def test_dimension_cap(self):
+        with pytest.raises(DimensionOutOfRange):
+            sample_batch(unit_ball(13), 10, 1, "ellipsoid_rejection")
 
 
 class TestBiasedSampler:
@@ -249,10 +257,12 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(ellipse_2x1_at_1_0(), 0, 1)
 
-    @pytest.mark.parametrize("method", ["ball_rejection", "ellipsoid_rejection"])
-    def test_rejection_dimension_cap(self, method):
-        with pytest.raises(DimensionOutOfRange):
-            sample_batch(unit_ball(13), 10, 1, method)
+    def test_rejection_dimension_cap(self):
+        # both rejection methods refuse n = 13 whatever the shape
+        e = rand_ellipsoid(13, RngStream(20))
+        for method in ("ball_rejection", "ellipsoid_rejection"):
+            with pytest.raises(DimensionOutOfRange):
+                sample_batch(e, 10, 1, method)
 
 
 class TestDistributionalInvariants:
