@@ -4,7 +4,9 @@ An ellipsoid is stored as the affine image of the closed unit ball,
 
     E = { shape @ u + centre : ||u||_2 <= 1 },
 
-with the invertible shape matrix as the single source of truth.  Because
+with the invertible shape matrix as the single source of truth.  Its
+inverse is formed once, at construction, and every pull-back (one point or
+a batch) applies it as a matmul: see ``Ellipsoid._ball_coords``.  Because
 the literature parameterizes ellipsoids both by a quadratic-form matrix M
 (membership (x-c)^T M (x-c) <= 1) and by a Cholesky factor of a matrix S
 (shape L with L L^T = S), and the two conventions describe reciprocal radii,
@@ -31,6 +33,13 @@ from .errors import (
 
 # Samples on the boundary must test as contained despite rounding.
 MEMBERSHIP_SLACK = 1e-12
+
+# A shape whose 1-norm condition number ||S|| ||S^-1|| exceeds this is
+# treated as singular; the test is scale-free, unlike one on |det S|.
+CONDITION_MAX = 1e12
+
+# Every pull-back multiplies zero-padded blocks of exactly this many rows.
+_BLOCK_ROWS = 16
 
 ROTATION_TOL = 1e-9
 
@@ -78,13 +87,15 @@ class Ellipsoid:
     """An n-dimensional hyperellipsoid, image of the unit ball under x -> shape @ x + centre.
 
     ``shape`` must be invertible but need not be triangular or symmetric;
-    ``abs_det_shape`` caches |det shape|, the volume scale factor.
-    Instances are immutable and safe to share across threads.
+    ``abs_det_shape`` caches |det shape|, the volume scale factor, and the
+    transposed inverse of ``shape`` is cached for the pull-back.  Instances
+    are immutable and safe to share across threads.
     """
 
     shape: np.ndarray
     centre: np.ndarray
     abs_det_shape: float = field(init=False)
+    _inverse_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = linalg.as_square(self.shape).copy()
@@ -97,12 +108,17 @@ class Ellipsoid:
         # Overflow raises FloatingPointError (exit 2), not a printed RuntimeWarning.
         with np.errstate(over="raise"):
             det = float(np.linalg.det(shape))
-        scale = float(np.abs(shape).max())
-        if abs(det) <= n * 1e-12 * scale**n:
-            raise SingularShape(f"|det| = {abs(det):.3e} is numerically singular")
+        # An exactly zero LU pivot makes det exactly 0, so inv below cannot fail.
+        if det == 0.0:
+            raise SingularShape("|det| is 0: the shape is singular or its determinant underflows")
+        inverse = np.linalg.inv(shape)
+        condition = float(np.linalg.norm(shape, 1) * np.linalg.norm(inverse, 1))
+        if not condition <= CONDITION_MAX:
+            raise SingularShape(f"condition number {condition:.3e} is numerically singular")
         object.__setattr__(self, "shape", _lock(shape))
         object.__setattr__(self, "centre", _lock(centre))
         object.__setattr__(self, "abs_det_shape", abs(det))
+        object.__setattr__(self, "_inverse_t", _lock(np.ascontiguousarray(inverse.T)))
 
     # -- constructors -------------------------------------------------------
 
@@ -230,27 +246,48 @@ class Ellipsoid:
         """Map a unit-ball point into the ellipsoid: shape @ u + centre."""
         return self.shape @ self._check_point(u) + self.centre
 
-    def inverse(self, x) -> np.ndarray:
-        """Pull an ellipsoid point back to ball coordinates.
+    def _ball_coords(self, points) -> np.ndarray:
+        """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back.
 
-        Solves shape @ u = x - centre; the inverse matrix is never formed.
+        The rows are multiplied in zero-padded blocks of exactly _BLOCK_ROWS,
+        so each row takes the same BLAS call whatever the size of the input.
+        A row's bits then depend on that row alone: one point, a chunk and a
+        whole batch agree.  A plain (N, dim) matmul would not; BLAS picks its
+        kernel by the call's shape (a matrix-vector one for one row, a
+        small-matrix one below a size threshold), and these round differently.
         """
-        return np.linalg.solve(self.shape, self._check_point(x) - self.centre)
-
-    def pullback(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized inverse for an (N, dim) array of points."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatch(f"points have shape {pts.shape}, expected (N, {self.dim})")
-        return np.linalg.solve(self.shape, (pts - self.centre).T).T
+        count = pts.shape[0]
+        blocks = -(-count // _BLOCK_ROWS)
+        diff = np.empty((blocks * _BLOCK_ROWS, self.dim))
+        np.subtract(pts, self.centre, out=diff[:count])
+        diff[count:] = 0.0
+        u = diff.reshape(blocks, _BLOCK_ROWS, self.dim) @ self._inverse_t
+        return u.reshape(-1, self.dim)[:count]
+
+    def inverse(self, x) -> np.ndarray:
+        """Pull an ellipsoid point back to ball coordinates: inverse(shape) @ (x - centre).
+
+        The one-row case of ``pullback``, bit for bit.
+        """
+        return self._ball_coords(self._check_point(x)[None, :])[0]
+
+    def pullback(self, points: np.ndarray) -> np.ndarray:
+        """Vectorized inverse for an (N, dim) array of points."""
+        return self._ball_coords(points)
 
     def contains(self, x) -> bool:
-        """True iff x pulls back into the closed unit ball (with slack)."""
-        return bool(_in_unit_ball(self.inverse(x)))
+        """True iff x pulls back into the closed unit ball (with slack).
+
+        The one-row case of ``contains_many``, so the two always agree.
+        """
+        return bool(self.contains_many(self._check_point(x)[None, :])[0])
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership test; returns a boolean mask."""
-        return _in_unit_ball(self.pullback(points))
+        return _in_unit_ball(self._ball_coords(points))
 
     def volume(self) -> float:
         """Volume of the membership set: unit-ball volume times |det shape|."""

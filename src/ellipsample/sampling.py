@@ -183,17 +183,18 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
 
 
 def _chunk_points(e: Ellipsoid, method: str, m: int, rng: RngStream) -> np.ndarray:
-    """m points of ``e`` drawn from ``rng`` by ``method``; the only branch on the method."""
+    """m points of ``e`` drawn from ``rng`` by ``method``, one of METHODS.
+
+    The only branch on the method; ``sample_batch`` rejects unknown ones.
+    """
     if method == "transform":
         u = _ball_chunk(e.dim, m, rng, 1.0 / e.dim)
     elif method == "biased":
         u = _ball_chunk(e.dim, m, rng, 1.0)
     elif method == "ball_rejection":
         u = _ball_rejection_chunk(e.dim, m, rng)[0]
-    elif method == "ellipsoid_rejection":
-        return _box_rejection_chunk(e, m, rng)[0]
     else:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        return _box_rejection_chunk(e, m, rng)[0]
     return u @ e.shape.T + e.centre
 
 

@@ -9,8 +9,9 @@ point is Uniform(0, 1).
 
 A test reads at most two scalars per point, ||u||^2 and the orthant code,
 so each test pulls each point back once, in CHUNK_SIZE-row blocks, and keeps
-only those.  That is bit-identical to one solve over the whole batch:
-LAPACK's solve treats each right-hand side column on its own.
+only those.  That is bit-identical to one pull-back of the whole batch:
+``Ellipsoid.pullback`` multiplies by the cached inverse in fixed-height row
+blocks, so a row's bits do not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
@@ -272,7 +273,10 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     At random interior points this checks that (a) the density equals
     (1/unit-ball-volume) * |det shape|^-1 with the determinant recomputed
     from scratch, and (b) the Jacobian of the pull-back map, estimated by
-    central finite differences, matches the linear solve entrywise.
+    central finite differences, matches the inverse of the shape entrywise.
+    That inverse comes from its own linear solve here, not from the
+    ellipsoid's cached one, so the check does not compare the cache with
+    itself.
 
     The reported statistic is the worst error over all trials, normalized
     by its tolerance ((a) relative to 1e-10, (b) absolute to 1e-4), so the

@@ -12,7 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ellipsample import Ellipsoid, SampleBatch, sample_batch, unit_ball_volume
+from ellipsample import (
+    Ellipsoid,
+    RngStream,
+    SampleBatch,
+    random_rotation,
+    sample_batch,
+    unit_ball_volume,
+)
 from ellipsample.cli import main
 from ellipsample.sampling import CHUNK_SIZE
 
@@ -227,6 +234,16 @@ class TestCheckCommand:
         assert not by_name["chi_square_uniformity"]["pass"]
         assert not by_name["radial_ks"]["pass"]
 
+    def test_condition_1e6_shape_passes(self, capsys, tmp_path):
+        # unit scale and |det| = 1e-30, once rejected as singular
+        n = 10
+        rows = (random_rotation(n, RngStream(17)) * np.logspace(-6, 0, n)).tolist()
+        shape = tmp_path / "kappa.txt"
+        shape.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+        code, out, _ = run(["check", "--shape", str(shape), "--count", "30000", "--seed", "1"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
     def test_undersized_count_is_config_error(self, capsys):
         code, _, err = run(["check", *RADII_ARGS, "--count", "50", "--seed", "7"], capsys)
         assert code == 2
@@ -320,6 +337,13 @@ class TestVolumeCommand:
         code, out, _ = run(["volume", "--shape", str(shape), "--seed", "1"], capsys)
         assert code == 0
         assert float(out.split()[1]) == pytest.approx(unit_ball_volume(3), rel=1e-15)
+
+    def test_large_well_conditioned_64d(self, capsys):
+        radii = [3.0] + [2.0] * 63  # |det| = 2.8e19, condition number 1.5
+        code, out, _ = run(["volume", "--radii", ",".join(map(str, radii)), "--seed", "1"], capsys)
+        assert code == 0
+        expected = unit_ball_volume(64) * 3.0 * 2.0**63
+        assert float(out.split()[1]) == pytest.approx(expected, rel=1e-12)
 
     def test_mc_cross_check_agrees(self, capsys):
         code, out, _ = run(

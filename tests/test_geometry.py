@@ -18,6 +18,8 @@ from ellipsample import (
     unit_ball_volume,
 )
 from ellipsample.geometry import MEMBERSHIP_SLACK
+from ellipsample.sampling import CHUNK_SIZE
+from ellipsample.validation import PULLBACK_SLACK
 from helpers import rand_ball_point, rand_ellipsoid
 
 
@@ -66,6 +68,18 @@ class TestConstructors:
     def test_from_shape_singular_rejected(self):
         with pytest.raises(SingularShape):
             Ellipsoid.from_shape([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+
+    def test_from_shape_near_singular_rejected(self):
+        with pytest.raises(SingularShape):
+            Ellipsoid.from_shape([[1.0, 0.0], [0.0, 1e-13]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_singularity_is_scale_free(self, n):
+        # |det| is huge at scale 3 or tiny at unit scale with condition
+        # number 1e6; neither shape is numerically singular
+        for radii in ([3.0] + [2.0] * (n - 1), np.logspace(-6, 0, n)):
+            e = Ellipsoid.from_radii_rotation(radii, random_rotation(n, RngStream(n)), np.zeros(n))
+            assert e.abs_det_shape == pytest.approx(np.prod(radii), rel=1e-9)
 
     def test_from_shape_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -233,6 +247,50 @@ class TestTransforms:
         one_by_one = np.array([ball.contains(x) for x in pts])
         assert 0 < one_by_one.sum() < len(pts)
         np.testing.assert_array_equal(one_by_one, ball.contains_many(pts))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 17, 33, 64])
+    def test_contains_agrees_with_contains_many_at_rotated_boundary(self, n):
+        # a general ellipsoid pulls back inexactly, so a point within a few
+        # ulps of its edge gets one verdict only if both paths round alike
+        e = rand_ellipsoid(n, RngStream(90 + n))
+        g = np.asarray(RngStream(190 + n).normals((200, n)))
+        directions = g / np.linalg.norm(g, axis=1)[:, None]
+        scale = (1.0 + MEMBERSHIP_SLACK) * (1.0 + np.arange(-8, 9) * 2.0**-52)
+        pts = (directions[:, None, :] * scale[:, None]).reshape(-1, n) @ e.shape.T + e.centre
+        one_by_one = np.array([e.contains(x) for x in pts])
+        assert 0 < one_by_one.sum() < len(pts)
+        np.testing.assert_array_equal(one_by_one, e.contains_many(pts))
+
+
+class TestPullbackKernel:
+    """One point, a few rows, a chunk and a whole batch pull back to the same bits."""
+
+    # 17 and 33 are dimensions where BLAS rounds a small matrix product
+    # differently from a large one, so block height must not matter there
+    @pytest.mark.parametrize("n", [2, 10, 17, 33, 64])
+    def test_rows_independent_of_block_height(self, n):
+        e = rand_ellipsoid(n, RngStream(70 + n))
+        pts = e.centre + np.asarray(RngStream(170 + n).normals((2 * CHUNK_SIZE + 7, n)))
+        whole = e.pullback(pts)
+        for start in (0, 1, 5, CHUNK_SIZE - 1):
+            for k in (1, 2, 3, CHUNK_SIZE):
+                rows = slice(start, start + k)
+                np.testing.assert_array_equal(e.pullback(pts[rows]), whole[rows])
+            np.testing.assert_array_equal(e.inverse(pts[start]), whole[start])
+
+    def test_empty_block(self):
+        e = rand_ellipsoid(3, RngStream(1))
+        assert e.pullback(np.zeros((0, 3))).shape == (0, 3)
+        assert e.contains_many(np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_boundary_accuracy_at_condition_1e6(self, n):
+        radii = np.logspace(-6, 0, n)  # unit scale, condition number 1e6
+        e = Ellipsoid.from_radii_rotation(radii, random_rotation(n, RngStream(7 + n)), np.zeros(n))
+        g = np.asarray(RngStream(5).normals((2000, n)))
+        edge = (g / np.linalg.norm(g, axis=1)[:, None]) @ e.shape.T
+        norms = np.linalg.norm(e.pullback(edge), axis=1)
+        assert np.abs(norms - 1.0).max() <= PULLBACK_SLACK
 
 
 class TestVolumeAndDensity:

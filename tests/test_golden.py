@@ -97,18 +97,18 @@ CASES = {
     "check-quadratic-chunks": (
         "check --quadratic {Q} --count 16389 --seed 5 --tests chi2,ks",
         0,
-        "3fcef14d3a94e8d42978cd883e5b67d9ddf2102c6771201cb806b8b464f24f40",
+        "78bcfecd555050b365a4c6cd4fd5bd06e46dc7f70c5b47a9ed44ace5a180a875",
     ),
     "check-10d-chunks": (
         "check --dim 10 --count 40961 --seed 2",
         0,
-        "2488a3ff46f84913cfc2b90d11148ecfaae0a90430294bae2d1c1193f90a1ab4",
+        "17e0550b306c4457e2b26b7f23d18cf1b57048db6c6472021188cb1f51f6da2a",
     ),
     # Above 62 dimensions there are no orthant codes; KS alone.
     "check-64d-ks-chunks": (
         "check --dim 64 --count 8193 --seed 3 --tests ks",
         0,
-        "3f173ae538b18ea31642bcaf0aa5e356e75d31fa4634b9fc1978a2a2b267ff0f",
+        "26f1d8f5dcb5cbfac0ced019dd37a74e885b1154b85d54d366320e64bb19e970",
     ),
     "volume-mc": (
         "volume --radii 2,1 --seed 1 --mc 20000",

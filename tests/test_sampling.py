@@ -248,7 +248,7 @@ class TestSampleBatch:
             batch.points[0, 0] = 99.0
 
     def test_invalid_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"method must be one of .*'bogus'"):
             sample_batch(ellipse_2x1_at_1_0(), 10, 1, "bogus")
         with pytest.raises(ValueError):
             SampleBatch(2, np.zeros((1, 2)), 0, "bogus", {})

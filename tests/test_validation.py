@@ -271,23 +271,33 @@ class TestChunkedPullBack:
 
     COUNT = 3 * CHUNK_SIZE + 5
 
-    @pytest.mark.parametrize("dim", [2, 10, 64])
-    def test_statistics_equal_one_shot_reference(self, dim):
-        e = rand_ellipsoid(dim, RngStream(93 + dim))
-        batch = sample_batch(e, self.COUNT, 23)
+    @staticmethod
+    def assert_statistics_equal_one_shot_reference(e: Ellipsoid, batch: SampleBatch):
+        dim = e.dim
         u = e.pullback(batch.points)
-        n = self.COUNT
+        n = batch.count
         t = np.sort(((u * u).sum(axis=1)) ** (dim / 2.0))
         grid = np.arange(1, n + 1) / n
         d = max(float((grid - t).max()), float((t - (grid - 1.0 / n)).max()))
         assert radial_ks(batch, e).statistic == d
-        if dim == 64:  # above BinPartition's 62-d limit: KS only
+        if dim > 10:  # too few points per chi2 bin (and 64-d is past 62-d): KS only
             return
         part = BinPartition(dim, 4)
         expected = n / part.bin_count
         observed = np.bincount(bins_of(part, u), minlength=part.bin_count)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi_square_uniformity(batch, e, shells=4).statistic == chi2
+
+    @pytest.mark.parametrize("dim", [2, 10, 64])
+    def test_statistics_equal_one_shot_reference(self, dim):
+        e = rand_ellipsoid(dim, RngStream(93 + dim))
+        self.assert_statistics_equal_one_shot_reference(e, sample_batch(e, self.COUNT, 23))
+
+    @pytest.mark.parametrize("dim", [2, 10, 17, 64])
+    def test_one_row_last_block_equals_one_shot_reference(self, dim):
+        e = rand_ellipsoid(dim, RngStream(93 + dim))
+        batch = sample_batch(e, 3 * CHUNK_SIZE + 1, 26)
+        self.assert_statistics_equal_one_shot_reference(e, batch)
 
     def test_outside_point_in_last_partial_chunk_detected(self):
         e = ellipse_2x1()
