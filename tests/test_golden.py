@@ -11,6 +11,7 @@ either changes the hashes without any change in this package.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ellipsample.cli import main
@@ -26,7 +27,22 @@ SPEC = {
     "foci": [[-1.0, 0.0], [1.0, 2.0]],
 }
 
-# name -> (argv with {R}/{Q}/{S}/{F}/{SPEC} file placeholders, exit code, sha256 of stdout)
+
+
+def dense_shape_text(n: int) -> str:
+    """A dense, non-diagonal n x n shape (1-norm condition number below 40 up to n = 64).
+
+    The identity shape that ``--dim`` gives is mapped exactly by every BLAS
+    kernel, so only a general shape shows a change of kernel in the output.
+    """
+    gen = np.random.default_rng(n)
+    shape = np.eye(n) + gen.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in shape)
+
+
+DENSE_DIMS = (5, 17, 33, 64)
+
+# name -> (argv with {R}/{Q}/{S}/{F}/{SPEC}/{D<n>} file placeholders, exit code, sha256 of stdout)
 CASES = {
     "sample-csv": (
         "sample --radii 2,1 --centre 1,0 --count 300 --seed 7",
@@ -110,6 +126,28 @@ CASES = {
         0,
         "26f1d8f5dcb5cbfac0ced019dd37a74e885b1154b85d54d366320e64bb19e970",
     ),
+    # Dense shapes at dimensions where BLAS kernels round differently.
+    "sample-dense-17d": (
+        "sample --shape {D17} --count 16384 --seed 21 --format json",
+        0,
+        "5ea8618bec17d5d5c6df74c9aaaec63255b481796d9f959d16bfdc64f02def8e",
+    ),
+    "sample-dense-33d": (
+        "sample --shape {D33} --count 16384 --seed 22 --format json",
+        0,
+        "68dc9d4e1c3b0bdd0d010839bf96b75bf3f90af4d4d2222c5fdf5deb782e6f6d",
+    ),
+    "sample-dense-64d": (
+        "sample --shape {D64} --count 16384 --seed 23 --format json",
+        0,
+        "0dd417a547d05e4719f5c2a9c8bce5f6fd3698cb827ad1ea7c9becbb188d9e15",
+    ),
+    # One row past a chunk boundary: a lone last row on a general shape.
+    "sample-dense-5d-chunks": (
+        "sample --shape {D5} --count 8193 --seed 3",
+        0,
+        "2f4bcbaff9619171552f5945cf96d433903c1c40e58187095060d52e2b5ea275",
+    ),
     "volume-mc": (
         "volume --radii 2,1 --seed 1 --mc 20000",
         0,
@@ -137,6 +175,9 @@ def files(tmp_path):
     paths["S"].write_text(SHAPE)
     paths["F"].write_text(json.dumps(FOCI))
     paths["SPEC"].write_text(json.dumps(SPEC))
+    for n in DENSE_DIMS:
+        paths[f"D{n}"] = tmp_path / f"dense{n}.txt"
+        paths[f"D{n}"].write_text(dense_shape_text(n))
     return {key: str(path) for key, path in paths.items()}
 
 
