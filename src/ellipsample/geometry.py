@@ -6,7 +6,10 @@ An ellipsoid is stored as the affine image of the closed unit ball,
 
 with the invertible shape matrix as the single source of truth.  Its
 inverse is formed once, at construction, and every pull-back (one point or
-a batch) applies it as a matmul: see ``Ellipsoid._ball_coords``.  Because
+a batch) applies it as a matmul: see ``Ellipsoid._ball_coords``.  The
+forward map is its twin, ``Ellipsoid._ball_image``.  Both multiply rows in
+zero-padded blocks of a fixed height, so a row gets the same bits alone or
+in a batch of any size.  Because
 the literature parameterizes ellipsoids both by a quadratic-form matrix M
 (membership (x-c)^T M (x-c) <= 1) and by a Cholesky factor of a matrix S
 (shape L with L L^T = S), and the two conventions describe reciprocal radii,
@@ -40,6 +43,14 @@ CONDITION_MAX = 1e12
 
 # Every pull-back multiplies zero-padded blocks of exactly this many rows.
 _BLOCK_ROWS = 16
+
+# Every forward map multiplies blocks of exactly this many rows by the
+# shape.T view.  64 n^2 <= 2^18 for n <= 64, below the product size at which
+# OpenBLAS hands a gemm to a second thread, so each block runs on the calling
+# thread.  The height and the view also reproduce the bits of one gemm over a
+# whole CHUNK_SIZE chunk at every n = 1..64; 16 rows, or a contiguous copy of
+# shape.T, round differently at 24 to 33 of those dimensions.
+_FORWARD_ROWS = 64
 
 ROTATION_TOL = 1e-9
 
@@ -243,8 +254,42 @@ class Ellipsoid:
         return arr
 
     def forward(self, u) -> np.ndarray:
-        """Map a unit-ball point into the ellipsoid: shape @ u + centre."""
-        return self.shape @ self._check_point(u) + self.centre
+        """Map a unit-ball point into the ellipsoid: shape @ u + centre.
+
+        The one-row case of ``_ball_image``, bit for bit.
+        """
+        return self._ball_image(self._check_point(u)[None, :])[0]
+
+    def _ball_image(self, u, out: np.ndarray | None = None) -> np.ndarray:
+        """u @ shape^T + centre for an (N, dim) array of ball coordinates: the one forward map.
+
+        Full blocks of _FORWARD_ROWS rows are multiplied straight into
+        ``out`` (a new array if None, else a C-contiguous (N, dim) array that
+        may be a slice of a larger one); a short last block is zero-padded to
+        full height first.  Every row so takes the same BLAS call, and its
+        bits depend on that row alone, as in ``_ball_coords``.
+        """
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.dim:
+            raise DimensionMismatch(f"ball points have shape {u.shape}, expected (N, {self.dim})")
+        if out is None:
+            out = np.empty(u.shape)
+        elif out.shape != u.shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {u.shape} array")
+        count, n = u.shape
+        full = count - count % _FORWARD_ROWS
+        shape_t = self.shape.T
+        np.matmul(
+            u[:full].reshape(-1, _FORWARD_ROWS, n),
+            shape_t,
+            out=out[:full].reshape(-1, _FORWARD_ROWS, n),
+        )
+        if full < count:
+            tail = np.zeros((_FORWARD_ROWS, n))
+            tail[: count - full] = u[full:]
+            out[full:] = (tail @ shape_t)[: count - full]
+        out += self.centre
+        return out
 
     def _ball_coords(self, points) -> np.ndarray:
         """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back.

@@ -182,11 +182,13 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
     return q
 
 
-def _chunk_points(e: Ellipsoid, method: str, m: int, rng: RngStream) -> np.ndarray:
-    """m points of ``e`` drawn from ``rng`` by ``method``, one of METHODS.
+def _chunk_points(e: Ellipsoid, method: str, rows: np.ndarray, rng: RngStream) -> None:
+    """Fill the C-contiguous (m, dim) array ``rows`` with points of ``e`` drawn from ``rng`` by ``method``.
 
     The only branch on the method; ``sample_batch`` rejects unknown ones.
+    Ball points are mapped straight into ``rows`` by ``Ellipsoid._ball_image``.
     """
+    m = rows.shape[0]
     if method == "transform":
         u = _ball_chunk(e.dim, m, rng, 1.0 / e.dim)
     elif method == "biased":
@@ -194,8 +196,9 @@ def _chunk_points(e: Ellipsoid, method: str, m: int, rng: RngStream) -> np.ndarr
     elif method == "ball_rejection":
         u = _ball_rejection_chunk(e.dim, m, rng)[0]
     else:
-        return _box_rejection_chunk(e, m, rng)[0]
-    return u @ e.shape.T + e.centre
+        rows[:] = _box_rejection_chunk(e, m, rng)[0]
+        return
+    e._ball_image(u, out=rows)
 
 
 def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform") -> SampleBatch:
@@ -215,8 +218,7 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     root = RngStream(seed)
     points = np.empty((count, e.dim))
     for i, start in enumerate(range(0, count, CHUNK_SIZE)):
-        rows = points[start : start + CHUNK_SIZE]
-        rows[:] = _chunk_points(e, method, rows.shape[0], root.derive(i))
+        _chunk_points(e, method, points[start : start + CHUNK_SIZE], root.derive(i))
     return SampleBatch(
         dim=e.dim,
         points=points,

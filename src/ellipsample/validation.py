@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, unit_ball_volume
-from .sampling import CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, _check_dim, _chunk_points
+from .sampling import CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _check_dim
 
 # Upper-tail standard normal quantiles for the supported significance levels.
 _Z_UPPER = {0.01: 2.3263478740408408, 0.001: 3.090232306167813}
@@ -290,7 +290,7 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     inverse_map = np.linalg.solve(np.asarray(e.shape), np.eye(n))
     worst = 0.0
     for _ in range(trials):
-        x = _chunk_points(e, "transform", 1, rng)[0]
+        x = e.forward(_ball_chunk(n, 1, rng, 1.0 / n)[0])
         pdf_err = abs(e.pdf(x) - expected_pdf) / expected_pdf
         jac = np.empty((n, n))
         for j in range(n):

@@ -282,6 +282,7 @@ class TestPullbackKernel:
         e = rand_ellipsoid(3, RngStream(1))
         assert e.pullback(np.zeros((0, 3))).shape == (0, 3)
         assert e.contains_many(np.zeros((0, 3))).shape == (0,)
+        assert e._ball_image(np.zeros((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("n", [10, 64])
     def test_boundary_accuracy_at_condition_1e6(self, n):
@@ -291,6 +292,40 @@ class TestPullbackKernel:
         edge = (g / np.linalg.norm(g, axis=1)[:, None]) @ e.shape.T
         norms = np.linalg.norm(e.pullback(edge), axis=1)
         assert np.abs(norms - 1.0).max() <= PULLBACK_SLACK
+
+
+class TestForwardKernel:
+    """One ball point, a few rows, a chunk and a whole batch map forward to the same bits."""
+
+    @pytest.mark.parametrize("n", [2, 10, 17, 33, 64])
+    def test_rows_independent_of_block_height(self, n):
+        e = rand_ellipsoid(n, RngStream(80 + n))
+        u = np.asarray(RngStream(180 + n).normals((2 * CHUNK_SIZE + 7, n))) / math.sqrt(n)
+        whole = e._ball_image(u)
+        for start in (0, 1, 5, CHUNK_SIZE - 1):
+            for k in (1, 2, 3, CHUNK_SIZE):
+                rows = slice(start, start + k)
+                np.testing.assert_array_equal(e._ball_image(u[rows]), whole[rows])
+            np.testing.assert_array_equal(e.forward(u[start]), whole[start])
+
+    def test_fills_rows_of_a_larger_array_in_place(self):
+        e = rand_ellipsoid(10, RngStream(3))
+        u = np.asarray(RngStream(4).normals((CHUNK_SIZE + 5, 10))) / math.sqrt(10)
+        out = np.full((CHUNK_SIZE + 20, 10), np.nan)
+        rows = out[7 : 7 + u.shape[0]]
+        assert e._ball_image(u, out=rows) is rows
+        np.testing.assert_array_equal(rows, e._ball_image(u))
+        assert np.isnan(out[:7]).all() and np.isnan(out[7 + u.shape[0] :]).all()
+
+    def test_rejects_an_out_it_cannot_fill_in_place(self):
+        e = rand_ellipsoid(3, RngStream(5))
+        u = np.zeros((4, 3))
+        with pytest.raises(ValueError):
+            e._ball_image(u, out=np.empty((4, 6))[:, ::2])
+        with pytest.raises(ValueError):
+            e._ball_image(u, out=np.empty((5, 3)))
+        with pytest.raises(DimensionMismatch):
+            e._ball_image(np.zeros((4, 2)))
 
 
 class TestVolumeAndDensity:

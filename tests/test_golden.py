@@ -146,7 +146,7 @@ CASES = {
     "sample-dense-5d-chunks": (
         "sample --shape {D5} --count 8193 --seed 3",
         0,
-        "2f4bcbaff9619171552f5945cf96d433903c1c40e58187095060d52e2b5ea275",
+        "de965d7561229ae38bad85491fc2f28dadb883a1293e76b6bccb4040fd5e4277",
     ),
     "volume-mc": (
         "volume --radii 2,1 --seed 1 --mc 20000",
