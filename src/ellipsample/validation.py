@@ -263,8 +263,9 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
 
 # Tolerances for the exact-identity checks below.
 _PDF_IDENTITY_RTOL = 1e-10
-_JACOBIAN_ATOL = 1e-4
-_FD_STEP = 1e-6
+_JACOBIAN_RTOL = 1e-4
+# Finite-difference step relative to the point's magnitude (see below).
+_FD_REL_STEP = 1e-6
 
 
 def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestReport:
@@ -278,8 +279,14 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     ellipsoid's cached one, so the check does not compare the cache with
     itself.
 
+    Both parts are scale-free.  The step is 1e-6 times the larger of
+    max |x_i| and max |x_i - centre_i|, the magnitudes whose rounding it must
+    dominate, and the Jacobian error is taken relative to the largest entry
+    of the inverse; so scaling the ellipsoid about the origin leaves the
+    statistic in place, and a centre far from the origin does not inflate it.
+
     The reported statistic is the worst error over all trials, normalized
-    by its tolerance ((a) relative to 1e-10, (b) absolute to 1e-4), so the
+    by its tolerance ((a) relative to 1e-10, (b) relative to 1e-4), so the
     report passes iff statistic < 1.
     """
     if trials < 1:
@@ -288,14 +295,16 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     det = abs(float(np.linalg.det(np.asarray(e.shape))))
     expected_pdf = (1.0 / det) / unit_ball_volume(n)
     inverse_map = np.linalg.solve(np.asarray(e.shape), np.eye(n))
+    inverse_scale = float(np.abs(inverse_map).max())
     worst = 0.0
     for _ in range(trials):
         x = e.forward(_ball_chunk(n, 1, rng, 1.0 / n)[0])
         pdf_err = abs(e.pdf(x) - expected_pdf) / expected_pdf
-        # Row j of each half is x +- the step along axis j; one pull-back takes all 2n.
-        steps = _FD_STEP * np.eye(n)
+        h = _FD_REL_STEP * max(float(np.abs(x).max()), float(np.abs(x - e.centre).max()))
+        # Row j of each half is x +- h along axis j; one pull-back takes all 2n.
+        steps = h * np.eye(n)
         u = e._ball_coords(np.concatenate([x + steps, x - steps]))
-        jac = (u[:n] - u[n:]).T / (2.0 * _FD_STEP)
-        jac_err = float(np.abs(jac - inverse_map).max())
-        worst = max(worst, pdf_err / _PDF_IDENTITY_RTOL, jac_err / _JACOBIAN_ATOL)
+        jac = (u[:n] - u[n:]).T / (2.0 * h)
+        jac_err = float(np.abs(jac - inverse_map).max()) / inverse_scale
+        worst = max(worst, pdf_err / _PDF_IDENTITY_RTOL, jac_err / _JACOBIAN_RTOL)
     return TestReport("proof_identity", worst, None, 1.0, 0.0, trials)

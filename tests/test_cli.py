@@ -234,6 +234,22 @@ class TestCheckCommand:
         assert not by_name["chi_square_uniformity"]["pass"]
         assert not by_name["radial_ks"]["pass"]
 
+    @pytest.mark.parametrize(
+        "radii, centre",
+        [
+            ("0.001,0.001", "10000,0"),
+            ("1e3,1e3", "1e10,0"),
+            (",".join(["0.001"] * 64), ",".join(["10000"] * 64)),
+        ],
+        ids=["small-far", "large-far", "small-far-64d"],
+    )
+    def test_identity_check_is_scale_free(self, radii, centre, capsys):
+        argv = ["check", "--radii", radii, "--centre", centre, "--count", "20000", "--seed", "1",
+                "--tests", "identity"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0, out
+        assert json.loads(out)["statistic"] < 1e-3
+
     def test_condition_1e6_shape_passes(self, capsys, tmp_path):
         # unit scale and |det| = 1e-30, once rejected as singular
         n = 10

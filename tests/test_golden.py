@@ -87,7 +87,7 @@ CASES = {
     "check-default": (
         "check --radii 2,1 --centre 1,0 --count 20000 --seed 7",
         0,
-        "8b81115c268a1f3cd48fc727d494f58c8c6ee832f51e20d42c75a4732d2dd9c4",
+        "aa61699f144cd6f98527a38ecdde6fb16ba03766f36d97b735f0bfd0ea9f918e",
     ),
     "check-ks-identity": (
         "check --quadratic {Q} --count 5000 --seed 7 --tests ks,identity",
@@ -118,7 +118,7 @@ CASES = {
     "check-10d-chunks": (
         "check --dim 10 --count 40961 --seed 2",
         0,
-        "17e0550b306c4457e2b26b7f23d18cf1b57048db6c6472021188cb1f51f6da2a",
+        "d894b6ea91bd51df1f2ce16fbefedf3454e5c6fbcecbf69858d3a4a665d03109",
     ),
     # Above 62 dimensions there are no orthant codes; KS alone.
     "check-64d-ks-chunks": (
