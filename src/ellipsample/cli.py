@@ -9,6 +9,7 @@ lines produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -210,12 +211,29 @@ def _render_svg(batch: SampleBatch, e: Ellipsoid) -> Iterator[str]:
 
 
 def _emit(pieces: Iterable[str], out: str | None) -> None:
-    """Write each piece as it is produced, to ``out`` or standard output."""
-    if out is None:
-        sys.stdout.writelines(pieces)
-    else:
+    """Write each piece as it is produced, to ``out`` or standard output.
+
+    Under ``python -u`` (or PYTHONUNBUFFERED) the text layer of standard
+    output writes straight to the raw file and drops whatever a short write
+    leaves over, so a reader that leaves early would go unnoticed.  There the
+    pieces go through a buffered writer, which completes each write or raises.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
+        return
+    stdout = sys.stdout
+    raw = getattr(stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        stdout.writelines(pieces)
+        return
+    stdout.flush()
+    writer = io.BufferedWriter(raw)
+    try:
+        for piece in pieces:
+            writer.write(piece.encode(stdout.encoding, stdout.errors))
+    finally:
+        writer.detach()
 
 
 def cmd_sample(args) -> int:

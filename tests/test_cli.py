@@ -413,14 +413,19 @@ class TestExitCodeDiscipline:
         assert out == ""
         assert err.startswith("error: PointOutsideEllipsoid: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_stdout_is_exit_1_with_one_error_line(self, unbuffered):
-        # more than CHUNK_SIZE rows, so output is still being written when the reader leaves
+    @pytest.mark.parametrize(
+        "unbuffered, fmt",
+        [(False, "csv"), (True, "csv"), (False, "json"), (True, "json")],
+        ids=["buffered", "unbuffered", "buffered-json", "unbuffered-json"],
+    )
+    def test_closed_stdout_is_exit_1_with_one_error_line(self, unbuffered, fmt):
+        # More than CHUNK_SIZE rows, so output is still being written when the
+        # reader leaves; json is one write, which the reader cuts short.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         argv = [sys.executable, "-m", "ellipsample", "sample", "--dim", "2", "--count", "20000",
-                "--seed", "1"]
+                "--seed", "1", "--format", fmt]
         pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
         with subprocess.Popen(argv, env=env, **pipes) as proc:
             head = proc.stdout.read(10)
