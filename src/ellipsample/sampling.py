@@ -118,7 +118,8 @@ def _ball_chunk(n: int, m: int, rng: RngStream, radius_exponent: float) -> np.nd
         g[stuck] = rng.normals((int(stuck.sum()), n))
         norms[stuck] = np.linalg.norm(g[stuck], axis=1)
     radii = rng.uniforms(m) ** radius_exponent
-    return g * (radii / norms)[:, None]
+    g *= (radii / norms)[:, None]
+    return g
 
 
 def _rejection_chunk(
