@@ -45,11 +45,9 @@ CONDITION_MAX = 1e12
 _BLOCK_ROWS = 16
 
 # Every forward map multiplies blocks of exactly this many rows by the
-# shape.T view.  64 n^2 <= 2^18 for n <= 64, below the product size at which
-# OpenBLAS hands a gemm to a second thread, so each block runs on the calling
-# thread.  The height and the view also reproduce the bits of one gemm over a
-# whole CHUNK_SIZE chunk at every n = 1..64; 16 rows, or a contiguous copy of
-# shape.T, round differently at 24 to 33 of those dimensions.
+# shape.T view.  64 n^2 <= 2^18 for n <= 64: OpenBLAS threads a gemm only
+# above 2^18 multiply-adds.  16 rows, or a contiguous copy of shape.T, would
+# change the bits of full sampling chunks at 24 to 33 of the 64 dimensions.
 _FORWARD_ROWS = 64
 
 ROTATION_TOL = 1e-9
@@ -101,6 +99,15 @@ class Ellipsoid:
     ``abs_det_shape`` caches |det shape|, the volume scale factor, and the
     transposed inverse of ``shape`` is cached for the pull-back.  Instances
     are immutable and safe to share across threads.
+
+    Both maps work on rows in blocks of a fixed height, so a row's bits do
+    not depend on the rows that come with it: the forward map in blocks of
+    64 rows against the ``shape.T`` view (``_ball_image``), the pull-back in
+    blocks of 16 rows against the cached inverse (``_ball_coords``).  A
+    64-row forward block of a 64-d map is 2^18 multiply-adds, small enough
+    that OpenBLAS keeps it on the calling thread; and 64 rows against the
+    view, unlike 16 rows or a contiguous copy of ``shape.T``, give the bits
+    of one product over a whole sampling chunk at every n = 1..64.
     """
 
     shape: np.ndarray
