@@ -6,10 +6,8 @@ An ellipsoid is stored as the affine image of the closed unit ball,
 
 with the invertible shape matrix as the single source of truth.  Its
 inverse is formed once, at construction, and every pull-back (one point or
-a batch) applies it as a matmul: see ``Ellipsoid._ball_coords``.  The
-forward map is its twin, ``Ellipsoid._ball_image``.  Both multiply rows in
-zero-padded blocks of a fixed height, so a row gets the same bits alone or
-in a batch of any size.  Because
+a batch) applies it as a matmul: see ``Ellipsoid._ball_coords`` and its
+forward twin ``Ellipsoid._ball_image``.  Because
 the literature parameterizes ellipsoids both by a quadratic-form matrix M
 (membership (x-c)^T M (x-c) <= 1) and by a Cholesky factor of a matrix S
 (shape L with L L^T = S), and the two conventions describe reciprocal radii,
@@ -44,10 +42,7 @@ CONDITION_MAX = 1e12
 # Every pull-back multiplies zero-padded blocks of exactly this many rows.
 _BLOCK_ROWS = 16
 
-# Every forward map multiplies blocks of exactly this many rows by the
-# shape.T view.  64 n^2 <= 2^18 for n <= 64: OpenBLAS threads a gemm only
-# above 2^18 multiply-adds.  16 rows, or a contiguous copy of shape.T, would
-# change the bits of full sampling chunks at 24 to 33 of the 64 dimensions.
+# Every forward map multiplies blocks of exactly this many rows (see Ellipsoid).
 _FORWARD_ROWS = 64
 
 ROTATION_TOL = 1e-9
@@ -104,10 +99,11 @@ class Ellipsoid:
     not depend on the rows that come with it: the forward map in blocks of
     64 rows against the ``shape.T`` view (``_ball_image``), the pull-back in
     blocks of 16 rows against the cached inverse (``_ball_coords``).  A
-    64-row forward block of a 64-d map is 2^18 multiply-adds, small enough
-    that OpenBLAS keeps it on the calling thread; and 64 rows against the
-    view, unlike 16 rows or a contiguous copy of ``shape.T``, give the bits
-    of one product over a whole sampling chunk at every n = 1..64.
+    64-row forward block of a 64-d map is 2^18 multiply-adds, and OpenBLAS
+    hands a product to a second thread only above that, so the map stays on
+    the calling thread.  And 64 rows against the view, unlike 16 rows or a
+    contiguous copy of ``shape.T``, give the bits of one product over a whole
+    sampling chunk at every n = 1..64 (the others differ at 24 to 33 of them).
     """
 
     shape: np.ndarray

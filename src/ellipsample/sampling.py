@@ -189,7 +189,7 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
 
 
 def _chunk_points(e: Ellipsoid, method: str, rows: np.ndarray, rng: RngStream) -> None:
-    """Fill the C-contiguous (m, dim) array ``rows`` with points of ``e`` drawn from ``rng`` by ``method``.
+    """Fill ``rows``, a C-contiguous (m, dim) array, with points of ``e`` drawn by ``method``.
 
     The only branch on the method; ``sample_batch`` rejects unknown ones.
     Ball points are mapped straight into ``rows`` by ``Ellipsoid._ball_image``.

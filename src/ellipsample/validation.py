@@ -282,8 +282,8 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     Both parts are scale-free.  The step is 1e-6 times the larger of
     max |x_i| and max |x_i - centre_i|, the magnitudes whose rounding it must
     dominate, and the Jacobian error is taken relative to the largest entry
-    of the inverse; so scaling the ellipsoid about the origin leaves the
-    statistic in place, and a centre far from the origin does not inflate it.
+    of the inverse; so neither the ellipsoid's scale nor a centre far from
+    the origin inflates the statistic.
 
     The reported statistic is the worst error over all trials, normalized
     by its tolerance ((a) relative to 1e-10, (b) relative to 1e-4), so the
