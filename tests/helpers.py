@@ -24,3 +24,18 @@ def rand_ball_point(n: int, rng: RngStream) -> np.ndarray:
     norm = float(np.linalg.norm(g))
     return (rng.uniforms(1)[0] ** (1.0 / n) / norm) * g
 
+
+
+def dense_shape(n: int) -> np.ndarray:
+    """A dense, non-diagonal n x n shape (1-norm condition number below 40 up to n = 64).
+
+    The identity shape that ``--dim`` gives is mapped exactly by every BLAS
+    kernel, so only a general shape shows a change of kernel in the output.
+    """
+    gen = np.random.default_rng(n)
+    return np.eye(n) + gen.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+
+
+def dense_shape_text(n: int) -> str:
+    """``dense_shape(n)`` in the matrix text format, each entry written with repr."""
+    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in dense_shape(n))

@@ -1,5 +1,6 @@
 """Tests for ellipsoid geometry: constructors, transforms, densities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from ellipsample import (
 from ellipsample.geometry import MEMBERSHIP_SLACK
 from ellipsample.sampling import CHUNK_SIZE
 from ellipsample.validation import PULLBACK_SLACK
-from helpers import rand_ball_point, rand_ellipsoid
+from helpers import dense_shape, rand_ball_point, rand_ellipsoid
 
 
 def rot2(degrees: float) -> np.ndarray:
@@ -262,6 +263,14 @@ class TestTransforms:
         np.testing.assert_array_equal(one_by_one, e.contains_many(pts))
 
 
+# sha256 of the pull-back of CHUNK_SIZE + 37 rows on dense_shape(n), by dimension
+PULLBACK_SHA256 = {
+    17: "1db43b89715921423a61380158457cc9c016bf221bdc156af9cac0d0e6c303ef",
+    33: "6771c946388529c0b71b3cd798d2870a2b20d5415651e80f30b37f46ff04172b",
+    64: "13d3351779518835e6f9fe2ca841df940282f75a17aead23a3d7d883b1f4b6ea",
+}
+
+
 class TestPullbackKernel:
     """One point, a few rows, a chunk and a whole batch pull back to the same bits."""
 
@@ -277,6 +286,15 @@ class TestPullbackKernel:
                 rows = slice(start, start + k)
                 np.testing.assert_array_equal(e.pullback(pts[rows]), whole[rows])
             np.testing.assert_array_equal(e.inverse(pts[start]), whole[start])
+
+    @pytest.mark.parametrize("n", sorted(PULLBACK_SHA256))
+    def test_bits_are_pinned(self, n):
+        # the golden check cases use identity or 2-d shapes, which every
+        # kernel maps exactly; a dense shape at these dims shows a kernel change
+        gen = np.random.default_rng(1000 + n)
+        e = Ellipsoid.from_shape(dense_shape(n), gen.standard_normal(n))
+        pts = e.centre + gen.standard_normal((CHUNK_SIZE + 37, n))
+        assert hashlib.sha256(e.pullback(pts).tobytes()).hexdigest() == PULLBACK_SHA256[n]
 
     def test_empty_block(self):
         e = rand_ellipsoid(3, RngStream(1))

@@ -11,10 +11,10 @@ either changes the hashes without any change in this package.
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from ellipsample.cli import main
+from helpers import dense_shape_text
 
 ROTATION = "0.6 -0.8\n0.8 0.6\n"
 QUADRATIC = "4 1 0.5\n1 3 0.25\n0.5 0.25 2\n"
@@ -26,18 +26,6 @@ SPEC = {
     "rotation": [[0.6, -0.8], [0.8, 0.6]],
     "foci": [[-1.0, 0.0], [1.0, 2.0]],
 }
-
-
-
-def dense_shape_text(n: int) -> str:
-    """A dense, non-diagonal n x n shape (1-norm condition number below 40 up to n = 64).
-
-    The identity shape that ``--dim`` gives is mapped exactly by every BLAS
-    kernel, so only a general shape shows a change of kernel in the output.
-    """
-    gen = np.random.default_rng(n)
-    shape = np.eye(n) + gen.standard_normal((n, n)) / (2.0 * np.sqrt(n))
-    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in shape)
 
 
 DENSE_DIMS = (5, 17, 33, 64)
