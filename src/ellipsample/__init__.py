@@ -1,11 +1,12 @@
 """Uniform random sampling from n-dimensional hyperellipsoids.
 
 Points drawn uniformly from the unit n-ball stay uniform under any
-invertible affine map, so an ellipsoid sample costs one ball sample and a
-matrix-vector product.  This package provides the geometry (constructors
-for the common matrix conventions, membership, exact densities), the
-samplers (transform-based, rejection oracles, a biased negative control),
-and the statistical machinery to certify uniformity.
+invertible affine map, so an ellipsoid sample costs one ball sample and
+that map, applied to a batch as one blocked matrix product.  This package
+provides the geometry (constructors for the common matrix conventions,
+membership, exact densities), the samplers (transform-based, rejection
+oracles, a biased negative control), and the statistical machinery to
+certify uniformity.
 """
 
 from .errors import (

@@ -194,7 +194,7 @@ def _render_svg(batch: SampleBatch, e: Ellipsoid) -> Iterator[str]:
     dot = 0.004 * max(2.0 * hx, 2.0 * hy)
 
     theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-    ring = np.column_stack([np.cos(theta), np.sin(theta)]) @ np.asarray(e.shape).T + e.centre
+    ring = e._ball_image(np.column_stack([np.cos(theta), np.sin(theta)]))
     outline = " ".join(f"{float(x)!r},{float(-y)!r}" for x, y in ring)
 
     yield (

@@ -6,8 +6,8 @@ An ellipsoid is stored as the affine image of the closed unit ball,
 
 with the invertible shape matrix as the single source of truth.  Its
 inverse is formed once, at construction, and every pull-back (one point or
-a batch) applies it as a matmul: see ``Ellipsoid._ball_coords`` and its
-forward twin ``Ellipsoid._ball_image``.  Because
+a batch) applies it as a matmul in the same fixed-height blocks as the
+forward map: see ``Ellipsoid``.  Because
 the literature parameterizes ellipsoids both by a quadratic-form matrix M
 (membership (x-c)^T M (x-c) <= 1) and by a Cholesky factor of a matrix S
 (shape L with L L^T = S), and the two conventions describe reciprocal radii,
@@ -39,11 +39,8 @@ MEMBERSHIP_SLACK = 1e-12
 # treated as singular; the test is scale-free, unlike one on |det S|.
 CONDITION_MAX = 1e12
 
-# Every pull-back multiplies zero-padded blocks of exactly this many rows.
-_BLOCK_ROWS = 16
-
-# Every forward map multiplies blocks of exactly this many rows (see Ellipsoid).
-_FORWARD_ROWS = 64
+# Both affine maps multiply zero-padded blocks of exactly this many rows (see Ellipsoid).
+_BLOCK_ROWS = 64
 
 ROTATION_TOL = 1e-9
 
@@ -74,6 +71,31 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _block_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows @ matrix written into ``out``, a C-contiguous array of the shape of ``rows``.
+
+    Full blocks of _BLOCK_ROWS rows are multiplied straight into ``out``; a
+    short last block is zero-padded to full height first.  Every row so takes
+    the same BLAS call whatever the size of the input, and its bits depend on
+    that row alone: one row, a chunk and a whole batch agree.  A plain
+    (N, n) matmul would not; BLAS picks its kernel by the call's shape (a
+    matrix-vector one for one row, a small-matrix one below a size
+    threshold), and these round differently.
+    """
+    count, n = rows.shape
+    full = count - count % _BLOCK_ROWS
+    np.matmul(
+        rows[:full].reshape(-1, _BLOCK_ROWS, n),
+        matrix,
+        out=out[:full].reshape(-1, _BLOCK_ROWS, n),
+    )
+    if full < count:
+        tail = np.zeros((_BLOCK_ROWS, n))
+        tail[: count - full] = rows[full:]
+        out[full:] = (tail @ matrix)[: count - full]
+    return out
+
+
 def _in_unit_ball(u: np.ndarray) -> np.ndarray:
     """The membership rule ||u||^2 <= (1 + slack)^2 for each point along the last axis.
 
@@ -95,15 +117,18 @@ class Ellipsoid:
     transposed inverse of ``shape`` is cached for the pull-back.  Instances
     are immutable and safe to share across threads.
 
-    Both maps work on rows in blocks of a fixed height, so a row's bits do
-    not depend on the rows that come with it: the forward map in blocks of
-    64 rows against the ``shape.T`` view (``_ball_image``), the pull-back in
-    blocks of 16 rows against the cached inverse (``_ball_coords``).  A
-    64-row forward block of a 64-d map is 2^18 multiply-adds, and OpenBLAS
-    hands a product to a second thread only above that, so the map stays on
-    the calling thread.  And 64 rows against the view, unlike 16 rows or a
-    contiguous copy of ``shape.T``, give the bits of one product over a whole
-    sampling chunk at every n = 1..64 (the others differ at 24 to 33 of them).
+    Both affine maps are ``_block_product``: rows times a fixed matrix in
+    zero-padded blocks of exactly 64 rows, so a row's bits do not depend on
+    the rows that come with it.  The forward map (``_ball_image``) multiplies
+    by the ``shape.T`` view, the pull-back (``_ball_coords``) by the cached
+    contiguous inverse ``_inverse_t``.  A 64-row block of a 64-d map is 2^18
+    multiply-adds, and OpenBLAS hands a product to a second thread only above
+    that, so both maps stay on the calling thread.  The height and the two
+    operands are not interchangeable: 64 rows against the view give the bits
+    of one product over a whole sampling chunk at every n = 1..64, where 16
+    rows or a contiguous ``shape.T`` differ at 24 to 33 of them; and against
+    an ``inverse.T`` view the pull-back would differ from the contiguous one
+    at 24 dimensions with 64 rows (41 with 16).
     """
 
     shape: np.ndarray
@@ -256,6 +281,12 @@ class Ellipsoid:
             raise DimensionMismatch(f"point has shape {arr.shape}, expected ({self.dim},)")
         return arr
 
+    def _check_rows(self, x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise DimensionMismatch(f"points have shape {arr.shape}, expected (N, {self.dim})")
+        return arr
+
     def forward(self, u) -> np.ndarray:
         """Map a unit-ball point into the ellipsoid: shape @ u + centre.
 
@@ -266,54 +297,22 @@ class Ellipsoid:
     def _ball_image(self, u, out: np.ndarray | None = None) -> np.ndarray:
         """u @ shape^T + centre for an (N, dim) array of ball coordinates: the one forward map.
 
-        Full blocks of _FORWARD_ROWS rows are multiplied straight into
-        ``out`` (a new array if None, else a C-contiguous (N, dim) array that
-        may be a slice of a larger one); a short last block is zero-padded to
-        full height first.  Every row so takes the same BLAS call, and its
-        bits depend on that row alone, as in ``_ball_coords``.
+        Written into ``out`` (a new array if None, else a C-contiguous
+        (N, dim) array that may be a slice of a larger one).
         """
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != self.dim:
-            raise DimensionMismatch(f"ball points have shape {u.shape}, expected (N, {self.dim})")
+        u = self._check_rows(u)
         if out is None:
             out = np.empty(u.shape)
         elif out.shape != u.shape or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous {u.shape} array")
-        count, n = u.shape
-        full = count - count % _FORWARD_ROWS
-        shape_t = self.shape.T
-        np.matmul(
-            u[:full].reshape(-1, _FORWARD_ROWS, n),
-            shape_t,
-            out=out[:full].reshape(-1, _FORWARD_ROWS, n),
-        )
-        if full < count:
-            tail = np.zeros((_FORWARD_ROWS, n))
-            tail[: count - full] = u[full:]
-            out[full:] = (tail @ shape_t)[: count - full]
+        _block_product(u, self.shape.T, out)
         out += self.centre
         return out
 
     def _ball_coords(self, points) -> np.ndarray:
-        """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back.
-
-        The rows are multiplied in zero-padded blocks of exactly _BLOCK_ROWS,
-        so each row takes the same BLAS call whatever the size of the input.
-        A row's bits then depend on that row alone: one point, a chunk and a
-        whole batch agree.  A plain (N, dim) matmul would not; BLAS picks its
-        kernel by the call's shape (a matrix-vector one for one row, a
-        small-matrix one below a size threshold), and these round differently.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have shape {pts.shape}, expected (N, {self.dim})")
-        count = pts.shape[0]
-        blocks = -(-count // _BLOCK_ROWS)
-        diff = np.empty((blocks * _BLOCK_ROWS, self.dim))
-        np.subtract(pts, self.centre, out=diff[:count])
-        diff[count:] = 0.0
-        u = diff.reshape(blocks, _BLOCK_ROWS, self.dim) @ self._inverse_t
-        return u.reshape(-1, self.dim)[:count]
+        """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back."""
+        diff = self._check_rows(points) - self.centre
+        return _block_product(diff, self._inverse_t, np.empty(diff.shape))
 
     def inverse(self, x) -> np.ndarray:
         """Pull an ellipsoid point back to ball coordinates: inverse(shape) @ (x - centre).

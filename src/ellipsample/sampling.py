@@ -3,11 +3,9 @@
 Every sampler is a ``sample_batch`` method.  The primary one, "transform",
 draws uniform unit-ball points (Gaussian direction, radius u^(1/n)) and
 pushes them through the ellipsoid's affine map, which preserves uniformity.
-The map writes each chunk straight into the batch's rows, as a matrix
-product in blocks of exactly 64 rows against the ``shape.T`` view
-(``Ellipsoid._ball_image``): blocks that small stay on the calling BLAS
-thread, and that height and view keep the bits of one product over the
-whole chunk.
+The map writes each chunk straight into the batch's rows
+(``Ellipsoid._ball_image``), in the fixed-height row blocks that the
+``Ellipsoid`` docstring describes.
 Rejection from the cube ("ball_rejection") and from the bounding box
 ("ellipsoid_rejection") is kept as an independent oracle, and "biased"
 (radius u instead of u^(1/n)) is the negative control that proves the

@@ -10,8 +10,9 @@ point is Uniform(0, 1).
 A test reads at most two scalars per point, ||u||^2 and the orthant code,
 so each test pulls each point back once, in CHUNK_SIZE-row blocks, and keeps
 only those.  That is bit-identical to one pull-back of the whole batch:
-``Ellipsoid.pullback`` multiplies by the cached inverse in fixed-height row
-blocks, so a row's bits do not depend on how many rows come with it.
+``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
+row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
+not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
