@@ -272,20 +272,30 @@ PULLBACK_SHA256 = {
 
 
 class TestPullbackKernel:
-    """One point, a few rows, a chunk and a whole batch pull back to the same bits."""
+    """One row, a few rows, a chunk and a whole batch map to the same bits, either way."""
 
     # 17 and 33 are dimensions where BLAS rounds a small matrix product
     # differently from a large one, so block height must not matter there
-    @pytest.mark.parametrize("n", [2, 10, 17, 33, 64])
-    def test_rows_independent_of_block_height(self, n):
-        e = rand_ellipsoid(n, RngStream(70 + n))
-        pts = e.centre + np.asarray(RngStream(170 + n).normals((2 * CHUNK_SIZE + 7, n)))
-        whole = e.pullback(pts)
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(kind, n) for kind in ("pullback", "forward") for n in (2, 10, 17, 33, 64)],
+        ids=[f"{n}" for n in (2, 10, 17, 33, 64)] + [f"forward-{n}" for n in (2, 10, 17, 33, 64)],
+    )
+    def test_rows_independent_of_block_height(self, kind, n):
+        if kind == "pullback":
+            e = rand_ellipsoid(n, RngStream(70 + n))
+            x = e.centre + np.asarray(RngStream(170 + n).normals((2 * CHUNK_SIZE + 7, n)))
+            block, one_row = e.pullback, e.inverse
+        else:
+            e = rand_ellipsoid(n, RngStream(80 + n))
+            x = np.asarray(RngStream(180 + n).normals((2 * CHUNK_SIZE + 7, n))) / math.sqrt(n)
+            block, one_row = e._ball_image, e.forward
+        whole = block(x)
         for start in (0, 1, 5, CHUNK_SIZE - 1):
             for k in (1, 2, 3, CHUNK_SIZE):
                 rows = slice(start, start + k)
-                np.testing.assert_array_equal(e.pullback(pts[rows]), whole[rows])
-            np.testing.assert_array_equal(e.inverse(pts[start]), whole[start])
+                np.testing.assert_array_equal(block(x[rows]), whole[rows])
+            np.testing.assert_array_equal(one_row(x[start]), whole[start])
 
     @pytest.mark.parametrize("n", sorted(PULLBACK_SHA256))
     def test_bits_are_pinned(self, n):
@@ -313,18 +323,7 @@ class TestPullbackKernel:
 
 
 class TestForwardKernel:
-    """One ball point, a few rows, a chunk and a whole batch map forward to the same bits."""
-
-    @pytest.mark.parametrize("n", [2, 10, 17, 33, 64])
-    def test_rows_independent_of_block_height(self, n):
-        e = rand_ellipsoid(n, RngStream(80 + n))
-        u = np.asarray(RngStream(180 + n).normals((2 * CHUNK_SIZE + 7, n))) / math.sqrt(n)
-        whole = e._ball_image(u)
-        for start in (0, 1, 5, CHUNK_SIZE - 1):
-            for k in (1, 2, 3, CHUNK_SIZE):
-                rows = slice(start, start + k)
-                np.testing.assert_array_equal(e._ball_image(u[rows]), whole[rows])
-            np.testing.assert_array_equal(e.forward(u[start]), whole[start])
+    """The forward map writes into a caller's rows in place."""
 
     def test_fills_rows_of_a_larger_array_in_place(self):
         e = rand_ellipsoid(10, RngStream(3))
