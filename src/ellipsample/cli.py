@@ -1,7 +1,8 @@
 """Command-line front end: ``sample``, ``check``, and ``volume``.
 
-Exit codes: 0 success, 1 I/O failure, 2 configuration error, 3 statistical
-failure, which includes a sampled point outside the ellipsoid.  A seed is
+Exit codes: 0 success, 1 I/O failure, 2 configuration error (including a
+size too large to allocate), 3 statistical failure, which includes a sampled
+point outside the ellipsoid.  A seed is
 always required; there is no silent time-based seeding, so identical command
 lines produce byte-identical output.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
-from .linalg import parse_matrix_text
+from .linalg import DIM_MAX, parse_matrix_text
 from .sampling import CHUNK_SIZE, RngStream, SampleBatch, sample_batch
 from .validation import (
     chi_square_uniformity,
@@ -136,6 +137,9 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         raise ConfigError("--spec files carry their own centre/foci")
     if args.centre is not None and args.foci is not None:
         raise ConfigError("--centre and --foci are mutually exclusive")
+    # Checked before np.eye allocates a dim x dim matrix.
+    if kind == "dim" and not 1 <= args.dim <= DIM_MAX:
+        raise ConfigError(f"--dim {args.dim} outside supported range 1..{DIM_MAX}")
 
     try:
         if kind == "spec":
@@ -299,7 +303,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, EllipsampleError, ArithmeticError, ValueError) as exc:
+    except (ConfigError, EllipsampleError, ArithmeticError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_STATISTICAL if isinstance(exc, PointOutsideEllipsoid) else EXIT_CONFIG
     except OSError as exc:

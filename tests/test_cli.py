@@ -454,6 +454,23 @@ class TestExitCodeDiscipline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    # Each size is far past the address space, so nothing is ever allocated.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--dim", "10000000", "--count", "5"],
+            ["volume", "--dim", "10000000"],
+            ["sample", "--dim", "2", "--count", str(10**15)],
+            ["check", "--dim", "2", "--count", str(10**15)],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_size_is_exit_2_without_traceback(self, argv, capsys):
+        code, out, err = run([*argv, "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flags",
         [["--dim", "3", "--format", "svg"], ["--dim", "2", "--count", "0"]],
