@@ -1,8 +1,24 @@
 """Shared test helpers: random instances and independent oracles."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import ellipsample
 from ellipsample import Ellipsoid, RngStream, random_rotation
+
+
+def child_env() -> dict:
+    """This environment with the imported package's source directory first on PYTHONPATH.
+
+    A child ``python -m ellipsample`` then runs the code under test, not an
+    installed copy.
+    """
+    env = dict(os.environ)
+    src = str(Path(ellipsample.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def rand_spd(n: int, rng: RngStream) -> np.ndarray:

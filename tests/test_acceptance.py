@@ -26,7 +26,7 @@ from ellipsample import (
     sample_batch,
 )
 from ellipsample.sampling import CHUNK_SIZE
-from helpers import rand_ball_point, rand_ellipsoid
+from helpers import child_env, rand_ball_point, rand_ellipsoid
 
 N = 100_000
 
@@ -151,7 +151,7 @@ def test_criterion_7_reproducibility(tmp_path):
         second = tmp_path / "b.csv"
         for path in (first, second):
             result = subprocess.run(
-                argv + ["--out", str(path)], capture_output=True, timeout=120
+                argv + ["--out", str(path)], capture_output=True, timeout=120, env=child_env()
             )
             assert result.returncode == 0, result.stderr
         assert first.read_bytes() == second.read_bytes()

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -22,6 +21,7 @@ from ellipsample import (
 )
 from ellipsample.cli import main
 from ellipsample.sampling import CHUNK_SIZE
+from helpers import child_env
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
 
@@ -421,7 +421,8 @@ class TestExitCodeDiscipline:
     def test_closed_stdout_is_exit_1_with_one_error_line(self, unbuffered, fmt):
         # More than CHUNK_SIZE rows, so output is still being written when the
         # reader leaves; json is one write, which the reader cuts short.
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         argv = [sys.executable, "-m", "ellipsample", "sample", "--dim", "2", "--count", "20000",
