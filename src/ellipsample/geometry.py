@@ -240,8 +240,9 @@ class Ellipsoid:
         if "dim" not in spec:
             raise ValueError("spec requires 'dim'")
         n = int(spec["dim"])
-        if n < 1:
-            raise ValueError(f"dim must be positive, got {n}")
+        # Checked before a default centre or rotation of that size is allocated.
+        if not 1 <= n <= linalg.DIM_MAX:
+            raise ValueError(f"dim {n} outside supported range 1..{linalg.DIM_MAX}")
 
         if "foci" in spec:
             foci = list(spec["foci"])

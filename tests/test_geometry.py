@@ -475,6 +475,7 @@ class TestSpecParsing:
             {"dim": 3, "radii": [1.0, 1.0]},  # dim disagrees
             {"dim": 2, "radii": [1.0, 1.0], "centre": [0.0]},
             {"dim": 2, "radii": [1.0, 1.0], "foci": [[0.0, 0.0]]},
+            {"dim": 10**15, "radii": [1.0]},  # rejected before a default centre is allocated
         ],
     )
     def test_invalid_specs_rejected(self, spec):
