@@ -84,11 +84,8 @@ def _block_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.
     """
     count, n = rows.shape
     full = count - count % _BLOCK_ROWS
-    np.matmul(
-        rows[:full].reshape(-1, _BLOCK_ROWS, n),
-        matrix,
-        out=out[:full].reshape(-1, _BLOCK_ROWS, n),
-    )
+    blocks = (-1, _BLOCK_ROWS, n)
+    np.matmul(rows[:full].reshape(blocks), matrix, out=out[:full].reshape(blocks))
     if full < count:
         tail = np.zeros((_BLOCK_ROWS, n))
         tail[: count - full] = rows[full:]
