@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 configuration error (including a
 size too large to allocate), 3 statistical failure, which includes a sampled
-point outside the ellipsoid.  A seed is
-always required; there is no silent time-based seeding, so identical command
-lines produce byte-identical output.
+point outside the ellipsoid.  A seed is always required; there is no silent
+time-based seeding, so identical command lines produce byte-identical output.
 """
 
 from __future__ import annotations
