@@ -41,7 +41,6 @@ def rand_ball_point(n: int, rng: RngStream) -> np.ndarray:
     return (rng.uniforms(1)[0] ** (1.0 / n) / norm) * g
 
 
-
 def dense_shape(n: int) -> np.ndarray:
     """A dense, non-diagonal n x n shape (1-norm condition number below 40 up to n = 64).
 
