@@ -141,6 +141,12 @@ CASES = {
         0,
         "355d876269995e6d1feea898e6788c5453f39b48b499c5826ec73fadd6203fc7",
     ),
+    # Past _MC_CHUNK (262144) draws, so the estimate spans two chunks.
+    "volume-mc-chunks": (
+        "volume --radii 2,1 --seed 1 --mc 300000",
+        0,
+        "be59e3722629389a84f8b658b45cf04ae95107db2bce099604e13e67458acdff",
+    ),
     "volume-quadratic": (
         "volume --quadratic {Q} --seed 1",
         0,
