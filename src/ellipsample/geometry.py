@@ -42,8 +42,6 @@ CONDITION_MAX = 1e12
 # Both affine maps multiply zero-padded blocks of exactly this many rows (see Ellipsoid).
 _BLOCK_ROWS = 64
 
-ROTATION_TOL = 1e-9
-
 _SPEC_KEYS = frozenset({"dim", "centre", "foci", "shape", "quadratic", "radii", "rotation"})
 
 
@@ -117,7 +115,7 @@ class Ellipsoid:
     Both affine maps are ``_block_product``: rows times a fixed matrix in
     zero-padded blocks of exactly 64 rows, so a row's bits do not depend on
     the rows that come with it.  The forward map (``_ball_image``) multiplies
-    by the ``shape.T`` view, the pull-back (``_ball_coords``) by the cached
+    by the ``shape.T`` view, the pull-back (``pullback``) by the cached
     contiguous inverse ``_inverse_t``.  A 64-row block of a 64-d map is 2^18
     multiply-adds, and OpenBLAS hands a product to a second thread only above
     that, so both maps stay on the calling thread.  The height and the two
@@ -210,7 +208,7 @@ class Ellipsoid:
             raise DimensionMismatch(
                 f"rotation is {rot.shape[0]}x{rot.shape[0]} but there are {r.size} radii"
             )
-        if not linalg.is_rotation(rot, ROTATION_TOL):
+        if not linalg.is_rotation(rot):
             raise NotARotation("matrix is not orthogonal with determinant +1")
         return cls(rot * r, centre)
 
@@ -307,21 +305,17 @@ class Ellipsoid:
         out += self.centre
         return out
 
-    def _ball_coords(self, points) -> np.ndarray:
-        """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back."""
-        diff = self._check_rows(points) - self.centre
-        return _block_product(diff, self._inverse_t, np.empty(diff.shape))
-
     def inverse(self, x) -> np.ndarray:
         """Pull an ellipsoid point back to ball coordinates: inverse(shape) @ (x - centre).
 
         The one-row case of ``pullback``, bit for bit.
         """
-        return self._ball_coords(self._check_point(x)[None, :])[0]
+        return self.pullback(self._check_point(x)[None, :])[0]
 
-    def pullback(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized inverse for an (N, dim) array of points."""
-        return self._ball_coords(points)
+    def pullback(self, points) -> np.ndarray:
+        """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back."""
+        diff = self._check_rows(points) - self.centre
+        return _block_product(diff, self._inverse_t, np.empty(diff.shape))
 
     def contains(self, x) -> bool:
         """True iff x pulls back into the closed unit ball (with slack).
@@ -332,7 +326,7 @@ class Ellipsoid:
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership test; returns a boolean mask."""
-        return _in_unit_ball(self._ball_coords(points))
+        return _in_unit_ball(self.pullback(points))
 
     def volume(self) -> float:
         """Volume of the membership set: unit-ball volume times |det shape|."""
@@ -342,7 +336,7 @@ class Ellipsoid:
         """Uniform density over the ellipsoid: 1 / volume inside, 0 outside."""
         if not self.contains(x):
             return 0.0
-        return 1.0 / (unit_ball_volume(self.dim) * self.abs_det_shape)
+        return 1.0 / self.volume()
 
     def bounding_halfwidths(self) -> np.ndarray:
         """Axis-aligned bounding-box halfwidths: Euclidean norms of shape's rows.

@@ -26,6 +26,7 @@ DIM_MAX = 64
 
 SYMMETRY_RTOL = 1e-9
 PIVOT_RTOL = 1e-12
+ROTATION_TOL = 1e-9
 
 
 def as_vector(v) -> np.ndarray:
@@ -102,19 +103,17 @@ def solve_upper(upper, b) -> np.ndarray:
     return y
 
 
-def is_rotation(c, tol: float) -> bool:
-    """True iff c is orthogonal within tol and det(c) is within tol of +1.
+def is_rotation(c) -> bool:
+    """True iff c is orthogonal within ROTATION_TOL and det(c) is within ROTATION_TOL of +1.
 
     Orthogonality is measured as the max-abs entry of c^T c - I.  Proper
     rotations only: reflections (determinant -1) return False.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     arr = as_square(c)
     ortho_err = float(np.abs(arr.T @ arr - np.eye(arr.shape[0])).max())
-    if ortho_err > tol:
+    if ortho_err > ROTATION_TOL:
         return False
-    return abs(float(np.linalg.det(arr)) - 1.0) <= tol
+    return abs(float(np.linalg.det(arr)) - 1.0) <= ROTATION_TOL
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -6,10 +6,10 @@ pushes them through the ellipsoid's affine map, which preserves uniformity.
 The map writes each chunk straight into the batch's rows
 (``Ellipsoid._ball_image``), in the fixed-height row blocks that the
 ``Ellipsoid`` docstring describes.
-Rejection from the cube ("ball_rejection") and from the bounding box
-("ellipsoid_rejection") is kept as an independent oracle, and "biased"
-(radius u instead of u^(1/n)) is the negative control that proves the
-validation suite can detect non-uniformity.
+Rejection from the bounding box ("ellipsoid_rejection") is kept as an
+independent oracle; on the unit ball it is rejection from the cube
+[-1, 1]^n.  "biased" (radius u instead of u^(1/n)) is the negative control
+that proves the validation suite can detect non-uniformity.
 
 Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOutOfRange
-from .geometry import Ellipsoid, unit_ball_volume
+from .geometry import Ellipsoid
 from .linalg import DIM_MAX
 
-# Cube/box rejection beyond this dimension wastes almost every draw.
+# Box rejection beyond this dimension wastes almost every draw.
 REJECTION_DIM_MAX = 12
 
 # Fixed batch chunking; one derived stream per chunk index.
@@ -36,7 +36,7 @@ CHUNK_SIZE = 8192
 # Memory cap for a single vectorized rejection proposal block.
 _MAX_PROPOSALS = 500_000
 
-METHODS = ("transform", "ball_rejection", "ellipsoid_rejection", "biased")
+METHODS = ("transform", "ellipsoid_rejection", "biased")
 
 
 class RngStream:
@@ -125,48 +125,35 @@ def _ball_chunk(n: int, m: int, rng: RngStream, radius_exponent: float) -> np.nd
     return g
 
 
-def _rejection_chunk(
-    m: int, rng: RngStream, widths: np.ndarray, centre: np.ndarray, inside, rate: float
-) -> tuple[np.ndarray, int, int]:
-    """m points by rejection from the box centre +- widths.
+def _box_proposals(e: Ellipsoid, k: int, rng: RngStream) -> np.ndarray:
+    """k uniform points of the bounding box centre +- halfwidths of ``e``."""
+    return (2.0 * rng.uniforms((k, e.dim)) - 1.0) * e.bounding_halfwidths() + e.centre
 
-    ``inside`` maps an (N, n) proposal block to its accept mask and ``rate``
-    is the expected acceptance rate, which only sizes the proposal blocks.
-    Returns (points, attempts, accepted); accepted counts every proposal
-    that landed inside, including surplus beyond m, so accepted/attempts is
-    an unbiased binomial estimate of the acceptance rate.
+
+def _box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
+    """m ellipsoid points by rejection from the bounding box.
+
+    The expected acceptance rate volume / box volume only sizes the proposal
+    blocks.  Returns (points, attempts, accepted); accepted counts every
+    proposal that landed inside, including surplus beyond m, so
+    accepted/attempts is an unbiased binomial estimate of that rate.
     """
-    out = np.empty((m, widths.size))
+    rate = e.volume() / float(np.prod(2.0 * e.bounding_halfwidths()))
+    out = np.empty((m, e.dim))
     filled = 0
     attempts = 0
     accepted = 0
     while filled < m:
         need = m - filled
         draw = min(_MAX_PROPOSALS, max(16, int(1.25 * need / rate) + 1))
-        props = (2.0 * rng.uniforms((draw, widths.size)) - 1.0) * widths + centre
-        keep = props[inside(props)]
+        props = _box_proposals(e, draw, rng)
+        keep = props[e.contains_many(props)]
         take = min(need, keep.shape[0])
         out[filled : filled + take] = keep[:take]
         filled += take
         attempts += draw
         accepted += keep.shape[0]
     return out, attempts, accepted
-
-
-def _ball_rejection_chunk(n: int, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
-    """m unit-ball points by rejection from [-1, 1]^n."""
-
-    def inside(p: np.ndarray) -> np.ndarray:
-        return (p * p).sum(axis=1) <= 1.0
-
-    return _rejection_chunk(m, rng, np.ones(n), np.zeros(n), inside, unit_ball_volume(n) / 2.0**n)
-
-
-def _box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
-    """m ellipsoid points by rejection from the bounding box."""
-    widths = e.bounding_halfwidths()
-    rate = e.volume() / float(np.prod(2.0 * widths))
-    return _rejection_chunk(m, rng, widths, e.centre, e.contains_many, rate)
 
 
 def random_rotation(n: int, rng: RngStream) -> np.ndarray:
@@ -193,16 +180,11 @@ def _chunk_points(e: Ellipsoid, method: str, rows: np.ndarray, rng: RngStream) -
     Ball points are mapped straight into ``rows`` by ``Ellipsoid._ball_image``.
     """
     m = rows.shape[0]
-    if method == "transform":
-        u = _ball_chunk(e.dim, m, rng, 1.0 / e.dim)
-    elif method == "biased":
-        u = _ball_chunk(e.dim, m, rng, 1.0)
-    elif method == "ball_rejection":
-        u = _ball_rejection_chunk(e.dim, m, rng)[0]
-    else:
+    if method == "ellipsoid_rejection":
         rows[:] = _box_rejection_chunk(e, m, rng)[0]
-        return
-    e._ball_image(u, out=rows)
+    else:
+        exponent = 1.0 if method == "biased" else 1.0 / e.dim
+        e._ball_image(_ball_chunk(e.dim, m, rng, exponent), out=rows)
 
 
 def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform") -> SampleBatch:
@@ -217,7 +199,7 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
         raise ValueError("count must be at least 1")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method in ("ball_rejection", "ellipsoid_rejection"):
+    if method == "ellipsoid_rejection":
         _check_dim(e.dim, REJECTION_DIM_MAX)
     root = RngStream(seed)
     points = np.empty((count, e.dim))

@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, unit_ball_volume
-from .sampling import CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _check_dim
+from .sampling import (
+    CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals, _check_dim
+)
 
 # Upper-tail standard normal quantiles for the supported significance levels.
 _Z_UPPER = {0.01: 2.3263478740408408, 0.001: 3.090232306167813}
@@ -45,6 +47,8 @@ MIN_EXPECTED_PER_BIN = 5.0
 PULLBACK_SLACK = 1e-9
 
 _MC_MIN_COUNT = 10_000
+# About a minute of draws at 12-d; a larger count is a slip, not a request.
+_MC_MAX_COUNT = 10**9
 _MC_CHUNK = 262_144
 
 
@@ -244,15 +248,15 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     _check_dim(e.dim, REJECTION_DIM_MAX)
     if count < _MC_MIN_COUNT:
         raise InsufficientSamples(f"need at least {_MC_MIN_COUNT} draws, got {count}")
-    widths = e.bounding_halfwidths()
-    box_volume = float(np.prod(2.0 * widths))
+    if count > _MC_MAX_COUNT:
+        raise ValueError(f"at most {_MC_MAX_COUNT} draws are supported, got {count}")
+    box_volume = float(np.prod(2.0 * e.bounding_halfwidths()))
     accepted = 0
     done = 0
     chunk_index = 0
     while done < count:
         m = min(_MC_CHUNK, count - done)
-        child = rng.derive(chunk_index)
-        props = (2.0 * child.uniforms((m, e.dim)) - 1.0) * widths + e.centre
+        props = _box_proposals(e, m, rng.derive(chunk_index))
         accepted += int(e.contains_many(props).sum())
         done += m
         chunk_index += 1
@@ -304,7 +308,7 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
         h = _FD_REL_STEP * max(float(np.abs(x).max()), float(np.abs(x - e.centre).max()))
         # Row j of each half is x +- h along axis j; one pull-back takes all 2n.
         steps = h * np.eye(n)
-        u = e._ball_coords(np.concatenate([x + steps, x - steps]))
+        u = e.pullback(np.concatenate([x + steps, x - steps]))
         jac = (u[:n] - u[n:]).T / (2.0 * h)
         jac_err = float(np.abs(jac - inverse_map).max()) / inverse_scale
         worst = max(worst, pdf_err / _PDF_IDENTITY_RTOL, jac_err / _JACOBIAN_RTOL)

@@ -19,8 +19,8 @@ from ellipsample import (
     sample_batch,
     unit_ball_volume,
 )
-from ellipsample.cli import main
-from ellipsample.sampling import CHUNK_SIZE
+from ellipsample.cli import _METHOD_BY_FLAG, main
+from ellipsample.sampling import CHUNK_SIZE, METHODS
 from helpers import child_env
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
@@ -122,6 +122,9 @@ class TestSampleCommand:
         assert doc["method"] == "ellipsoid_rejection"
         e = Ellipsoid.from_spec(doc["ellipsoid"])
         assert bool(e.contains_many(np.array(doc["points"])).all())
+
+    def test_every_sampling_method_has_a_flag(self):
+        assert set(METHODS) <= set(_METHOD_BY_FLAG.values())
 
 
 class TestEllipsoidResolution:
@@ -315,7 +318,8 @@ class TestCheckCommand:
 
         monkeypatch.setattr(Ellipsoid, "pullback", recording)
         argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7", "--tests"]
-        for tests, pulled_back in (("chi2,ks,identity", 2 * 20000), ("ks", 20000), ("identity", 0)):
+        # The identity check pulls back 2n + 1 rows per trial: 100 at n = 2.
+        for tests, pulled_back in (("chi2,ks,identity", 40100), ("ks", 20000), ("identity", 100)):
             rows.clear()
             assert run([*argv, tests], capsys)[0] == 0
             assert sum(rows) == pulled_back
@@ -369,6 +373,14 @@ class TestVolumeCommand:
         fields = dict(line.split() for line in out.strip().split("\n"))
         assert fields["verdict"] == "agree"
         assert abs(float(fields["mc_estimate"]) - 2.0 * math.pi) <= 3.0 * float(fields["mc_stderr"])
+
+    def test_mc_count_past_the_cap_is_exit_2_at_once(self, capsys):
+        code, out, err = run(
+            ["volume", "--radii", "1,1", "--mc", "1000000000000000", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
 
 
 class TestExitCodeDiscipline:

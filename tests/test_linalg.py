@@ -84,30 +84,26 @@ class TestSolveUpper:
 
 class TestIsRotation:
     def test_identity(self):
-        assert is_rotation(np.eye(3), 1e-9)
+        assert is_rotation(np.eye(3))
 
     def test_plane_rotation(self):
         t = math.radians(30.0)
         c = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-        assert is_rotation(c, 1e-9)
+        assert is_rotation(c)
 
     def test_reflection_rejected(self):
         # orthogonal but det = -1
-        assert not is_rotation(np.diag([1.0, -1.0]), 1e-9)
+        assert not is_rotation(np.diag([1.0, -1.0]))
 
     def test_non_orthogonal_rejected(self):
-        assert not is_rotation([[1.0, 0.1], [0.0, 1.0]], 1e-9)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_rotation(np.eye(2), 0.0)
+        assert not is_rotation([[1.0, 0.1], [0.0, 1.0]])
 
     def test_closed_under_composition(self):
         rng = RngStream(31)
         for n in range(2, 9):
             c1 = random_rotation(n, rng.derive(2 * n))
             c2 = random_rotation(n, rng.derive(2 * n + 1))
-            assert is_rotation(c1 @ c2, 1e-8)
+            assert is_rotation(c1 @ c2)
 
 
 class TestMatrixTextFormat:
