@@ -47,7 +47,7 @@ MIN_EXPECTED_PER_BIN = 5.0
 PULLBACK_SLACK = 1e-9
 
 _MC_MIN_COUNT = 10_000
-# About a minute of draws at 12-d; a larger count is a slip, not a request.
+# 10^9 draws already take minutes; a larger count is a slip, not a request.
 _MC_MAX_COUNT = 10**9
 _MC_CHUNK = 262_144
 
