@@ -24,7 +24,6 @@ from .errors import (
 from .geometry import Ellipsoid, centre_from_foci, unit_ball_volume
 from .sampling import RngStream, SampleBatch, random_rotation, sample_batch
 from .validation import (
-    BinPartition,
     TestReport,
     chi_square_two_sample,
     chi_square_uniformity,
@@ -37,7 +36,6 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinPartition",
     "DimensionMismatch",
     "DimensionOutOfRange",
     "Ellipsoid",

@@ -7,9 +7,9 @@ hold probability 1/K, and the 2^n sign orthants are equal by symmetry.  The
 radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
-A test reads at most two scalars per point, ||u||^2 and the orthant code,
-so each test pulls each point back once, in CHUNK_SIZE-row blocks, and keeps
-only those.  That is bit-identical to one pull-back of the whole batch:
+A test keeps one number per point: ||u||^2 for KS, the bin index for
+chi-square.  So each test pulls each point back once, in CHUNK_SIZE-row
+blocks, and keeps only that.  That is bit-identical to one pull-back of the whole batch:
 ``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
 row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
 not depend on how many rows come with it.
@@ -50,42 +50,6 @@ _MC_MIN_COUNT = 10_000
 # 10^9 draws already take minutes; a larger count is a slip, not a request.
 _MC_MAX_COUNT = 10**9
 _MC_CHUNK = 262_144
-
-
-@dataclass(frozen=True)
-class BinPartition:
-    """Equal-probability partition of the unit ball: radial shells x sign orthants.
-
-    Shell k (0-based) holds ||u||^n in [k/shells, (k+1)/shells); each of the
-    shells * 2^dim bins has probability exactly 1 / (shells * 2^dim) under
-    the uniform ball law.
-    """
-
-    dim: int
-    shells: int
-
-    def __post_init__(self):
-        # bit-shifted orthant indices must fit in int64; far past usable
-        # bin counts anyway (expected counts need N >= 5 * shells * 2^dim)
-        if not 1 <= self.dim <= 62:
-            raise ValueError("dim must be in 1..62")
-        if self.shells < 1:
-            raise ValueError("shells must be positive")
-
-    @property
-    def bin_count(self) -> int:
-        return self.shells * 2**self.dim
-
-    @staticmethod
-    def orthant_codes(u: np.ndarray) -> np.ndarray:
-        """Sign-orthant code of each row of ``u``: bit j is set iff u_j < 0."""
-        return (u < 0.0) @ (1 << np.arange(u.shape[1]))
-
-    def bins(self, sq_norms: np.ndarray, orthants: np.ndarray) -> np.ndarray:
-        """Bin index of each point, from its squared norm ||u||^2 and orthant code."""
-        t = sq_norms ** (self.dim / 2.0)
-        shell = np.minimum((t * self.shells).astype(int), self.shells - 1)
-        return shell * 2**self.dim + orthants
 
 
 @dataclass(frozen=True)
@@ -137,28 +101,48 @@ def wilson_hilferty_critical(dof: int, alpha: float) -> float:
     return dof * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
-def _pull_back(
-    batch: SampleBatch, e: Ellipsoid, orthants: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(||u||^2, orthant codes or None) of each point, pulled back in CHUNK_SIZE-row blocks."""
+def _bin_total(dim: int, shells: int) -> int:
+    """Bin count of the partition: ``shells`` radial shells x 2^dim sign orthants.
+
+    Shell k (0-based) holds ||u||^n in [k/shells, (k+1)/shells); each bin
+    has probability exactly 1 / (shells * 2^dim) under the uniform ball law.
+    """
+    # bit-shifted orthant indices must fit in int64; far past usable
+    # bin counts anyway (expected counts need N >= 5 * shells * 2^dim)
+    if not 1 <= dim <= 62:
+        raise ValueError("dim must be in 1..62")
+    if shells < 1:
+        raise ValueError("shells must be positive")
+    return shells * 2**dim
+
+
+def _bin_index(u: np.ndarray, sq_norms: np.ndarray, shells: int) -> np.ndarray:
+    """Bin of each ball-coordinate row of ``u``: shell * 2^dim + orthant code.
+
+    ``sq_norms`` holds each row's ||u||^2; bit j of the orthant code is set
+    iff u_j < 0.
+    """
+    dim = u.shape[1]
+    shell = np.minimum((sq_norms ** (dim / 2.0) * shells).astype(int), shells - 1)
+    return shell * 2**dim + (u < 0.0) @ (1 << np.arange(dim))
+
+
+def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> np.ndarray:
+    """||u||^2 of each point, or with ``shells`` its bin; pulled back in CHUNK_SIZE-row blocks."""
     if batch.dim != e.dim:
         raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
-    sq_norms = np.empty(batch.count)
-    codes = np.empty(batch.count, dtype=np.int64) if orthants else None
+    out = np.empty(batch.count, dtype=float if shells is None else np.int64)
+    worst = 0.0
     for start in range(0, batch.count, CHUNK_SIZE):
         rows = slice(start, start + CHUNK_SIZE)
         u = e.pullback(batch.points[rows])
-        sq_norms[rows] = (u * u).sum(axis=1)
-        if orthants:
-            codes[rows] = BinPartition.orthant_codes(u)
-    worst = float(np.sqrt(sq_norms.max()))
+        sq_norms = (u * u).sum(axis=1)
+        worst = max(worst, float(sq_norms.max()))
+        out[rows] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
+    worst = math.sqrt(worst)
     if worst > 1.0 + PULLBACK_SLACK:
         raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
-    return sq_norms, codes
-
-
-def _bin_counts(batch: SampleBatch, e: Ellipsoid, part: BinPartition) -> np.ndarray:
-    return np.bincount(part.bins(*_pull_back(batch, e, orthants=True)), minlength=part.bin_count)
+    return out
 
 
 def chi_square_uniformity(
@@ -173,16 +157,16 @@ def chi_square_uniformity(
     cell probabilities, so sum (obs - exp)^2 / exp is chi-square with
     shells * 2^dim - 1 degrees of freedom.
     """
-    part = BinPartition(e.dim, shells)
-    expected = batch.count / part.bin_count
+    bins = _bin_total(e.dim, shells)
+    expected = batch.count / bins
     if expected < MIN_EXPECTED_PER_BIN:
         raise InsufficientSamples(
             f"{batch.count} samples give {expected:.2f} expected per bin; "
             f"need at least {MIN_EXPECTED_PER_BIN}"
         )
-    dof = part.bin_count - 1
+    dof = bins - 1
     critical = wilson_hilferty_critical(dof, alpha)
-    observed = _bin_counts(batch, e, part)
+    observed = np.bincount(_pull_back(batch, e, shells), minlength=bins)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     return TestReport("chi_square_uniformity", statistic, dof, critical, alpha, batch.count)
 
@@ -200,9 +184,9 @@ def chi_square_two_sample(
     statistic sum (sqrt(Nb/Na) a_i - sqrt(Na/Nb) b_i)^2 / (a_i + b_i); empty
     bins are skipped and each reduces the degrees of freedom by one.
     """
-    part = BinPartition(e.dim, shells)
-    counts_a = _bin_counts(batch_a, e, part)
-    counts_b = _bin_counts(batch_b, e, part)
+    bins = _bin_total(e.dim, shells)
+    counts_a = np.bincount(_pull_back(batch_a, e, shells), minlength=bins)
+    counts_b = np.bincount(_pull_back(batch_b, e, shells), minlength=bins)
     na, nb = batch_a.count, batch_b.count
     occupied = (counts_a + counts_b) > 0
     dof = int(occupied.sum()) - 1
@@ -228,7 +212,7 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     n = batch.count
     if n < KS_MIN_SAMPLES:
         raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {n}")
-    t = np.sort(_pull_back(batch, e)[0] ** (e.dim / 2.0))
+    t = np.sort(_pull_back(batch, e) ** (e.dim / 2.0))
     grid = np.arange(1, n + 1) / n
     d_plus = float((grid - t).max())
     d_minus = float((t - (grid - 1.0 / n)).max())
@@ -252,14 +236,9 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
         raise ValueError(f"at most {_MC_MAX_COUNT} draws are supported, got {count}")
     box_volume = float(np.prod(2.0 * e.bounding_halfwidths()))
     accepted = 0
-    done = 0
-    chunk_index = 0
-    while done < count:
-        m = min(_MC_CHUNK, count - done)
-        props = _box_proposals(e, m, rng.derive(chunk_index))
+    for i, start in enumerate(range(0, count, _MC_CHUNK)):
+        props = _box_proposals(e, min(_MC_CHUNK, count - start), rng.derive(i))
         accepted += int(e.contains_many(props).sum())
-        done += m
-        chunk_index += 1
     frac = accepted / count
     estimate = box_volume * frac
     stderr = box_volume * math.sqrt(frac * (1.0 - frac) / count)

@@ -8,7 +8,6 @@ import pytest
 import scipy.stats
 
 from ellipsample import (
-    BinPartition,
     DimensionMismatch,
     DimensionOutOfRange,
     Ellipsoid,
@@ -27,6 +26,7 @@ from ellipsample import (
     wilson_hilferty_critical,
 )
 from ellipsample.sampling import CHUNK_SIZE
+from ellipsample.validation import _bin_index, _bin_total
 from helpers import rand_ellipsoid
 
 
@@ -40,35 +40,34 @@ def batch_from_pullbacks(e: Ellipsoid, pullbacks: np.ndarray, method="transform"
     return SampleBatch(e.dim, pts, 0, method, e.spec_dict())
 
 
-def bins_of(part: BinPartition, u: np.ndarray) -> np.ndarray:
+def bins_of(u: np.ndarray, shells: int) -> np.ndarray:
     """Bin index of each ball-coordinate row of u."""
-    return part.bins((u * u).sum(axis=1), BinPartition.orthant_codes(u))
+    return _bin_index(u, (u * u).sum(axis=1), shells)
 
 
 class TestBinPartition:
+    """The chi-square partition: radial shells x sign orthants of the unit ball."""
+
     def test_counts(self):
-        part = BinPartition(dim=3, shells=4)
-        assert part.bin_count == 32
+        assert _bin_total(3, 4) == 32
 
     def test_shell_boundaries_algebra(self):
         # shell k holds radii in [(k/K)^(1/n), ((k+1)/K)^(1/n)), so every
         # shell holds probability 1/K under the t = ||u||^n uniform law
         for n in [1, 2, 3, 7]:
             for k_shells in [1, 4, 8]:
-                part = BinPartition(dim=n, shells=k_shells)
                 radii = ((np.arange(k_shells) + 0.5) / k_shells) ** (1.0 / n)
-                orthant_zero = np.zeros(k_shells, dtype=np.int64)
-                shells = part.bins(radii**2, orthant_zero) // 2**n
+                u = np.zeros((k_shells, n))
+                u[:, 0] = radii  # orthant code 0
+                shells = _bin_index(u, radii**2, k_shells) // 2**n
                 np.testing.assert_array_equal(shells, np.arange(k_shells))
 
     def test_assign_hand_cases(self):
-        part = BinPartition(dim=2, shells=2)
         # t = ||u||^2: 0.02 -> shell 0; 0.9 -> shell 1; sign bits little-endian
         u = np.array([[0.1, 0.1], [-0.9, 0.3], [0.3, -0.9], [-0.6, -0.6]])
-        np.testing.assert_array_equal(bins_of(part, u), [0, 4 + 1, 4 + 2, 4 + 3])
+        np.testing.assert_array_equal(bins_of(u, 2), [0, 4 + 1, 4 + 2, 4 + 3])
 
     def test_assign_matches_scalar_loop(self):
-        part = BinPartition(dim=3, shells=4)
         rng = RngStream(1)
         u = np.asarray(rng.normals((500, 3)))
         radii = np.asarray(rng.uniforms(500)) ** (1 / 3)
@@ -79,26 +78,38 @@ class TestBinPartition:
             shell = min(int(t * 4), 3)
             orthant = sum((1 << i) for i in range(3) if row[i] < 0)
             expected.append(shell * 8 + orthant)
-        np.testing.assert_array_equal(bins_of(part, u), expected)
+        np.testing.assert_array_equal(bins_of(u, 4), expected)
 
     def test_boundary_point_clamped_to_last_shell(self):
-        part = BinPartition(dim=2, shells=4)
-        assert bins_of(part, np.array([[1.0, 0.0]]))[0] == 3 * 4 + 0
+        assert bins_of(np.array([[1.0, 0.0]]), 4)[0] == 3 * 4 + 0
 
     def test_bins_equiprobable_empirically(self):
         e = Ellipsoid.from_shape(np.eye(2), np.zeros(2))
-        part = BinPartition(dim=2, shells=4)
         u = sample_batch(e, 64_000, 3).points  # unit ball: points are pullbacks
-        counts = np.bincount(bins_of(part, u), minlength=part.bin_count)
-        expected = 64_000 / part.bin_count
+        bins = _bin_total(2, 4)
+        counts = np.bincount(bins_of(u, 4), minlength=bins)
+        expected = 64_000 / bins
         # 5 sigma guard band per bin
         assert np.all(np.abs(counts - expected) <= 5.0 * math.sqrt(expected))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BinPartition(dim=0, shells=4)
-        with pytest.raises(ValueError):
-            BinPartition(dim=2, shells=0)
+        with pytest.raises(ValueError, match="dim must be in 1..62"):
+            _bin_total(0, 4)
+        with pytest.raises(ValueError, match="shells must be positive"):
+            _bin_total(2, 0)
+
+    def test_bin_total_past_62_dimensions_rejected(self):
+        assert _bin_total(62, 1) == 2**62
+        with pytest.raises(ValueError, match="dim must be in 1..62"):
+            _bin_total(63, 1)
+
+    @pytest.mark.parametrize("shells", [1, 2])
+    def test_62d_last_orthant_of_last_shell_is_exact(self, shells):
+        # radius 1 clamps to the last shell; every sign bit set is orthant 2^62 - 1
+        u = np.full((1, 62), -1.0 / math.sqrt(62.0))
+        index = _bin_index(u, np.ones(1), shells)
+        assert index.dtype == np.int64
+        assert int(index[0]) == (shells - 1) * 2**62 + 2**62 - 1
 
 
 class TestTestReport:
@@ -150,7 +161,6 @@ class TestChiSquareUniformity:
 
     def test_equal_counts_give_zero_statistic(self):
         e = ellipse_2x1()
-        part = BinPartition(dim=2, shells=4)
         reps = []
         for shell in range(4):
             radius = ((shell + 0.5) / 4.0) ** 0.5
@@ -282,9 +292,9 @@ class TestChunkedPullBack:
         assert radial_ks(batch, e).statistic == d
         if dim > 10:  # too few points per chi2 bin (and 64-d is past 62-d): KS only
             return
-        part = BinPartition(dim, 4)
-        expected = n / part.bin_count
-        observed = np.bincount(bins_of(part, u), minlength=part.bin_count)
+        bins = _bin_total(dim, 4)
+        expected = n / bins
+        observed = np.bincount(bins_of(u, 4), minlength=bins)
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi_square_uniformity(batch, e, shells=4).statistic == chi2
 
