@@ -19,8 +19,10 @@ import numpy as np
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import DIM_MAX, parse_matrix_text
-from .sampling import CHUNK_SIZE, RngStream, SampleBatch, sample_batch
+from .sampling import CHUNK_SIZE, RngStream, SampleBatch, _check_request, sample_batch
 from .validation import (
+    _check_ks_count,
+    _uniformity_bins,
     chi_square_uniformity,
     mc_volume,
     proof_identity_check,
@@ -260,9 +262,15 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     e = resolve_ellipsoid(args)
     selected = [name for name in args.tests.split(",") if name.strip()]
-    unknown = set(selected) - set(_CHECK_NAMES)
-    if unknown or not selected:
+    if not selected or set(selected) - set(_CHECK_NAMES):
         raise ConfigError(f"--tests entries must be among {_CHECK_NAMES}, got {selected}")
+    # The batch's and then each test's input rules, checked before anything is drawn.
+    _check_request(e, args.count, _METHOD_BY_FLAG[args.method])
+    for name in selected:
+        if name == "chi2":
+            _uniformity_bins(e.dim, args.count, args.shells)
+        elif name == "ks":
+            _check_ks_count(args.count)
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
     reports = []
     for name in selected:

@@ -221,8 +221,7 @@ class Ellipsoid:
         default); "centre" (default origin) or "foci" [f1, f2], which
         overrides centre via the midpoint.
         """
-        unknown = set(spec) - _SPEC_KEYS
-        if unknown:
+        if unknown := set(spec) - _SPEC_KEYS:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
         defining = [k for k in ("shape", "quadratic", "radii") if k in spec]
         if len(defining) != 1:

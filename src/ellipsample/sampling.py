@@ -30,6 +30,9 @@ from .linalg import DIM_MAX
 # Box rejection beyond this dimension wastes almost every draw.
 REJECTION_DIM_MAX = 12
 
+# 10^9 random draws already take minutes; a request for more is a slip.
+MAX_DRAWS = 10**9
+
 # Fixed batch chunking; one derived stream per chunk index.
 CHUNK_SIZE = 8192
 
@@ -89,7 +92,8 @@ class SampleBatch:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        pts = np.ascontiguousarray(self.points, dtype=float)
+        # A view, so locking it leaves the caller's own array writable.
+        pts = np.ascontiguousarray(self.points, dtype=float).view()
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatch(f"points have shape {pts.shape}, expected (N, {self.dim})")
         pts.flags.writeable = False
@@ -114,10 +118,7 @@ def _ball_chunk(n: int, m: int, rng: RngStream, radius_exponent: float) -> np.nd
     """
     g = np.asarray(rng.normals((m, n)), dtype=float)
     norms = np.linalg.norm(g, axis=1)
-    while True:
-        stuck = norms == 0.0
-        if not stuck.any():
-            break
+    while (stuck := norms == 0.0).any():
         g[stuck] = rng.normals((int(stuck.sum()), n))
         norms[stuck] = np.linalg.norm(g[stuck], axis=1)
     radii = rng.uniforms(m) ** radius_exponent
@@ -130,19 +131,18 @@ def _box_proposals(e: Ellipsoid, k: int, rng: RngStream) -> np.ndarray:
     return (2.0 * rng.uniforms((k, e.dim)) - 1.0) * e.bounding_halfwidths() + e.centre
 
 
-def _box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream) -> tuple[np.ndarray, int, int]:
+def _box_rejection_chunk(
+    e: Ellipsoid, m: int, rng: RngStream, rate: float
+) -> tuple[np.ndarray, int, int]:
     """m ellipsoid points by rejection from the bounding box.
 
-    The expected acceptance rate volume / box volume only sizes the proposal
-    blocks.  Returns (points, attempts, accepted); accepted counts every
-    proposal that landed inside, including surplus beyond m, so
+    The expected acceptance ``rate``, volume / box volume, only sizes the
+    proposal blocks.  Returns (points, attempts, accepted); accepted counts
+    every proposal that landed inside, including surplus beyond m, so
     accepted/attempts is an unbiased binomial estimate of that rate.
     """
-    rate = e.volume() / float(np.prod(2.0 * e.bounding_halfwidths()))
     out = np.empty((m, e.dim))
-    filled = 0
-    attempts = 0
-    accepted = 0
+    filled = attempts = accepted = 0
     while filled < m:
         need = m - filled
         draw = min(_MAX_PROPOSALS, max(16, int(1.25 * need / rate) + 1))
@@ -173,18 +173,41 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
     return q
 
 
-def _chunk_points(e: Ellipsoid, method: str, rows: np.ndarray, rng: RngStream) -> None:
+def _chunk_points(
+    e: Ellipsoid, method: str, rows: np.ndarray, rng: RngStream, rate: float
+) -> None:
     """Fill ``rows``, a C-contiguous (m, dim) array, with points of ``e`` drawn by ``method``.
 
     The only branch on the method; ``sample_batch`` rejects unknown ones.
-    Ball points are mapped straight into ``rows`` by ``Ellipsoid._ball_image``.
+    ``rate`` is ``_check_request``'s acceptance rate.  Ball points are
+    mapped straight into ``rows`` by ``Ellipsoid._ball_image``.
     """
     m = rows.shape[0]
     if method == "ellipsoid_rejection":
-        rows[:] = _box_rejection_chunk(e, m, rng)[0]
+        rows[:] = _box_rejection_chunk(e, m, rng, rate)[0]
     else:
         exponent = 1.0 if method == "biased" else 1.0 / e.dim
         e._ball_image(_ball_chunk(e.dim, m, rng, exponent), out=rows)
+
+
+def _check_request(e: Ellipsoid, count: int, method: str) -> float:
+    """Reject a ``sample_batch`` request before anything is drawn; return its acceptance rate.
+
+    For "ellipsoid_rejection" that is volume / bounding-box volume, and the
+    expected count / rate box draws must stay within MAX_DRAWS; other
+    methods accept every draw, rate 1.0.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method != "ellipsoid_rejection":
+        return 1.0
+    _check_dim(e.dim, REJECTION_DIM_MAX)
+    rate = e.volume() / float(np.prod(2.0 * e.bounding_halfwidths()))
+    if count / rate > MAX_DRAWS:
+        raise ValueError(f"rejection needs {count / rate:.3g} draws, over the {MAX_DRAWS} cap")
+    return rate
 
 
 def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform") -> SampleBatch:
@@ -195,16 +218,11 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     on nothing else, so the first k * CHUNK_SIZE points of a larger batch
     equal the batch of k * CHUNK_SIZE points.  Chunks fill one preallocated array.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "ellipsoid_rejection":
-        _check_dim(e.dim, REJECTION_DIM_MAX)
+    rate = _check_request(e, count, method)
     root = RngStream(seed)
     points = np.empty((count, e.dim))
     for i, start in enumerate(range(0, count, CHUNK_SIZE)):
-        _chunk_points(e, method, points[start : start + CHUNK_SIZE], root.derive(i))
+        _chunk_points(e, method, points[start : start + CHUNK_SIZE], root.derive(i), rate)
     return SampleBatch(
         dim=e.dim,
         points=points,

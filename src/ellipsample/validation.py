@@ -31,7 +31,8 @@ import numpy as np
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, unit_ball_volume
 from .sampling import (
-    CHUNK_SIZE, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals, _check_dim
+    CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
+    _check_dim,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -47,8 +48,6 @@ MIN_EXPECTED_PER_BIN = 5.0
 PULLBACK_SLACK = 1e-9
 
 _MC_MIN_COUNT = 10_000
-# 10^9 draws already take minutes; a larger count is a slip, not a request.
-_MC_MAX_COUNT = 10**9
 _MC_CHUNK = 262_144
 
 
@@ -145,6 +144,27 @@ def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> n
     return out
 
 
+def _uniformity_bins(dim: int, count: int, shells: int) -> int:
+    """``_bin_total`` for ``chi_square_uniformity`` of ``count`` points.
+
+    Too few points per bin for the chi-square law is InsufficientSamples.
+    """
+    bins = _bin_total(dim, shells)
+    expected = count / bins
+    if expected < MIN_EXPECTED_PER_BIN:
+        raise InsufficientSamples(
+            f"{count} samples give {expected:.2f} expected per bin; "
+            f"need at least {MIN_EXPECTED_PER_BIN}"
+        )
+    return bins
+
+
+def _check_ks_count(count: int) -> None:
+    """Too few points for the asymptotic KS critical value is InsufficientSamples."""
+    if count < KS_MIN_SAMPLES:
+        raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {count}")
+
+
 def chi_square_uniformity(
     batch: SampleBatch,
     e: Ellipsoid,
@@ -157,13 +177,8 @@ def chi_square_uniformity(
     cell probabilities, so sum (obs - exp)^2 / exp is chi-square with
     shells * 2^dim - 1 degrees of freedom.
     """
-    bins = _bin_total(e.dim, shells)
+    bins = _uniformity_bins(e.dim, batch.count, shells)
     expected = batch.count / bins
-    if expected < MIN_EXPECTED_PER_BIN:
-        raise InsufficientSamples(
-            f"{batch.count} samples give {expected:.2f} expected per bin; "
-            f"need at least {MIN_EXPECTED_PER_BIN}"
-        )
     dof = bins - 1
     critical = wilson_hilferty_critical(dof, alpha)
     observed = np.bincount(_pull_back(batch, e, shells), minlength=bins)
@@ -210,8 +225,7 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     """
     scale = _quantile(_KS_SCALE, alpha)
     n = batch.count
-    if n < KS_MIN_SAMPLES:
-        raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {n}")
+    _check_ks_count(n)
     t = np.sort(_pull_back(batch, e) ** (e.dim / 2.0))
     grid = np.arange(1, n + 1) / n
     d_plus = float((grid - t).max())
@@ -232,8 +246,8 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     _check_dim(e.dim, REJECTION_DIM_MAX)
     if count < _MC_MIN_COUNT:
         raise InsufficientSamples(f"need at least {_MC_MIN_COUNT} draws, got {count}")
-    if count > _MC_MAX_COUNT:
-        raise ValueError(f"at most {_MC_MAX_COUNT} draws are supported, got {count}")
+    if count > MAX_DRAWS:
+        raise ValueError(f"at most {MAX_DRAWS} draws are supported, got {count}")
     box_volume = float(np.prod(2.0 * e.bounding_halfwidths()))
     accepted = 0
     for i, start in enumerate(range(0, count, _MC_CHUNK)):

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -19,9 +20,10 @@ from ellipsample import (
     sample_batch,
     unit_ball_volume,
 )
+from ellipsample import cli
 from ellipsample.cli import _METHOD_BY_FLAG, main
 from ellipsample.sampling import CHUNK_SIZE, METHODS
-from helpers import child_env
+from helpers import child_env, dense_shape_text
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
 
@@ -326,9 +328,44 @@ class TestCheckCommand:
             assert all(r <= CHUNK_SIZE for r in rows)
         # Inputs a test rejects are rejected before any point is pulled back.
         rows.clear()
-        assert run(["check", "--dim", "64", "--count", "20000", "--tests", "chi2"], capsys)[0] == 2
-        assert run(["check", "--dim", "3", "--count", "10", "--tests", "ks"], capsys)[0] == 2
+        for flags in (["--dim", "64", "--count", "20000", "--tests", "chi2"],
+                      ["--dim", "3", "--count", "10", "--tests", "ks"]):
+            assert run(["check", *flags, "--seed", "7"], capsys)[0] == 2
         assert rows == []
+
+    # Each command line breaks one input rule, or two where the first in
+    # run order is the one reported; none of them draws the batch.
+    REJECTED = [
+        (["--dim", "63", "--count", "1000000", "--tests", "chi2"],
+         "ValueError: dim must be in 1..62"),
+        (["--dim", "2", "--shells", "0", "--count", "2000000"],
+         "ValueError: shells must be positive"),
+        (["--dim", "10", "--count", "1000", "--tests", "chi2"],
+         "InsufficientSamples: 1000 samples give 0.24 expected per bin; need at least 5.0"),
+        (["--dim", "2", "--count", "50", "--tests", "ks"],
+         "InsufficientSamples: KS needs at least 100 samples, got 50"),
+        (["--dim", "2", "--count", "50", "--tests", "identity,ks,chi2"],
+         "InsufficientSamples: KS needs at least 100 samples, got 50"),
+        (["--dim", "2", "--count", "50", "--tests", "chi2,ks"],
+         "InsufficientSamples: 50 samples give 3.12 expected per bin; need at least 5.0"),
+        (["--dim", "2", "--count", "0"], "ValueError: count must be at least 1"),
+        (["--dim", "63", "--count", "0", "--tests", "chi2"], "ValueError: count must be at least 1"),
+        (["--dim", "13", "--count", "10", "--method", "reject"],
+         "DimensionOutOfRange: dimension 13 outside supported range 1..12"),
+    ]
+
+    @pytest.mark.parametrize("flags, error", REJECTED, ids=[" ".join(f) for f, _ in REJECTED])
+    def test_rejected_inputs_never_draw_the_batch(self, flags, error, capsys, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise ValueError("drew the batch")
+
+        monkeypatch.setattr(cli, "sample_batch", refuse)
+        code, out, err = run(["check", *flags, "--seed", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert calls == []
 
     @pytest.mark.parametrize("dim, count, tests", [(64, 65536, "ks"), (10, 100_000, "chi2,ks")])
     def test_peak_memory_under_twice_the_batch(self, dim, count, tests, capsys):
@@ -454,6 +491,20 @@ class TestExitCodeDiscipline:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["sample", "check"])
+    def test_rejection_past_the_draw_budget_is_exit_2_at_once(self, command, capsys, tmp_path):
+        shape = tmp_path / "dense12.txt"
+        shape.write_text(dense_shape_text(12))
+        start = time.perf_counter()
+        code, out, err = run(
+            [command, "--shape", str(shape), "--method", "reject", "--count", "1000000",
+             "--seed", "1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: rejection needs 1.07e+10 draws, over the 1000000000 cap\n"
 
     def test_overflowing_volume_is_exit_2_without_traceback(self, capsys):
         # pytest records warnings instead of printing them, so catch them here.

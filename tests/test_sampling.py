@@ -1,6 +1,7 @@
 """Tests for ball/ellipsoid samplers, the RNG stream, and batch generation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from ellipsample import (
     unit_ball_volume,
 )
 from ellipsample.linalg import is_rotation
-from ellipsample.sampling import CHUNK_SIZE, METHODS, _ball_chunk, _box_rejection_chunk
-from helpers import rand_ellipsoid
+from ellipsample.sampling import (
+    CHUNK_SIZE, MAX_DRAWS, METHODS, _ball_chunk, _box_rejection_chunk, _check_request
+)
+from helpers import dense_shape, rand_ellipsoid
 
 
 def ellipse_2x1_at_1_0() -> Ellipsoid:
@@ -136,23 +139,28 @@ class TestSampleEllipsoid:
         assert bool(e.contains_many(sample_batch(e, 2000, 14).points).all())
 
 
+def box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream):
+    """``_box_rejection_chunk`` at the acceptance rate ``sample_batch`` would pass it."""
+    return _box_rejection_chunk(e, m, rng, _check_request(e, m, "ellipsoid_rejection"))
+
+
 class TestEllipsoidRejection:
     def test_1d_accepts_everything(self):
         # the bounding box of a segment is the segment itself
         seg = Ellipsoid.from_shape([[1.0]], [0.0])
-        _, attempts, accepted = _box_rejection_chunk(seg, 10_000, RngStream(5))
+        _, attempts, accepted = box_rejection_chunk(seg, 10_000, RngStream(5))
         assert attempts == accepted
 
     def test_unit_disc_acceptance_rate(self):
         disc = Ellipsoid.from_shape(np.eye(2), np.zeros(2))
-        _, attempts, accepted = _box_rejection_chunk(disc, 50_000, RngStream(15))
+        _, attempts, accepted = box_rejection_chunk(disc, 50_000, RngStream(15))
         rate = accepted / attempts
         stderr = math.sqrt(rate * (1.0 - rate) / attempts)
         assert abs(rate - math.pi / 4.0) <= 3.0 * stderr
 
     def test_acceptance_rate_matches_volume_ratio(self):
         e = rand_ellipsoid(2, RngStream(16))
-        _, attempts, accepted = _box_rejection_chunk(e, 50_000, RngStream(17))
+        _, attempts, accepted = box_rejection_chunk(e, 50_000, RngStream(17))
         box_volume = float(np.prod(2.0 * e.bounding_halfwidths()))
         expected = e.volume() / box_volume
         rate = accepted / attempts
@@ -167,6 +175,23 @@ class TestEllipsoidRejection:
     def test_dimension_cap(self):
         with pytest.raises(DimensionOutOfRange):
             sample_batch(unit_ball(13), 10, 1, "ellipsoid_rejection")
+
+    def test_cost_past_the_draw_budget_rejected_at_once(self):
+        # a dense 12-d shape accepts about 9.35e-5 of its box draws; a million
+        # points would take ~1.07e10 draws, over an hour of sampling
+        e = Ellipsoid.from_shape(dense_shape(12), np.zeros(12))
+        rate = _check_request(e, 1, "ellipsoid_rejection")
+        assert rate == pytest.approx(9.35e-5, rel=1e-2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="rejection needs 1.07e\\+10 draws"):
+            sample_batch(e, 1_000_000, 1, "ellipsoid_rejection")
+        assert time.perf_counter() - start < 1.0
+        # the budget is count / rate draws, the same MAX_DRAWS as mc_volume's
+        fits = int(MAX_DRAWS * rate)
+        assert _check_request(e, fits, "ellipsoid_rejection") == rate
+        with pytest.raises(ValueError):
+            _check_request(e, fits + 1, "ellipsoid_rejection")
+        assert _check_request(e, 10**15, "transform") == 1.0
 
 
 class TestBiasedSampler:
@@ -232,6 +257,15 @@ class TestSampleBatch:
         batch = sample_batch(ellipse_2x1_at_1_0(), 10, 1)
         with pytest.raises(ValueError):
             batch.points[0, 0] = 99.0
+
+    def test_callers_array_stays_writable(self):
+        a = np.zeros((3, 2))
+        batch = SampleBatch(2, a, 0, "transform", {})
+        assert np.shares_memory(batch.points, a)  # locked view, not a copy
+        assert not batch.points.flags.writeable
+        assert a.flags.writeable
+        a[0, 0] = 1.0
+        assert batch.points[0, 0] == 1.0
 
     def test_invalid_method(self):
         with pytest.raises(ValueError, match=r"method must be one of .*'bogus'"):

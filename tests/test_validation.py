@@ -25,7 +25,7 @@ from ellipsample import (
     unit_ball_volume,
     wilson_hilferty_critical,
 )
-from ellipsample.sampling import CHUNK_SIZE
+from ellipsample.sampling import CHUNK_SIZE, MAX_DRAWS
 from ellipsample.validation import _bin_index, _bin_total
 from helpers import rand_ellipsoid
 
@@ -353,6 +353,10 @@ class TestMcVolume:
     def test_minimum_count(self):
         with pytest.raises(InsufficientSamples):
             mc_volume(ellipse_2x1(), 9_999, RngStream(26))
+
+    def test_draw_budget_shared_with_rejection_sampling(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_DRAWS} draws are supported"):
+            mc_volume(ellipse_2x1(), MAX_DRAWS + 1, RngStream(26))
 
     def test_dimension_cap(self):
         e = Ellipsoid.from_shape(np.eye(13), np.zeros(13))
