@@ -262,7 +262,8 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     e = resolve_ellipsoid(args)
     selected = [name for name in args.tests.split(",") if name.strip()]
-    if not selected or set(selected) - set(_CHECK_NAMES):
+    unknown = set(selected) - set(_CHECK_NAMES)
+    if unknown or not selected:
         raise ConfigError(f"--tests entries must be among {_CHECK_NAMES}, got {selected}")
     # The batch's and then each test's input rules, checked before anything is drawn.
     _check_request(e, args.count, _METHOD_BY_FLAG[args.method])

@@ -221,7 +221,8 @@ class Ellipsoid:
         default); "centre" (default origin) or "foci" [f1, f2], which
         overrides centre via the midpoint.
         """
-        if unknown := set(spec) - _SPEC_KEYS:
+        unknown = set(spec) - _SPEC_KEYS
+        if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
         defining = [k for k in ("shape", "quadratic", "radii") if k in spec]
         if len(defining) != 1:

@@ -142,7 +142,9 @@ def _box_rejection_chunk(
     accepted/attempts is an unbiased binomial estimate of that rate.
     """
     out = np.empty((m, e.dim))
-    filled = attempts = accepted = 0
+    filled = 0
+    attempts = 0
+    accepted = 0
     while filled < m:
         need = m - filled
         draw = min(_MAX_PROPOSALS, max(16, int(1.25 * need / rate) + 1))
@@ -171,23 +173,6 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
     if float(np.linalg.det(q)) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
-
-
-def _chunk_points(
-    e: Ellipsoid, method: str, rows: np.ndarray, rng: RngStream, rate: float
-) -> None:
-    """Fill ``rows``, a C-contiguous (m, dim) array, with points of ``e`` drawn by ``method``.
-
-    The only branch on the method; ``sample_batch`` rejects unknown ones.
-    ``rate`` is ``_check_request``'s acceptance rate.  Ball points are
-    mapped straight into ``rows`` by ``Ellipsoid._ball_image``.
-    """
-    m = rows.shape[0]
-    if method == "ellipsoid_rejection":
-        rows[:] = _box_rejection_chunk(e, m, rng, rate)[0]
-    else:
-        exponent = 1.0 if method == "biased" else 1.0 / e.dim
-        e._ball_image(_ball_chunk(e.dim, m, rng, exponent), out=rows)
 
 
 def _check_request(e: Ellipsoid, count: int, method: str) -> float:
@@ -219,10 +204,17 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     equal the batch of k * CHUNK_SIZE points.  Chunks fill one preallocated array.
     """
     rate = _check_request(e, count, method)
+    exponent = 1.0 if method == "biased" else 1.0 / e.dim
     root = RngStream(seed)
     points = np.empty((count, e.dim))
+    # The only branch on the method: box rejection, or ball points mapped
+    # straight into the chunk's rows by Ellipsoid._ball_image.
     for i, start in enumerate(range(0, count, CHUNK_SIZE)):
-        _chunk_points(e, method, points[start : start + CHUNK_SIZE], root.derive(i), rate)
+        rows = points[start : start + CHUNK_SIZE]
+        if method == "ellipsoid_rejection":
+            rows[:] = _box_rejection_chunk(e, len(rows), root.derive(i), rate)[0]
+        else:
+            e._ball_image(_ball_chunk(e.dim, len(rows), root.derive(i), exponent), out=rows)
     return SampleBatch(
         dim=e.dim,
         points=points,

@@ -9,10 +9,10 @@ point is Uniform(0, 1).
 
 A test keeps one number per point: ||u||^2 for KS, the bin index for
 chi-square.  So each test pulls each point back once, in CHUNK_SIZE-row
-blocks, and keeps only that.  That is bit-identical to one pull-back of the whole batch:
-``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
-row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
-not depend on how many rows come with it.
+blocks, and keeps only that.  That is bit-identical to one pull-back of the
+whole batch: ``Ellipsoid.pullback`` multiplies by the cached inverse in the
+fixed-height row blocks that the ``Ellipsoid`` docstring describes, so a
+row's bits do not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
@@ -136,10 +136,10 @@ def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> n
         rows = slice(start, start + CHUNK_SIZE)
         u = e.pullback(batch.points[rows])
         sq_norms = (u * u).sum(axis=1)
-        worst = max(worst, float(sq_norms.max()))
+        worst = float(np.maximum(worst, sq_norms.max()))  # a NaN norm stays NaN
         out[rows] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
     worst = math.sqrt(worst)
-    if worst > 1.0 + PULLBACK_SLACK:
+    if not worst <= 1.0 + PULLBACK_SLACK:
         raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
     return out
 
@@ -205,8 +205,8 @@ def chi_square_two_sample(
     na, nb = batch_a.count, batch_b.count
     occupied = (counts_a + counts_b) > 0
     dof = int(occupied.sum()) - 1
-    if dof < 1:
-        raise InsufficientSamples("fewer than two occupied bins")
+    if dof < 1 or 0 in (na, nb):
+        raise InsufficientSamples("each batch needs a point, and the two need two occupied bins")
     scale_a = math.sqrt(nb / na)
     scale_b = math.sqrt(na / nb)
     num = (scale_a * counts_a[occupied] - scale_b * counts_b[occupied]) ** 2

@@ -349,7 +349,8 @@ class TestCheckCommand:
         (["--dim", "2", "--count", "50", "--tests", "chi2,ks"],
          "InsufficientSamples: 50 samples give 3.12 expected per bin; need at least 5.0"),
         (["--dim", "2", "--count", "0"], "ValueError: count must be at least 1"),
-        (["--dim", "63", "--count", "0", "--tests", "chi2"], "ValueError: count must be at least 1"),
+        (["--dim", "63", "--count", "0", "--tests", "chi2"],
+         "ValueError: count must be at least 1"),
         (["--dim", "13", "--count", "10", "--method", "reject"],
          "DimensionOutOfRange: dimension 13 outside supported range 1..12"),
     ]

@@ -198,6 +198,17 @@ class TestChiSquareUniformity:
         with pytest.raises(PointOutsideEllipsoid):
             chi_square_uniformity(bad, e, shells=1, alpha=0.001)
 
+    # chi2 bins the chunk (casting the NaN radius warns) before the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_nan_point_detected(self):
+        e = ellipse_2x1()
+        pts = sample_batch(e, 1000, 10).points.copy()
+        pts[5] = np.nan
+        bad = SampleBatch(2, pts, 10, "transform", e.spec_dict())
+        for test in (chi_square_uniformity, radial_ks):
+            with pytest.raises(PointOutsideEllipsoid, match="pull-back norm nan"):
+                test(bad, e)
+
     def test_alpha_validated(self):
         e = ellipse_2x1()
         batch = sample_batch(e, 10_000, 11)
@@ -226,6 +237,14 @@ class TestChiSquareTwoSample:
         b = sample_batch(e, 50_000, 16, "biased")
         report = chi_square_two_sample(a, b, e, shells=4, alpha=0.001)
         assert not report.passed
+
+    def test_empty_batch_is_insufficient(self):
+        e = ellipse_2x1()
+        empty = SampleBatch(2, np.zeros((0, 2)), 0, "transform", e.spec_dict())
+        batch = sample_batch(e, 1000, 12)
+        for a, b in ((empty, batch), (batch, empty)):
+            with pytest.raises(InsufficientSamples):
+                chi_square_two_sample(a, b, e)
 
     def test_unequal_sample_sizes(self):
         e = ellipse_2x1()
