@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
-from .linalg import DIM_MAX, parse_matrix_text
+from .linalg import check_dim, parse_matrix_text
 from .sampling import CHUNK_SIZE, RngStream, SampleBatch, _check_request, sample_batch
 from .validation import (
     _check_ks_count,
@@ -139,8 +139,8 @@ def resolve_ellipsoid(args) -> Ellipsoid:
     if args.centre is not None and args.foci is not None:
         raise ConfigError("--centre and --foci are mutually exclusive")
     # Checked before np.eye allocates a dim x dim matrix.
-    if kind == "dim" and not 1 <= args.dim <= DIM_MAX:
-        raise ConfigError(f"--dim {args.dim} outside supported range 1..{DIM_MAX}")
+    if kind == "dim":
+        check_dim(args.dim)
 
     try:
         if kind == "spec":
@@ -243,8 +243,6 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
 
 def cmd_sample(args) -> int:
     e = resolve_ellipsoid(args)
-    if args.count < 1:
-        raise ConfigError("--count must be at least 1")
     if args.format == "svg" and e.dim != 2:
         raise ConfigError("svg output requires dimension 2")
     # Sampled before --out is opened, so a failed run leaves the file untouched.

@@ -9,8 +9,8 @@ class DimensionMismatch(EllipsampleError):
     """Operands have incompatible dimensions."""
 
 
-class DimensionOutOfRange(EllipsampleError):
-    """Requested dimension is outside the supported range."""
+class DimensionOutOfRange(EllipsampleError, ValueError):
+    """Requested dimension is outside the supported range (also a ValueError)."""
 
 
 class NotSymmetric(EllipsampleError):

@@ -24,13 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    DimensionOutOfRange,
-    NonpositiveRadius,
-    NotARotation,
-    SingularShape,
-)
+from .errors import DimensionMismatch, NonpositiveRadius, NotARotation, SingularShape
 
 # Samples on the boundary must test as contained despite rounding.
 MEMBERSHIP_SLACK = 1e-12
@@ -50,8 +44,7 @@ def unit_ball_volume(n: int) -> float:
 
     Evaluated through the log-gamma function so large n stays stable.
     """
-    if not 1 <= n <= linalg.DIM_MAX:
-        raise DimensionOutOfRange(f"dimension {n} outside supported range 1..{linalg.DIM_MAX}")
+    linalg.check_dim(n)
     return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
@@ -236,8 +229,7 @@ class Ellipsoid:
             raise ValueError("spec requires 'dim'")
         n = int(spec["dim"])
         # Checked before a default centre or rotation of that size is allocated.
-        if not 1 <= n <= linalg.DIM_MAX:
-            raise ValueError(f"dim {n} outside supported range 1..{linalg.DIM_MAX}")
+        linalg.check_dim(n)
 
         if "foci" in spec:
             foci = list(spec["foci"])
@@ -277,12 +269,6 @@ class Ellipsoid:
             raise DimensionMismatch(f"point has shape {arr.shape}, expected ({self.dim},)")
         return arr
 
-    def _check_rows(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have shape {arr.shape}, expected (N, {self.dim})")
-        return arr
-
     def forward(self, u) -> np.ndarray:
         """Map a unit-ball point into the ellipsoid: shape @ u + centre.
 
@@ -296,7 +282,7 @@ class Ellipsoid:
         Written into ``out`` (a new array if None, else a C-contiguous
         (N, dim) array that may be a slice of a larger one).
         """
-        u = self._check_rows(u)
+        u = linalg.as_rows(u, self.dim)
         if out is None:
             out = np.empty(u.shape)
         elif out.shape != u.shape or not out.flags.c_contiguous:
@@ -314,7 +300,7 @@ class Ellipsoid:
 
     def pullback(self, points) -> np.ndarray:
         """(points - centre) @ inverse(shape)^T for an (N, dim) array: the one pull-back."""
-        diff = self._check_rows(points) - self.centre
+        diff = linalg.as_rows(points, self.dim) - self.centre
         return _block_product(diff, self._inverse_t, np.empty(diff.shape))
 
     def contains(self, x) -> bool:

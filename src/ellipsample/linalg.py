@@ -29,15 +29,18 @@ PIVOT_RTOL = 1e-12
 ROTATION_TOL = 1e-9
 
 
+def check_dim(n: int, cap: int = DIM_MAX) -> None:
+    """Raise DimensionOutOfRange unless 1 <= n <= cap: the one dimension-range rule."""
+    if not 1 <= n <= cap:
+        raise DimensionOutOfRange(f"dimension {n} outside supported range 1..{cap}")
+
+
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-D float64 array of length 1..DIM_MAX."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not 1 <= arr.size <= DIM_MAX:
-        raise DimensionOutOfRange(
-            f"vector length {arr.size} outside supported range 1..{DIM_MAX}"
-        )
+    check_dim(arr.size)
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
     return arr
@@ -48,12 +51,17 @@ def as_square(m) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not 1 <= arr.shape[0] <= DIM_MAX:
-        raise DimensionOutOfRange(
-            f"matrix dimension {arr.shape[0]} outside supported range 1..{DIM_MAX}"
-        )
+    check_dim(arr.shape[0])
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
+    return arr
+
+
+def as_rows(x, dim: int) -> np.ndarray:
+    """Coerce to a float64 (N, dim) array of points."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatch(f"points have shape {arr.shape}, expected (N, {dim})")
     return arr
 
 

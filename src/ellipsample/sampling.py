@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionOutOfRange
 from .geometry import Ellipsoid
-from .linalg import DIM_MAX
+from .linalg import as_rows, check_dim
 
 # Box rejection beyond this dimension wastes almost every draw.
 REJECTION_DIM_MAX = 12
@@ -93,9 +92,7 @@ class SampleBatch:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         # A view, so locking it leaves the caller's own array writable.
-        pts = np.ascontiguousarray(self.points, dtype=float).view()
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have shape {pts.shape}, expected (N, {self.dim})")
+        pts = np.ascontiguousarray(as_rows(self.points, self.dim)).view()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "ellipsoid_spec", dict(self.ellipsoid_spec))
@@ -103,11 +100,6 @@ class SampleBatch:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-
-def _check_dim(n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise DimensionOutOfRange(f"dimension {n} outside supported range 1..{cap}")
 
 
 def _ball_chunk(n: int, m: int, rng: RngStream, radius_exponent: float) -> np.ndarray:
@@ -164,7 +156,7 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
     The R-diagonal sign fix makes the distribution Haar over the orthogonal
     group; a final column flip lands it in the determinant +1 component.
     """
-    _check_dim(n, DIM_MAX)
+    check_dim(n)
     a = np.asarray(rng.normals((n, n)), dtype=float)
     q, r = np.linalg.qr(a)
     signs = np.sign(np.diag(r))
@@ -188,7 +180,7 @@ def _check_request(e: Ellipsoid, count: int, method: str) -> float:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method != "ellipsoid_rejection":
         return 1.0
-    _check_dim(e.dim, REJECTION_DIM_MAX)
+    check_dim(e.dim, REJECTION_DIM_MAX)
     rate = e.volume() / float(np.prod(2.0 * e.bounding_halfwidths()))
     if count / rate > MAX_DRAWS:
         raise ValueError(f"rejection needs {count / rate:.3g} draws, over the {MAX_DRAWS} cap")

@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, unit_ball_volume
+from .linalg import check_dim
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
-    _check_dim,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -243,7 +243,7 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     Independent of the closed-form determinant route, so the two can be
     cross-checked.
     """
-    _check_dim(e.dim, REJECTION_DIM_MAX)
+    check_dim(e.dim, REJECTION_DIM_MAX)
     if count < _MC_MIN_COUNT:
         raise InsufficientSamples(f"need at least {_MC_MIN_COUNT} draws, got {count}")
     if count > MAX_DRAWS:
