@@ -332,6 +332,10 @@ class Ellipsoid:
         """
         return np.sqrt((self.shape * self.shape).sum(axis=1))
 
+    def box_volume(self) -> float:
+        """Volume of the bounding box of ``bounding_halfwidths``."""
+        return float(np.prod(2.0 * self.bounding_halfwidths()))
+
     def spec_dict(self) -> dict:
         """Resolved provenance spec; feeding it to from_spec rebuilds this ellipsoid."""
         return {

@@ -181,7 +181,7 @@ def _check_request(e: Ellipsoid, count: int, method: str) -> float:
     if method != "ellipsoid_rejection":
         return 1.0
     check_dim(e.dim, REJECTION_DIM_MAX)
-    rate = e.volume() / float(np.prod(2.0 * e.bounding_halfwidths()))
+    rate = e.volume() / e.box_volume()
     if count / rate > MAX_DRAWS:
         raise ValueError(f"rejection needs {count / rate:.3g} draws, over the {MAX_DRAWS} cap")
     return rate

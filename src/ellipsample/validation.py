@@ -248,7 +248,7 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
         raise InsufficientSamples(f"need at least {_MC_MIN_COUNT} draws, got {count}")
     if count > MAX_DRAWS:
         raise ValueError(f"at most {MAX_DRAWS} draws are supported, got {count}")
-    box_volume = float(np.prod(2.0 * e.bounding_halfwidths()))
+    box_volume = e.box_volume()
     accepted = 0
     for i, start in enumerate(range(0, count, _MC_CHUNK)):
         props = _box_proposals(e, min(_MC_CHUNK, count - start), rng.derive(i))

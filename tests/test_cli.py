@@ -368,6 +368,17 @@ class TestCheckCommand:
         assert (code, out, err) == (2, "", f"error: {error}\n")
         assert calls == []
 
+    def test_identity_only_check_draws_no_batch(self, capsys, monkeypatch):
+        argv = ["check", "--dim", "64", "--tests", "identity", "--seed", "1", "--count"]
+        small = run([*argv, "100"], capsys)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("drew the batch")
+
+        monkeypatch.setattr(cli, "sample_batch", refuse)
+        assert run([*argv, "1000000"], capsys) == small
+        assert small[0] == 0
+
     @pytest.mark.parametrize("dim, count, tests", [(64, 65536, "ks"), (10, 100_000, "chi2,ks")])
     def test_peak_memory_under_twice_the_batch(self, dim, count, tests, capsys):
         argv = ["check", "--dim", str(dim), "--count", str(count), "--seed", "3", "--tests", tests]
@@ -411,6 +422,21 @@ class TestVolumeCommand:
         fields = dict(line.split() for line in out.strip().split("\n"))
         assert fields["verdict"] == "agree"
         assert abs(float(fields["mc_estimate"]) - 2.0 * math.pi) <= 3.0 * float(fields["mc_stderr"])
+
+    def test_mc_agrees_on_a_segment(self, capsys):
+        # In 1-d the box is the segment: every draw is accepted, stderr is 0.
+        code, out, _ = run(["volume", "--dim", "1", "--mc", "100000", "--seed", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["mc_estimate 2.0", "mc_stderr 0.0", "verdict agree"]
+
+    def test_mc_verdict_holds_when_few_draws_land_inside(self, capsys):
+        # The 12-d unit ball fills 3.3e-4 of its box: about 3 of 10^4 draws.
+        disagree = [
+            seed
+            for seed in range(200)
+            if run(["volume", "--dim", "12", "--mc", "10000", "--seed", str(seed)], capsys)[0] != 0
+        ]
+        assert len(disagree) <= 4, disagree
 
     def test_mc_count_past_the_cap_is_exit_2_at_once(self, capsys):
         code, out, err = run(
