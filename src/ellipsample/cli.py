@@ -160,7 +160,9 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         if args.foci is not None:
             spec["foci"] = json.loads(_read_text(args.foci))
         return Ellipsoid.from_spec(spec)
-    except (EllipsampleError, ValueError, TypeError) as exc:
+    # Malformed JSON values, such as a number for "foci"; every EllipsampleError
+    # and ValueError keeps its own class on the way to main.
+    except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
 

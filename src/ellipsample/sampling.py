@@ -15,10 +15,18 @@ Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
 method, count) and a shorter batch is a prefix of a longer one at every
 chunk boundary.
+
+Chunks are independent, so ``_each_chunk`` runs them on one thread per
+usable CPU; the pull-back and the Monte Carlo volume in ``validation`` use
+it too.  A chunk writes only its own rows and every reduction across chunks
+is a max or an integer sum, so the bytes do not depend on the thread count.
+Nothing configures it: one usable CPU runs every chunk inline, with no pool.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +54,8 @@ class RngStream:
 
     Equal seeds (and derivation paths) reproduce identical sequences.
     ``derive(i)`` returns an independent child stream without consuming any
-    state, so chunked code can hand out children freely; the stream itself
+    state, so chunked code can hand out children freely: one stream per
+    chunk, used by the one thread that runs that chunk.  The stream itself
     is single-owner and must not be shared across threads.
     """
 
@@ -76,6 +85,38 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _each_chunk(count: int, fn: Callable, size: int = CHUNK_SIZE) -> list:
+    """[fn(i, rows) for each chunk i], rows = slice of chunk i of range(count), in chunk order.
+
+    Runs on one thread per usable CPU, at most one per chunk, and inline when
+    that is one.  ``fn`` must depend only on i and its own rows; numpy
+    releases the interpreter lock in the draws and products that dominate a
+    chunk.  The first chunk, in chunk order, that raises has its exception
+    re-raised here, and chunks not yet started are cancelled.
+    """
+    chunks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    workers = min(_usable_cpus(), len(chunks))
+    if workers <= 1:
+        return [fn(i, rows) for i, rows in enumerate(chunks)]
+    # Imported here, so runs that never make a pool do not pay for the import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(fn, i, rows) for i, rows in enumerate(chunks)]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,20 +234,24 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     The batch is split into fixed CHUNK_SIZE chunks; chunk i is filled from
     the child stream derive(i) of the root stream for ``seed`` and depends
     on nothing else, so the first k * CHUNK_SIZE points of a larger batch
-    equal the batch of k * CHUNK_SIZE points.  Chunks fill one preallocated array.
+    equal the batch of k * CHUNK_SIZE points.  Chunks fill their own rows of
+    one preallocated array, through ``_each_chunk``.
     """
     rate = _check_request(e, count, method)
     exponent = 1.0 if method == "biased" else 1.0 / e.dim
     root = RngStream(seed)
     points = np.empty((count, e.dim))
+
     # The only branch on the method: box rejection, or ball points mapped
     # straight into the chunk's rows by Ellipsoid._ball_image.
-    for i, start in enumerate(range(0, count, CHUNK_SIZE)):
-        rows = points[start : start + CHUNK_SIZE]
+    def fill(i: int, rows: slice) -> None:
+        out = points[rows]
         if method == "ellipsoid_rejection":
-            rows[:] = _box_rejection_chunk(e, len(rows), root.derive(i), rate)[0]
+            out[:] = _box_rejection_chunk(e, len(out), root.derive(i), rate)[0]
         else:
-            e._ball_image(_ball_chunk(e.dim, len(rows), root.derive(i), exponent), out=rows)
+            e._ball_image(_ball_chunk(e.dim, len(out), root.derive(i), exponent), out=out)
+
+    _each_chunk(count, fill)
     return SampleBatch(
         dim=e.dim,
         points=points,

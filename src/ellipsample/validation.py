@@ -9,10 +9,11 @@ point is Uniform(0, 1).
 
 A test keeps one number per point: ||u||^2 for KS, the bin index for
 chi-square.  So each test pulls each point back once, in CHUNK_SIZE-row
-blocks, and keeps only that.  That is bit-identical to one pull-back of the
-whole batch: ``Ellipsoid.pullback`` multiplies by the cached inverse in the
-fixed-height row blocks that the ``Ellipsoid`` docstring describes, so a
-row's bits do not depend on how many rows come with it.
+blocks on the threads of ``sampling._each_chunk``, and keeps only that.
+That is bit-identical to one pull-back of the whole batch:
+``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
+row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
+not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
@@ -33,6 +34,7 @@ from .geometry import Ellipsoid, unit_ball_volume
 from .linalg import check_dim
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
+    _each_chunk,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -131,14 +133,15 @@ def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> n
     if batch.dim != e.dim:
         raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
     out = np.empty(batch.count, dtype=float if shells is None else np.int64)
-    worst = 0.0
-    for start in range(0, batch.count, CHUNK_SIZE):
-        rows = slice(start, start + CHUNK_SIZE)
+
+    def pull(i: int, rows: slice) -> float:
         u = e.pullback(batch.points[rows])
         sq_norms = (u * u).sum(axis=1)
-        worst = float(np.maximum(worst, sq_norms.max()))  # a NaN norm stays NaN
         out[rows] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
-    worst = math.sqrt(worst)
+        return sq_norms.max()
+
+    # 0 for an empty batch; a NaN norm stays NaN.
+    worst = math.sqrt(np.max(_each_chunk(batch.count, pull), initial=0.0))
     if not worst <= 1.0 + PULLBACK_SLACK:
         raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
     return out
@@ -226,11 +229,17 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     scale = _quantile(_KS_SCALE, alpha)
     n = batch.count
     _check_ks_count(n)
-    t = np.sort(_pull_back(batch, e) ** (e.dim / 2.0))
-    grid = np.arange(1, n + 1) / n
-    d_plus = float((grid - t).max())
-    d_minus = float((t - (grid - 1.0 / n)).max())
-    statistic = max(d_plus, d_minus)
+    t = _pull_back(batch, e)
+    t **= e.dim / 2.0
+    t.sort()
+
+    # The gaps to the empirical CDF i/n, a block at a time, so no O(N) grid is held.
+    def gaps(i: int, rows: slice) -> tuple[float, float]:
+        grid = np.arange(rows.start + 1, rows.stop + 1) / n
+        block = t[rows]
+        return float((grid - block).max()), float((block - (grid - 1.0 / n)).max())
+
+    statistic = max(max(pair) for pair in _each_chunk(n, gaps))
     critical = scale / math.sqrt(n)
     return TestReport("radial_ks", statistic, None, critical, alpha, n)
 
@@ -249,10 +258,20 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     if count > MAX_DRAWS:
         raise ValueError(f"at most {MAX_DRAWS} draws are supported, got {count}")
     box_volume = e.box_volume()
-    accepted = 0
-    for i, start in enumerate(range(0, count, _MC_CHUNK)):
-        props = _box_proposals(e, min(_MC_CHUNK, count - start), rng.derive(i))
-        accepted += int(e.contains_many(props).sum())
+
+    # Chunk i's draws come from the child stream derive(i), read in CHUNK_SIZE-row
+    # blocks; a stream's uniforms do not depend on how a read is split, so these
+    # are the draws of one read of the whole chunk, in a CHUNK_SIZE working set.
+    def inside(i: int, rows: slice) -> int:
+        stream = rng.derive(i)
+        size = rows.stop - rows.start
+        return sum(
+            int(e.contains_many(_box_proposals(e, min(CHUNK_SIZE, size - start), stream)).sum())
+            for start in range(0, size, CHUNK_SIZE)
+        )
+
+    # _MC_CHUNK fixes which draws each child stream makes, so the estimate's bytes.
+    accepted = sum(_each_chunk(count, inside, _MC_CHUNK))
     frac = accepted / count
     estimate = box_volume * frac
     stderr = box_volume * math.sqrt(frac * (1.0 - frac) / count)

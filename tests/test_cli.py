@@ -206,6 +206,19 @@ class TestEllipsoidResolution:
         code, _, err = run(["sample", "--shape", str(shape), "--count", "3", "--seed", "2"], capsys)
         assert code == 2
 
+    def test_source_errors_keep_their_class(self, capsys, tmp_path):
+        spec = tmp_path / "e65.json"
+        spec.write_text(json.dumps({"dim": 65, "radii": [1.0] * 65}))
+        by_dim = run(["volume", "--dim", "65", "--seed", "1"], capsys)
+        assert by_dim == (
+            2, "", "error: DimensionOutOfRange: dimension 65 outside supported range 1..64\n"
+        )
+        assert run(["volume", "--spec", str(spec), "--seed", "1"], capsys) == by_dim
+        quadratic = tmp_path / "q.txt"
+        quadratic.write_text("1 2\n2 1\n")
+        code, _, err = run(["volume", "--quadratic", str(quadratic), "--seed", "1"], capsys)
+        assert code == 2 and err.startswith("error: NotPositiveDefinite: ")
+
     def test_ragged_matrix_is_config_error(self, capsys, tmp_path):
         shape = tmp_path / "ragged.txt"
         shape.write_text("1 0\n0\n")
