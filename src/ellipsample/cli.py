@@ -1,22 +1,37 @@
 """Command-line front end: ``sample``, ``check``, and ``volume``.
 
-Exit codes: 0 success, 1 I/O failure, 2 configuration error (including a
-size too large to allocate), 3 statistical failure, which includes a sampled
-point outside the ellipsoid.  A seed is always required; there is no silent
-time-based seeding, so identical command lines produce byte-identical output.
+Exit codes: 0 success, 1 I/O failure (including a render worker that
+died), 2 configuration error (including a size too large to allocate), 3
+statistical failure, which includes a sampled point outside the ellipsoid.
+A seed is always required; there is no silent time-based seeding, so
+identical command lines produce byte-identical output.
+
+``sample`` renders its output in CHUNK_SIZE-row chunks and writes them in
+chunk order as they are done.  Formatting floats holds the interpreter
+lock, so the chunks render on one forked process per usable CPU
+(``_rendered_chunks``), and inline with no pool on one usable CPU, for a
+single chunk, where the platform cannot fork, or while other threads run.
+Nothing configures it, and the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import io
+import itertools
 import json
 import math
+import os
 import sys
-from collections.abc import Iterable, Iterator
+import threading
+import time
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
+from . import sampling
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import check_dim, parse_matrix_text
@@ -40,6 +55,9 @@ _CHECK_NAMES = ("chi2", "ks", "identity")
 _IDENTITY_TRIALS = 20
 # Child-stream index for the identity check; far above any batch chunk index.
 _IDENTITY_STREAM = 2**31 - 1
+
+# Renders one chunk of points, given the chunk and the batch row it starts at.
+ChunkRenderer = Callable[[np.ndarray, int], str]
 
 
 class ConfigError(Exception):
@@ -166,33 +184,40 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         raise ConfigError(str(exc)) from exc
 
 
-def _blocks(points: np.ndarray) -> Iterator[np.ndarray]:
-    """``points`` as consecutive CHUNK_SIZE-row slices."""
-    for start in range(0, points.shape[0], CHUNK_SIZE):
-        yield points[start : start + CHUNK_SIZE]
-
-
-def _render_csv(batch: SampleBatch) -> Iterator[str]:
-    yield ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
+def _csv_rows(block: np.ndarray, start: int) -> str:
     # %r of a Python float is its repr, the shortest round-tripping text.
-    row = ",".join(["%r"] * batch.dim) + "\n"
-    for block in _blocks(batch.points):
-        yield row * len(block) % tuple(block.ravel().tolist())
+    row = ",".join(["%r"] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(block.ravel().tolist())
 
 
-def _render_json(batch: SampleBatch) -> Iterator[str]:
+def _json_rows(block: np.ndarray, start: int) -> str:
+    # json.dumps writes each float with repr, as it would for the whole list.
+    return (", " if start else "") + json.dumps(block.tolist())[1:-1]
+
+
+def _render_csv(batch: SampleBatch) -> tuple[str, ChunkRenderer, str]:
+    """Header, chunk renderer and footer of the CSV output."""
+    return ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n", _csv_rows, ""
+
+
+def _render_json(batch: SampleBatch) -> tuple[str, ChunkRenderer, str]:
+    """The JSON document in three parts: everything before the points, the points, the end.
+
+    ``points`` is the document's last key, so its list can be written chunk
+    by chunk between the other keys and the closing brackets.
+    """
     doc = {
         "dim": batch.dim,
         "count": batch.count,
         "seed": batch.seed,
         "method": batch.method,
         "ellipsoid": batch.ellipsoid_spec,
-        "points": batch.points.tolist(),
     }
-    yield json.dumps(doc) + "\n"
+    return json.dumps(doc)[:-1] + ', "points": [', _json_rows, "]}\n"
 
 
-def _render_svg(batch: SampleBatch, e: Ellipsoid) -> Iterator[str]:
+def _render_svg(batch: SampleBatch, e: Ellipsoid) -> tuple[str, ChunkRenderer, str]:
+    """Header with the outline, chunk renderer and footer of the SVG picture."""
     # Data coordinates with y negated so the picture's y axis points up;
     # vector-effect keeps the outline one device pixel at any scale.
     half = 1.08 * e.bounding_halfwidths()
@@ -205,41 +230,129 @@ def _render_svg(batch: SampleBatch, e: Ellipsoid) -> Iterator[str]:
     ring = e._ball_image(np.column_stack([np.cos(theta), np.sin(theta)]))
     outline = " ".join(f"{float(x)!r},{float(-y)!r}" for x, y in ring)
 
-    yield (
+    head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">\n'
         f'<polygon points="{outline}" fill="none" stroke="black" stroke-width="1" '
         'vector-effect="non-scaling-stroke"/>\n'
     )
     circle = '<circle cx="%r" cy="%r" r="' + repr(dot) + '"/>\n'
-    for block in _blocks(batch.points):
+
+    def circles(block: np.ndarray, start: int) -> str:
         # Multiplying by -1.0 is IEEE negation, the same bits as -y.
-        yield circle * len(block) % tuple((block * (1.0, -1.0)).ravel().tolist())
-    yield "</svg>\n"
+        return circle * len(block) % tuple((block * (1.0, -1.0)).ravel().tolist())
+
+    return head, circles, "</svg>\n"
 
 
-def _emit(pieces: Iterable[str], out: str | None) -> None:
+def _render_chunk(points: np.ndarray, render: ChunkRenderer, start: int) -> bytes:
+    return render(points[start : start + CHUNK_SIZE], start).encode()
+
+
+# (points, render) of a render worker, set once in each worker by _start_worker;
+# the parent never sets it.
+_worker_job = None
+
+
+def _start_worker(points: np.ndarray, render: ChunkRenderer, parent: int) -> None:
+    global _worker_job
+    _worker_job = (points, render)
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    # An idle worker blocks on a task pipe that its own inherited copy keeps
+    # open, so it would outlive a parent ended by a signal, such as SIGTERM.
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
+
+
+def _render_in_worker(start: int) -> bytes:
+    return _render_chunk(*_worker_job, start)
+
+
+@contextmanager
+def _rendered_chunks(points: np.ndarray, render: ChunkRenderer) -> Iterator[Iterator[bytes]]:
+    """The encoded ``render(chunk, start)`` of each CHUNK_SIZE-row chunk of ``points``, in order.
+
+    Formatting floats as text holds the interpreter lock, so the chunks are
+    rendered on one forked process per usable CPU, at most one per chunk.
+    Workers inherit ``points`` and ``render`` through the fork; each task
+    sends back one chunk's bytes, and at most two tasks per worker are in
+    flight, so a slow reader holds back the workers instead of piling up
+    text.  The pool is forked on entry, before any output is opened or
+    buffered, and shut down and joined on every way out; a worker whose
+    parent is gone exits on its own.  Rendering is inline, with no pool, on
+    one usable CPU, for one chunk, where the platform cannot fork, and while
+    other threads run, since a forked child gets none of them and could find
+    a lock they held still taken.
+
+    The first chunk, in chunk order, that raises has its exception re-raised
+    here; a worker that dies raises ChildProcessError.
+    """
+    starts = range(0, points.shape[0], CHUNK_SIZE)
+    workers = min(sampling._usable_cpus(), len(starts))
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield (_render_chunk(points, render, start) for start in starts)
+        return
+    # Imported here, so runs that never make a pool do not pay for the import.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _start_worker, (points, render, os.getpid())
+    )
+    try:
+        ahead = iter(starts)
+        # Submitting forks every worker.
+        pending = collections.deque(
+            pool.submit(_render_in_worker, s) for s in itertools.islice(ahead, 2 * workers)
+        )
+
+        def in_order() -> Iterator[bytes]:
+            try:
+                while pending:
+                    chunk = pending.popleft().result()
+                    start = next(ahead, None)
+                    if start is not None:
+                        pending.append(pool.submit(_render_in_worker, start))
+                    yield chunk
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"a render worker died: {exc}") from None
+
+        yield in_order()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _emit(pieces: Iterable[bytes], out: str | None) -> None:
     """Write each piece as it is produced, to ``out`` or standard output.
 
-    Under ``python -u`` (or PYTHONUNBUFFERED) the text layer of standard
-    output writes straight to the raw file and drops whatever a short write
-    leaves over, so a reader that leaves early would go unnoticed.  There the
-    pieces go through a buffered writer, which completes each write or raises.
+    The pieces are ASCII, so they go to the binary layer under standard
+    output as they are; a text-only stream (``io.StringIO``) gets them
+    decoded.  Under ``python -u`` (or PYTHONUNBUFFERED) that layer is the
+    raw file, which drops whatever a short write leaves over, so a reader
+    that leaves early would go unnoticed.  There the pieces go through a
+    buffered writer, which completes each write or raises.
     """
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(pieces)
         return
     stdout = sys.stdout
-    raw = getattr(stdout, "buffer", None)
-    if not isinstance(raw, io.RawIOBase):
-        stdout.writelines(pieces)
+    binary = getattr(stdout, "buffer", None)
+    if binary is None:
+        stdout.writelines(piece.decode() for piece in pieces)
         return
     stdout.flush()
-    writer = io.BufferedWriter(raw)
+    if not isinstance(binary, io.RawIOBase):
+        binary.writelines(pieces)
+        return
+    writer = io.BufferedWriter(binary)
     try:
-        for piece in pieces:
-            writer.write(piece.encode(stdout.encoding, stdout.errors))
+        writer.writelines(pieces)
     finally:
         writer.detach()
 
@@ -251,12 +364,13 @@ def cmd_sample(args) -> int:
     # Sampled before --out is opened, so a failed run leaves the file untouched.
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
     if args.format == "csv":
-        pieces = _render_csv(batch)
+        head, render, tail = _render_csv(batch)
     elif args.format == "json":
-        pieces = _render_json(batch)
+        head, render, tail = _render_json(batch)
     else:
-        pieces = _render_svg(batch, e)
-    _emit(pieces, args.out)
+        head, render, tail = _render_svg(batch, e)
+    with _rendered_chunks(batch.points, render) as chunks:
+        _emit(itertools.chain([head.encode()], chunks, [tail.encode()]), args.out)
     return EXIT_OK
 
 
@@ -285,7 +399,7 @@ def cmd_check(args) -> int:
         else:
             rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
             reports.append(proof_identity_check(e, _IDENTITY_TRIALS, rng))
-    _emit(["".join(r.to_json() + "\n" for r in reports)], args.out)
+    _emit(["".join(r.to_json() + "\n" for r in reports).encode()], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STATISTICAL
 
 
@@ -309,7 +423,7 @@ def cmd_volume(args) -> int:
         lines.append(f"verdict {'agree' if agree else 'disagree'}")
         if not agree:
             status = EXIT_STATISTICAL
-    _emit(["\n".join(lines) + "\n"], args.out)
+    _emit([("\n".join(lines) + "\n").encode()], args.out)
     return status
 
 

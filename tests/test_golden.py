@@ -93,6 +93,11 @@ CASES = {
         0,
         "dc263147f63f2c9226cca16f8657ee1d5ea7d2dbc9faa419f56701f1bc237439",
     ),
+    "sample-json-chunks": (
+        "sample --radii 2,1 --centre 1,-0.5 --count 16389 --seed 4 --format json",
+        0,
+        "b6014bff282d7d7068e72de29e3fb3c21537b5f2e9be0bcd2acdf1a6089a9796",
+    ),
     "sample-biased-chunks": (
         "sample --dim 5 --method biased --count 8193 --seed 3",
         0,
