@@ -6,12 +6,9 @@ statistical failure, which includes a sampled point outside the ellipsoid.
 A seed is always required; there is no silent time-based seeding, so
 identical command lines produce byte-identical output.
 
-``sample`` renders its output in CHUNK_SIZE-row chunks and writes them in
-chunk order as they are done.  Formatting floats holds the interpreter
-lock, so the chunks render on one forked process per usable CPU
-(``_rendered_chunks``), and inline with no pool on one usable CPU, for a
-single chunk, where the platform cannot fork, or while other threads run.
-Nothing configures it, and the bytes are the same either way.
+``sample`` writes its output in CHUNK_SIZE-row chunks, in chunk order, as
+``_rendered_chunks`` renders them; every float it writes is the ``repr``
+text that ``_format_rows`` puts in a format's row template.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import os
 import sys
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -55,10 +52,6 @@ _CHECK_NAMES = ("chi2", "ks", "identity")
 _IDENTITY_TRIALS = 20
 # Child-stream index for the identity check; far above any batch chunk index.
 _IDENTITY_STREAM = 2**31 - 1
-
-# Renders one chunk of points, given the chunk and the batch row it starts at.
-ChunkRenderer = Callable[[np.ndarray, int], str]
-
 
 class ConfigError(Exception):
     """Invalid command-line configuration; maps to exit code 2."""
@@ -184,24 +177,28 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         raise ConfigError(str(exc)) from exc
 
 
-def _csv_rows(block: np.ndarray, start: int) -> str:
-    # %r of a Python float is its repr, the shortest round-tripping text.
-    row = ",".join(["%r"] * block.shape[1]) + "\n"
-    return row * len(block) % tuple(block.ravel().tolist())
+def _format_rows(
+    block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
+) -> str:
+    """Each row of ``block`` times ``factor`` in ``template``, joined by ``separator``.
+
+    ``template`` has one ``%r`` per coordinate; ``%r`` of a Python float is
+    its repr, the shortest round-tripping text, which is also what json.dumps
+    writes for a finite float.  A chunk after the first (``start`` > 0)
+    begins with the separator.
+    """
+    text = separator.join([template] * len(block)) % tuple((block * factor).ravel().tolist())
+    return separator + text if start else text
 
 
-def _json_rows(block: np.ndarray, start: int) -> str:
-    # json.dumps writes each float with repr, as it would for the whole list.
-    return (", " if start else "") + json.dumps(block.tolist())[1:-1]
+def _csv(batch: SampleBatch, e: Ellipsoid) -> tuple:
+    """Head, (row template, separator, factor) and tail of the CSV output."""
+    head = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
+    return head, (",".join(["%r"] * batch.dim) + "\n", "", 1.0), ""
 
 
-def _render_csv(batch: SampleBatch) -> tuple[str, ChunkRenderer, str]:
-    """Header, chunk renderer and footer of the CSV output."""
-    return ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n", _csv_rows, ""
-
-
-def _render_json(batch: SampleBatch) -> tuple[str, ChunkRenderer, str]:
-    """The JSON document in three parts: everything before the points, the points, the end.
+def _json(batch: SampleBatch, e: Ellipsoid) -> tuple:
+    """The JSON document as head, rows and tail, with the bytes json.dumps gives for it whole.
 
     ``points`` is the document's last key, so its list can be written chunk
     by chunk between the other keys and the closing brackets.
@@ -213,13 +210,16 @@ def _render_json(batch: SampleBatch) -> tuple[str, ChunkRenderer, str]:
         "method": batch.method,
         "ellipsoid": batch.ellipsoid_spec,
     }
-    return json.dumps(doc)[:-1] + ', "points": [', _json_rows, "]}\n"
+    row = "[" + ", ".join(["%r"] * batch.dim) + "]"
+    return json.dumps(doc)[:-1] + ', "points": [', (row, ", ", 1.0), "]}\n"
 
 
-def _render_svg(batch: SampleBatch, e: Ellipsoid) -> tuple[str, ChunkRenderer, str]:
-    """Header with the outline, chunk renderer and footer of the SVG picture."""
-    # Data coordinates with y negated so the picture's y axis points up;
-    # vector-effect keeps the outline one device pixel at any scale.
+def _svg(batch: SampleBatch, e: Ellipsoid) -> tuple:
+    """Head with the outline, rows and tail of the SVG picture."""
+    # Data coordinates with y negated so the picture's y axis points up (a
+    # factor of -1.0 is IEEE negation); vector-effect keeps the outline one
+    # device pixel at any scale.
+    flip = (1.0, -1.0)
     half = 1.08 * e.bounding_halfwidths()
     hx, hy = float(half[0]), float(half[1])
     cx, cy = float(e.centre[0]), float(e.centre[1])
@@ -228,35 +228,31 @@ def _render_svg(batch: SampleBatch, e: Ellipsoid) -> tuple[str, ChunkRenderer, s
 
     theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
     ring = e._ball_image(np.column_stack([np.cos(theta), np.sin(theta)]))
-    outline = " ".join(f"{float(x)!r},{float(-y)!r}" for x, y in ring)
-
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">\n'
-        f'<polygon points="{outline}" fill="none" stroke="black" stroke-width="1" '
-        'vector-effect="non-scaling-stroke"/>\n'
+        f'<polygon points="{_format_rows(ring, 0, "%r,%r", " ", flip)}" fill="none" '
+        'stroke="black" stroke-width="1" vector-effect="non-scaling-stroke"/>\n'
     )
     circle = '<circle cx="%r" cy="%r" r="' + repr(dot) + '"/>\n'
-
-    def circles(block: np.ndarray, start: int) -> str:
-        # Multiplying by -1.0 is IEEE negation, the same bits as -y.
-        return circle * len(block) % tuple((block * (1.0, -1.0)).ravel().tolist())
-
-    return head, circles, "</svg>\n"
+    return head, (circle, "", flip), "</svg>\n"
 
 
-def _render_chunk(points: np.ndarray, render: ChunkRenderer, start: int) -> bytes:
-    return render(points[start : start + CHUNK_SIZE], start).encode()
+_FORMATS = {"csv": _csv, "json": _json, "svg": _svg}
 
 
-# (points, render) of a render worker, set once in each worker by _start_worker;
+def _render_chunk(points: np.ndarray, rows: tuple, start: int) -> bytes:
+    return _format_rows(points[start : start + CHUNK_SIZE], start, *rows).encode()
+
+
+# (points, rows) of a render worker, set once in each worker by _start_worker;
 # the parent never sets it.
 _worker_job = None
 
 
-def _start_worker(points: np.ndarray, render: ChunkRenderer, parent: int) -> None:
+def _start_worker(points: np.ndarray, rows: tuple, parent: int) -> None:
     global _worker_job
-    _worker_job = (points, render)
+    _worker_job = (points, rows)
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
 
 
@@ -273,20 +269,21 @@ def _render_in_worker(start: int) -> bytes:
 
 
 @contextmanager
-def _rendered_chunks(points: np.ndarray, render: ChunkRenderer) -> Iterator[Iterator[bytes]]:
-    """The encoded ``render(chunk, start)`` of each CHUNK_SIZE-row chunk of ``points``, in order.
+def _rendered_chunks(points: np.ndarray, rows: tuple) -> Iterator[Iterator[bytes]]:
+    """The encoded ``_format_rows`` text of each CHUNK_SIZE-row chunk of ``points``, in order.
 
-    Formatting floats as text holds the interpreter lock, so the chunks are
-    rendered on one forked process per usable CPU, at most one per chunk.
-    Workers inherit ``points`` and ``render`` through the fork; each task
-    sends back one chunk's bytes, and at most two tasks per worker are in
-    flight, so a slow reader holds back the workers instead of piling up
-    text.  The pool is forked on entry, before any output is opened or
-    buffered, and shut down and joined on every way out; a worker whose
-    parent is gone exits on its own.  Rendering is inline, with no pool, on
-    one usable CPU, for one chunk, where the platform cannot fork, and while
-    other threads run, since a forked child gets none of them and could find
-    a lock they held still taken.
+    ``rows`` is a format's (template, separator, factor).  Formatting floats
+    holds the interpreter lock, so the chunks render on one forked process
+    per usable CPU, at most one per chunk, which inherit ``points`` and
+    ``rows`` through the fork and send back one chunk's bytes per task.  At
+    most two tasks per worker are in flight, so a slow reader holds the
+    workers back instead of piling up text.  The pool is forked on entry,
+    before any output is opened or buffered, and shut down and joined on
+    every way out; a worker whose parent is gone exits on its own.
+    Rendering is inline, with no pool, on one usable CPU, for one chunk,
+    where the platform cannot fork, and while other threads run, since a
+    forked child gets none of them and could find a lock they held still
+    taken.  Nothing configures it, and the bytes are the same on every path.
 
     The first chunk, in chunk order, that raises has its exception re-raised
     here; a worker that dies raises ChildProcessError.
@@ -294,7 +291,7 @@ def _rendered_chunks(points: np.ndarray, render: ChunkRenderer) -> Iterator[Iter
     starts = range(0, points.shape[0], CHUNK_SIZE)
     workers = min(sampling._usable_cpus(), len(starts))
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield (_render_chunk(points, render, start) for start in starts)
+        yield (_render_chunk(points, rows, start) for start in starts)
         return
     # Imported here, so runs that never make a pool do not pay for the import.
     import multiprocessing
@@ -302,7 +299,7 @@ def _rendered_chunks(points: np.ndarray, render: ChunkRenderer) -> Iterator[Iter
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), _start_worker, (points, render, os.getpid())
+        workers, multiprocessing.get_context("fork"), _start_worker, (points, rows, os.getpid())
     )
     try:
         ahead = iter(starts)
@@ -330,26 +327,21 @@ def _rendered_chunks(points: np.ndarray, render: ChunkRenderer) -> Iterator[Iter
 def _emit(pieces: Iterable[bytes], out: str | None) -> None:
     """Write each piece as it is produced, to ``out`` or standard output.
 
-    The pieces are ASCII, so they go to the binary layer under standard
-    output as they are; a text-only stream (``io.StringIO``) gets them
-    decoded.  Under ``python -u`` (or PYTHONUNBUFFERED) that layer is the
-    raw file, which drops whatever a short write leaves over, so a reader
-    that leaves early would go unnoticed.  There the pieces go through a
-    buffered writer, which completes each write or raises.
+    The pieces are ASCII, so they go as they are to the binary layer under
+    standard output, through a buffered writer that completes each write or
+    raises: under ``python -u`` (or PYTHONUNBUFFERED) that layer is the raw
+    file, which drops whatever a short write leaves over.  A text-only
+    stream (``io.StringIO``) gets them decoded.
     """
     if out is not None:
         with open(out, "wb") as fh:
             fh.writelines(pieces)
         return
-    stdout = sys.stdout
-    binary = getattr(stdout, "buffer", None)
+    binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
-        stdout.writelines(piece.decode() for piece in pieces)
+        sys.stdout.writelines(piece.decode() for piece in pieces)
         return
-    stdout.flush()
-    if not isinstance(binary, io.RawIOBase):
-        binary.writelines(pieces)
-        return
+    sys.stdout.flush()
     writer = io.BufferedWriter(binary)
     try:
         writer.writelines(pieces)
@@ -363,13 +355,8 @@ def cmd_sample(args) -> int:
         raise ConfigError("svg output requires dimension 2")
     # Sampled before --out is opened, so a failed run leaves the file untouched.
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
-    if args.format == "csv":
-        head, render, tail = _render_csv(batch)
-    elif args.format == "json":
-        head, render, tail = _render_json(batch)
-    else:
-        head, render, tail = _render_svg(batch, e)
-    with _rendered_chunks(batch.points, render) as chunks:
+    head, rows, tail = _FORMATS[args.format](batch, e)
+    with _rendered_chunks(batch.points, rows) as chunks:
         _emit(itertools.chain([head.encode()], chunks, [tail.encode()]), args.out)
     return EXIT_OK
 

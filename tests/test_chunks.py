@@ -254,14 +254,16 @@ def test_the_first_failing_chunk_raises_its_own_class(workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
     points = np.zeros((5 * CHUNK_SIZE, 2))
 
-    def render(block, start):
+    def format_rows(block, start, *rows):
         if start >= CHUNK_SIZE:
             raise ChunkFailed(f"chunk at row {start}")
         return "ok"
 
+    # Forked workers inherit the patched module global.
+    monkeypatch.setattr(cli, "_format_rows", format_rows)
     found = []
     with pytest.raises(ChunkFailed, match=f"chunk at row {CHUNK_SIZE}$"):
-        with cli._rendered_chunks(points, render) as chunks:
+        with cli._rendered_chunks(points, ("%r,%r\n", "", 1.0)) as chunks:
             for chunk in chunks:
                 found.append(chunk)
     assert found == [b"ok"]
@@ -272,13 +274,13 @@ def test_the_first_failing_chunk_raises_its_own_class(workers, monkeypatch):
 def test_a_dead_worker_is_exit_1_with_one_error_line(monkeypatch, capsys):
     parent = os.getpid()
 
-    def die(block, start):
+    def die(block, start, *rows):
         if os.getpid() == parent:
             raise AssertionError("rendered inline")
         os._exit(1)
 
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_csv_rows", die)
+    monkeypatch.setattr(cli, "_format_rows", die)
     code, _, err = run_main(sample_argv("csv", 3 * CHUNK_SIZE + 5), capsys)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
