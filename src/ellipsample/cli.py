@@ -6,9 +6,8 @@ statistical failure, which includes a sampled point outside the ellipsoid.
 A seed is always required; there is no silent time-based seeding, so
 identical command lines produce byte-identical output.
 
-``sample`` writes its output in CHUNK_SIZE-row chunks, in chunk order, as
-``_rendered_chunks`` renders them; every float it writes is the ``repr``
-text that ``_format_rows`` puts in a format's row template.
+``sample`` formats every float it writes with ``_format_rows``, renders
+its chunks with ``_rendered_chunks`` and writes them with ``_emit``.
 """
 
 from __future__ import annotations
@@ -57,11 +56,15 @@ class ConfigError(Exception):
     """Invalid command-line configuration; maps to exit code 2."""
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _comma_list(text: str, flag: str, kind=str) -> list:
+    """The stripped entries of a comma list, each converted by ``kind``; an empty one is an error."""
+    entries = [entry.strip() for entry in text.split(",")]
+    if "" in entries:
+        raise ConfigError(f"{flag} has an empty entry: {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(entry) for entry in entries]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        raise ConfigError(f"{flag} is not a comma list of numbers: {text!r}") from None
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser, batch: bool) -> None:
@@ -70,10 +73,10 @@ def _add_shared_flags(sub: argparse.ArgumentParser, batch: bool) -> None:
     src.add_argument("--spec", metavar="FILE.json", help="ellipsoid spec JSON file")
     src.add_argument("--shape", metavar="FILE", help="transform matrix, text format")
     src.add_argument("--quadratic", metavar="FILE", help="quadratic-form matrix, text format")
-    src.add_argument("--radii", type=_parse_float_list, metavar="a,b,...", help="per-axis radii")
+    src.add_argument("--radii", metavar="a,b,...", help="per-axis radii")
     src.add_argument("--rotation", metavar="FILE", help="rotation matrix (with --radii only)")
     src.add_argument("--dim", type=int, metavar="N", help="unit n-ball of this dimension")
-    src.add_argument("--centre", type=_parse_float_list, metavar="c1,...", help="centre point")
+    src.add_argument("--centre", metavar="c1,...", help="centre point")
     src.add_argument("--foci", metavar="FILE.json", help="JSON [f1, f2]; centre is the midpoint")
     sub.add_argument("--seed", type=int, required=True, metavar="U64", help="RNG seed (required)")
     sub.add_argument("--out", metavar="FILE", help="output file (default standard output)")
@@ -158,7 +161,8 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         if kind == "spec":
             return Ellipsoid.from_spec(json.loads(_read_text(args.spec)))
         if kind == "radii":
-            spec = {"dim": len(args.radii), "radii": args.radii}
+            radii = _comma_list(args.radii, "--radii", float)
+            spec = {"dim": len(radii), "radii": radii}
             if args.rotation is not None:
                 spec["rotation"] = parse_matrix_text(_read_text(args.rotation))
         elif kind == "dim":
@@ -167,7 +171,7 @@ def resolve_ellipsoid(args) -> Ellipsoid:
             matrix = parse_matrix_text(_read_text(getattr(args, kind)))
             spec = {"dim": matrix.shape[0], kind: matrix}
         if args.centre is not None:
-            spec["centre"] = args.centre
+            spec["centre"] = _comma_list(args.centre, "--centre", float)
         if args.foci is not None:
             spec["foci"] = json.loads(_read_text(args.foci))
         return Ellipsoid.from_spec(spec)
@@ -363,9 +367,8 @@ def cmd_sample(args) -> int:
 
 def cmd_check(args) -> int:
     e = resolve_ellipsoid(args)
-    selected = [name for name in args.tests.split(",") if name.strip()]
-    unknown = set(selected) - set(_CHECK_NAMES)
-    if unknown or not selected:
+    selected = _comma_list(args.tests, "--tests")
+    if set(selected) - set(_CHECK_NAMES):
         raise ConfigError(f"--tests entries must be among {_CHECK_NAMES}, got {selected}")
     # The batch's and then each test's input rules, checked before anything is drawn.
     _check_request(e, args.count, _METHOD_BY_FLAG[args.method])

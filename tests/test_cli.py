@@ -45,18 +45,43 @@ class TestSampleCommand:
         assert lines[0] == "x1,x2"
         assert len(lines) == 6
 
-    def test_csv_round_trips_exactly(self, capsys, tmp_path):
-        out_file = tmp_path / "batch.csv"
+    # CHUNK_SIZE + 3 rows put a row separator between two rendered chunks.
+    ROUND_TRIPS = [("csv", 2, 200)] + [
+        (fmt, dim, CHUNK_SIZE + 3)
+        for fmt in ("csv", "json", "svg")
+        for dim in ((2,) if fmt == "svg" else (1, 2, 64))
+    ]
+
+    @pytest.mark.parametrize(
+        "fmt, dim, count", ROUND_TRIPS, ids=[f"{f}-{d}d-{c}" for f, d, c in ROUND_TRIPS]
+    )
+    def test_csv_round_trips_exactly(self, fmt, dim, count, capsys, tmp_path):
+        radii = [2.0 if i % 2 == 0 else 1.0 for i in range(dim)]
+        centre = [1.0] + [0.0] * (dim - 1)
+        out_file = tmp_path / f"batch.{fmt}"
         code, _, _ = run(
-            ["sample", *RADII_ARGS, "--count", "200", "--seed", "7", "--out", str(out_file)],
+            ["sample", "--radii", ",".join(map(repr, radii)), "--centre", ",".join(map(repr, centre)),
+             "--count", str(count), "--seed", "7", "--format", fmt, "--out", str(out_file)],
             capsys,
         )
         assert code == 0
-        e = Ellipsoid.from_radii_rotation([2.0, 1.0], np.eye(2), [1.0, 0.0])
-        expected = sample_batch(e, 200, 7).points
-        lines = out_file.read_text().strip().split("\n")
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed, expected)  # no precision loss
+        e = Ellipsoid.from_radii_rotation(radii, np.eye(dim), centre)
+        expected = sample_batch(e, count, 7).points
+        text = out_file.read_text()
+        if fmt == "csv":
+            lines = text.strip().split("\n")
+            parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        elif fmt == "json":
+            doc = json.loads(text)
+            # As bytes, which pytest compares to the first difference, not by a
+            # full diff of multi-MB strings.
+            assert text.encode() == (json.dumps(doc) + "\n").encode()
+            parsed = np.array(doc["points"])
+        else:
+            circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text)
+            parsed = np.array([[float(cx), -float(cy)] for cx, cy in circles])
+        assert parsed.shape == expected.shape
+        assert parsed.tobytes() == expected.tobytes()  # no precision loss, signs of zero kept
 
     def test_json_embeds_provenance(self, capsys):
         code, out, _ = run(
@@ -524,6 +549,24 @@ class TestExitCodeDiscipline:
         assert len(head) == 10
         assert proc.returncode == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    # Per list flag: a list with an empty entry, one with spaces round its
+    # entries, and the same list without them.
+    COMMA_LISTS = {
+        "radii": (["volume", "--radii"], "2,,1", " 2, 1 ", "2,1"),
+        "centre": (["volume", "--radii", "2,1", "--centre"], "1,", " 1 ,0", "1,0"),
+        "tests": (["check", "--dim", "2", "--tests"], "ks,,identity", "ks, identity", "ks,identity"),
+    }
+
+    @pytest.mark.parametrize("flag", COMMA_LISTS)
+    def test_comma_lists_strip_entries_and_reject_empty_ones(self, flag, capsys):
+        argv, empty, spaced, plain = self.COMMA_LISTS[flag]
+        code, out, err = run([*argv, empty, "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: ConfigError: --{flag} has an empty entry: {empty!r}\n"
+        stripped = run([*argv, spaced, "--seed", "1"], capsys)
+        assert stripped == run([*argv, plain, "--seed", "1"], capsys)
+        assert stripped[0] == 0
 
     def test_rejection_method_dimension_cap_is_exit_2(self, capsys):
         code, _, err = run(
