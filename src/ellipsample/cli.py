@@ -1,37 +1,34 @@
 """Command-line front end: ``sample``, ``check``, and ``volume``.
 
 Exit codes: 0 success, 1 I/O failure (including a render worker that
-died), 2 configuration error (including a size too large to allocate), 3
-statistical failure, which includes a sampled point outside the ellipsoid.
+died and a reader that closed standard output early), 2 configuration
+error (including a size too large to allocate), 3 statistical failure,
+which includes a sampled point outside the ellipsoid.
 A seed is always required; there is no silent time-based seeding, so
 identical command lines produce byte-identical output.
 
 ``sample`` formats every float it writes with ``_format_rows``, renders
-its chunks with ``_rendered_chunks`` and writes them with ``_emit``.
+its chunks on forked workers through ``sampling._chunk_results`` and writes
+them with ``_emit``.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import io
 import itertools
 import json
 import math
 import os
 import sys
-import threading
-import time
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable
 
 import numpy as np
 
-from . import sampling
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import check_dim, parse_matrix_text
-from .sampling import CHUNK_SIZE, RngStream, SampleBatch, _check_request, sample_batch
+from .sampling import RngStream, SampleBatch, _check_request, _chunk_results, sample_batch
 from .validation import (
     _check_ks_count,
     _uniformity_bins,
@@ -245,96 +242,16 @@ def _svg(batch: SampleBatch, e: Ellipsoid) -> tuple:
 _FORMATS = {"csv": _csv, "json": _json, "svg": _svg}
 
 
-def _render_chunk(points: np.ndarray, rows: tuple, start: int) -> bytes:
-    return _format_rows(points[start : start + CHUNK_SIZE], start, *rows).encode()
-
-
-# (points, rows) of a render worker, set once in each worker by _start_worker;
-# the parent never sets it.
-_worker_job = None
-
-
-def _start_worker(points: np.ndarray, rows: tuple, parent: int) -> None:
-    global _worker_job
-    _worker_job = (points, rows)
-    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
-
-
-def _exit_with_parent(parent: int) -> None:
-    # An idle worker blocks on a task pipe that its own inherited copy keeps
-    # open, so it would outlive a parent ended by a signal, such as SIGTERM.
-    while os.getppid() == parent:
-        time.sleep(0.2)
-    os._exit(1)
-
-
-def _render_in_worker(start: int) -> bytes:
-    return _render_chunk(*_worker_job, start)
-
-
-@contextmanager
-def _rendered_chunks(points: np.ndarray, rows: tuple) -> Iterator[Iterator[bytes]]:
-    """The encoded ``_format_rows`` text of each CHUNK_SIZE-row chunk of ``points``, in order.
-
-    ``rows`` is a format's (template, separator, factor).  Formatting floats
-    holds the interpreter lock, so the chunks render on one forked process
-    per usable CPU, at most one per chunk, which inherit ``points`` and
-    ``rows`` through the fork and send back one chunk's bytes per task.  At
-    most two tasks per worker are in flight, so a slow reader holds the
-    workers back instead of piling up text.  The pool is forked on entry,
-    before any output is opened or buffered, and shut down and joined on
-    every way out; a worker whose parent is gone exits on its own.
-    Rendering is inline, with no pool, on one usable CPU, for one chunk,
-    where the platform cannot fork, and while other threads run, since a
-    forked child gets none of them and could find a lock they held still
-    taken.  Nothing configures it, and the bytes are the same on every path.
-
-    The first chunk, in chunk order, that raises has its exception re-raised
-    here; a worker that dies raises ChildProcessError.
-    """
-    starts = range(0, points.shape[0], CHUNK_SIZE)
-    workers = min(sampling._usable_cpus(), len(starts))
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield (_render_chunk(points, rows, start) for start in starts)
-        return
-    # Imported here, so runs that never make a pool do not pay for the import.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), _start_worker, (points, rows, os.getpid())
-    )
-    try:
-        ahead = iter(starts)
-        # Submitting forks every worker.
-        pending = collections.deque(
-            pool.submit(_render_in_worker, s) for s in itertools.islice(ahead, 2 * workers)
-        )
-
-        def in_order() -> Iterator[bytes]:
-            try:
-                while pending:
-                    chunk = pending.popleft().result()
-                    start = next(ahead, None)
-                    if start is not None:
-                        pending.append(pool.submit(_render_in_worker, start))
-                    yield chunk
-            except BrokenProcessPool as exc:
-                raise ChildProcessError(f"a render worker died: {exc}") from None
-
-        yield in_order()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _emit(pieces: Iterable[bytes], out: str | None) -> None:
     """Write each piece as it is produced, to ``out`` or standard output.
 
     The pieces are ASCII, so they go as they are to the binary layer under
     standard output, through a buffered writer that completes each write or
     raises: under ``python -u`` (or PYTHONUNBUFFERED) that layer is the raw
-    file, which drops whatever a short write leaves over.  A text-only
+    file, which drops whatever a short write leaves over.  Both layers are
+    flushed here, so a reader that closed early raises BrokenPipeError
+    inside ``main``; standard output then points at the null device, so the
+    interpreter's flush at exit cannot fail a second time.  A text-only
     stream (``io.StringIO``) gets them decoded.
     """
     if out is not None:
@@ -349,6 +266,12 @@ def _emit(pieces: Iterable[bytes], out: str | None) -> None:
     writer = io.BufferedWriter(binary)
     try:
         writer.writelines(pieces)
+        writer.flush()
+        binary.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), binary.fileno())
+        raise
     finally:
         writer.detach()
 
@@ -359,8 +282,14 @@ def cmd_sample(args) -> int:
         raise ConfigError("svg output requires dimension 2")
     # Sampled before --out is opened, so a failed run leaves the file untouched.
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
-    head, rows, tail = _FORMATS[args.format](batch, e)
-    with _rendered_chunks(batch.points, rows) as chunks:
+    head, layout, tail = _FORMATS[args.format](batch, e)
+
+    # Formatting floats holds the interpreter lock, so the chunks render on
+    # forked workers, which are forked on entry, before --out is opened.
+    def render(i: int, rows: slice) -> bytes:
+        return _format_rows(batch.points[rows], rows.start, *layout).encode()
+
+    with _chunk_results(batch.count, render, forked=True) as chunks:
         _emit(itertools.chain([head.encode()], chunks, [tail.encode()]), args.out)
     return EXIT_OK
 
@@ -368,8 +297,8 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     e = resolve_ellipsoid(args)
     selected = _comma_list(args.tests, "--tests")
-    if set(selected) - set(_CHECK_NAMES):
-        raise ConfigError(f"--tests entries must be among {_CHECK_NAMES}, got {selected}")
+    if len(set(selected) & set(_CHECK_NAMES)) < len(selected):
+        raise ConfigError(f"--tests entries must be distinct names from {_CHECK_NAMES}: {selected}")
     # The batch's and then each test's input rules, checked before anything is drawn.
     _check_request(e, args.count, _METHOD_BY_FLAG[args.method])
     for name in selected:

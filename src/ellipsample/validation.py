@@ -9,7 +9,7 @@ point is Uniform(0, 1).
 
 A test keeps one number per point: ||u||^2 for KS, the bin index for
 chi-square.  So each test pulls each point back once, in CHUNK_SIZE-row
-blocks on the threads of ``sampling._each_chunk``, and keeps only that.
+blocks on the threads of ``sampling._chunk_results``, and keeps only that.
 That is bit-identical to one pull-back of the whole batch:
 ``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
 row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
@@ -34,7 +34,7 @@ from .geometry import Ellipsoid, unit_ball_volume
 from .linalg import check_dim
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
-    _each_chunk,
+    _chunk_results,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -141,7 +141,8 @@ def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> n
         return sq_norms.max()
 
     # 0 for an empty batch; a NaN norm stays NaN.
-    worst = math.sqrt(np.max(_each_chunk(batch.count, pull), initial=0.0))
+    with _chunk_results(batch.count, pull) as maxima:
+        worst = math.sqrt(np.max(list(maxima), initial=0.0))
     if not worst <= 1.0 + PULLBACK_SLACK:
         raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
     return out
@@ -233,13 +234,14 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     t **= e.dim / 2.0
     t.sort()
 
-    # The gaps to the empirical CDF i/n, a block at a time, so no O(N) grid is held.
-    def gaps(i: int, rows: slice) -> tuple[float, float]:
-        grid = np.arange(rows.start + 1, rows.stop + 1) / n
-        block = t[rows]
-        return float((grid - block).max()), float((block - (grid - 1.0 / n)).max())
+    # The gaps to the empirical CDF i/n, a block at a time, so no O(N) grid is
+    # held; on the calling thread, since a pool makes these cheap passes slower.
+    def gaps(start: int) -> float:
+        block = t[start : start + CHUNK_SIZE]
+        grid = np.arange(start + 1, start + len(block) + 1) / n
+        return max(float((grid - block).max()), float((block - (grid - 1.0 / n)).max()))
 
-    statistic = max(max(pair) for pair in _each_chunk(n, gaps))
+    statistic = max(gaps(start) for start in range(0, n, CHUNK_SIZE))
     critical = scale / math.sqrt(n)
     return TestReport("radial_ks", statistic, None, critical, alpha, n)
 
@@ -271,8 +273,8 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
         )
 
     # _MC_CHUNK fixes which draws each child stream makes, so the estimate's bytes.
-    accepted = sum(_each_chunk(count, inside, _MC_CHUNK))
-    frac = accepted / count
+    with _chunk_results(count, inside, _MC_CHUNK) as hits:
+        frac = sum(hits) / count
     estimate = box_volume * frac
     stderr = box_volume * math.sqrt(frac * (1.0 - frac) / count)
     return estimate, stderr

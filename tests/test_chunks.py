@@ -1,6 +1,7 @@
-"""The chunk drivers: same bits at any worker count, failures surface, no pool on one CPU."""
+"""The chunk driver: same bits at any worker count, failures surface, no pool on one CPU."""
 
 import hashlib
+import mmap
 import multiprocessing
 import os
 import select
@@ -15,13 +16,35 @@ import pytest
 
 from ellipsample import Ellipsoid, RngStream, cli, sampling
 from ellipsample.cli import main
-from ellipsample.sampling import CHUNK_SIZE, _each_chunk, sample_batch
+from ellipsample.sampling import CHUNK_SIZE, _chunk_results, sample_batch
 from ellipsample.validation import _pull_back, chi_square_uniformity, mc_volume, radial_ks
 from helpers import child_env, dense_shape
 from test_golden import CASES
 
 WORKER_COUNTS = (2, 3, 7)
 COUNTS = (1, CHUNK_SIZE, 3 * CHUNK_SIZE + 5)
+FLAVOURS = {"threads": False, "forked": True}
+
+
+def flavour_cases(*cases, bare=None):
+    """pytest params (forked, *case) for each flavour; the ``bare`` flavour's ids omit its name."""
+    params = []
+    for name, forked in FLAVOURS.items():
+        for case in cases:
+            words = [str(value) for value in case]
+            name_words = words if name == bare else [name, *words]
+            params.append(pytest.param(forked, *case, id="-".join(name_words)))
+    return params
+
+
+def driven(count, fn, size=CHUNK_SIZE, forked=False) -> list:
+    with _chunk_results(count, fn, size, forked) as results:
+        return list(results)
+
+
+def shared_flags(count: int) -> np.ndarray:
+    """count zero bytes that threads and forked workers write to the same memory."""
+    return np.frombuffer(mmap.mmap(-1, count), np.uint8)
 
 
 def at_each_worker_count(monkeypatch, fn):
@@ -110,29 +133,52 @@ def test_mc_volume_working_set_is_a_few_blocks_per_thread(monkeypatch):
     assert peak < 20e6
 
 
-@pytest.mark.parametrize("workers", [1, 2, 7])
-def test_results_come_back_in_chunk_order(workers, monkeypatch):
+@pytest.mark.parametrize("forked, workers", flavour_cases((1,), (2,), (7,), bare="threads"))
+def test_results_come_back_in_chunk_order(forked, workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
-    found = _each_chunk(25, lambda i, rows: (i, rows.start, rows.stop), size=10)
+    found = driven(25, lambda i, rows: (i, rows.start, rows.stop), 10, forked)
     assert found == [(0, 0, 10), (1, 10, 20), (2, 20, 25)]
-    assert _each_chunk(0, lambda i, rows: i) == []
+    assert driven(0, lambda i, rows: i, forked=forked) == []
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 7])
-def test_a_failing_chunk_raises_and_cancels_the_rest(workers, monkeypatch):
+@pytest.mark.parametrize(
+    "forked, workers", flavour_cases((1,), (2,), (3,), (7,), bare="threads")
+)
+def test_a_failing_chunk_raises_and_cancels_the_rest(forked, workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
     chunks = 400
-    ran = []
+    ran = shared_flags(chunks)
 
     def fn(i, rows):
-        ran.append(i)
+        ran[i] = 1
         if i == 2:
             raise ArithmeticError("chunk 2 failed")
         time.sleep(0.005)
 
     with pytest.raises(ArithmeticError, match="chunk 2 failed"):
-        _each_chunk(chunks, fn, size=1)
-    assert 2 in ran and len(ran) < chunks
+        driven(chunks, fn, 1, forked)
+    assert ran[2] == 1 and ran.sum() < chunks
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("forked, workers", flavour_cases((2,), (3,)))
+def test_at_most_two_chunks_per_worker_are_in_flight(forked, workers, monkeypatch):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
+    chunks = 40
+    started = shared_flags(chunks)
+
+    def fn(i, rows):
+        started[i] = 1
+        return i
+
+    with _chunk_results(chunks, fn, 1, forked) as results:
+        for taken, i in enumerate(results, 1):
+            # A slow consumer, which free-running workers would leave behind.
+            time.sleep(0.01)
+            assert i == taken - 1
+            assert started.sum() <= taken + 2 * workers
+    assert started.sum() == chunks
 
 
 def test_disjoint_writes_survive_fast_thread_switching(monkeypatch):
@@ -146,7 +192,7 @@ def test_disjoint_writes_survive_fast_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        found = _each_chunk(out.size, bump, size=3)
+        found = driven(out.size, bump, 3)
     finally:
         sys.setswitchinterval(interval)
     expected = np.repeat(np.arange(1, 1001), 3)
@@ -159,13 +205,17 @@ class RefusedPool:
         raise AssertionError("a pool was created")
 
 
-@pytest.mark.parametrize("workers, count", [(1, 3 * CHUNK_SIZE + 5), (7, CHUNK_SIZE)])
-def test_one_worker_or_one_chunk_makes_no_pool(workers, count, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "forked, workers, count",
+    flavour_cases((1, 3 * CHUNK_SIZE + 5), (7, CHUNK_SIZE), bare="threads"),
+)
+def test_one_worker_or_one_chunk_makes_no_pool(forked, workers, count, monkeypatch, capsys):
     import concurrent.futures
 
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RefusedPool)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
+    assert driven(count, lambda i, rows: rows.stop, forked=forked)[-1] == count
     e = dense(3)
     batch = sample_batch(e, count, 9)
     radial_ks(batch, e)
@@ -249,21 +299,18 @@ class ChunkFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_the_first_failing_chunk_raises_its_own_class(workers, monkeypatch):
+@pytest.mark.parametrize("forked, workers", flavour_cases((1,), (2,), (3,), bare="forked"))
+def test_the_first_failing_chunk_raises_its_own_class(forked, workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
-    points = np.zeros((5 * CHUNK_SIZE, 2))
 
-    def format_rows(block, start, *rows):
-        if start >= CHUNK_SIZE:
-            raise ChunkFailed(f"chunk at row {start}")
-        return "ok"
+    def fn(i, rows):
+        if i >= 1:
+            raise ChunkFailed(f"chunk at row {rows.start}")
+        return b"ok"
 
-    # Forked workers inherit the patched module global.
-    monkeypatch.setattr(cli, "_format_rows", format_rows)
     found = []
     with pytest.raises(ChunkFailed, match=f"chunk at row {CHUNK_SIZE}$"):
-        with cli._rendered_chunks(points, ("%r,%r\n", "", 1.0)) as chunks:
+        with _chunk_results(5 * CHUNK_SIZE, fn, forked=forked) as chunks:
             for chunk in chunks:
                 found.append(chunk)
     assert found == [b"ok"]

@@ -391,6 +391,9 @@ class TestCheckCommand:
          "ValueError: count must be at least 1"),
         (["--dim", "13", "--count", "10", "--method", "reject"],
          "DimensionOutOfRange: dimension 13 outside supported range 1..12"),
+        (["--dim", "2", "--count", "1000", "--tests", "ks,identity,ks"],
+         "ConfigError: --tests entries must be distinct names from ('chi2', 'ks', 'identity'): "
+         "['ks', 'identity', 'ks']"),
     ]
 
     @pytest.mark.parametrize("flags, error", REJECTED, ids=[" ".join(f) for f, _ in REJECTED])
@@ -528,27 +531,35 @@ class TestExitCodeDiscipline:
         assert err.startswith("error: PointOutsideEllipsoid: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "unbuffered, fmt",
-        [(False, "csv"), (True, "csv"), (False, "json"), (True, "json")],
-        ids=["buffered", "unbuffered", "buffered-json", "unbuffered-json"],
+        "unbuffered, fmt, count",
+        [(False, "csv", 20000), (True, "csv", 20000), (False, "json", 20000),
+         (True, "json", 20000), (False, "svg", 3)],
+        ids=["buffered", "unbuffered", "buffered-json", "unbuffered-json", "buffered-svg-3"],
     )
-    def test_closed_stdout_is_exit_1_with_one_error_line(self, unbuffered, fmt):
-        # More than CHUNK_SIZE rows, so output is still being written when the
-        # reader leaves; json is one write, which the reader cuts short.
+    def test_closed_stdout_is_exit_1_with_one_error_line(self, unbuffered, fmt, count):
+        # 20000 rows are more than CHUNK_SIZE, so output is still being written
+        # when the reader leaves; json is one write, which the reader cuts
+        # short.  Three svg rows stay in the stdout buffer until the flush,
+        # which may find the reader gone (exit 1) or not yet (exit 0), so that
+        # case runs a few times; the exit flush must never fail (exit 120).
         env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        argv = [sys.executable, "-m", "ellipsample", "sample", "--dim", "2", "--count", "20000",
-                "--seed", "1", "--format", fmt]
+        argv = [sys.executable, "-m", "ellipsample", "sample", "--dim", "2", "--count",
+                str(count), "--seed", "1", "--format", fmt]
         pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
-        with subprocess.Popen(argv, env=env, **pipes) as proc:
-            head = proc.stdout.read(10)
-            proc.stdout.close()
-            err = proc.stderr.read().decode()
-        assert len(head) == 10
-        assert proc.returncode == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        for _ in range(1 if count > CHUNK_SIZE else 5):
+            with subprocess.Popen(argv, env=env, **pipes) as proc:
+                head = proc.stdout.read(10)
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+            assert len(head) == 10
+            if proc.returncode == 0 and count <= CHUNK_SIZE:
+                assert err == ""
+                continue
+            assert proc.returncode == 1
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     # Per list flag: a list with an empty entry, one with spaces round its
     # entries, and the same list without them.
