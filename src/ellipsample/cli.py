@@ -1,15 +1,15 @@
 """Command-line front end: ``sample``, ``check``, and ``volume``.
 
-Exit codes: 0 success, 1 I/O failure (including a render worker that
-died and a reader that closed standard output early), 2 configuration
+Exit codes: 0 success, 1 I/O failure (including a reader that closed
+standard output early), 2 configuration
 error (including a size too large to allocate), 3 statistical failure,
 which includes a sampled point outside the ellipsoid.
 A seed is always required; there is no silent time-based seeding, so
 identical command lines produce byte-identical output.
 
 ``sample`` formats every float it writes with ``_format_rows``, renders
-its chunks on forked workers through ``sampling._chunk_results`` and writes
-them with ``_emit``.
+its chunks on the threads of ``sampling._chunk_results`` and writes them
+with ``_emit``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ _CHECK_NAMES = ("chi2", "ks", "identity")
 _IDENTITY_TRIALS = 20
 # Child-stream index for the identity check; far above any batch chunk index.
 _IDENTITY_STREAM = 2**31 - 1
+# Floats per rendered chunk: one CHUNK_SIZE chunk of 2-d points.
+_RENDER_FLOATS = 16384
 
 class ConfigError(Exception):
     """Invalid command-line configuration; maps to exit code 2."""
@@ -178,18 +180,148 @@ def resolve_ellipsoid(args) -> Ellipsoid:
         raise ConfigError(str(exc)) from exc
 
 
+# -- float text ---------------------------------------------------------------
+#
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) finds,
+# with fixed-width integer arithmetic, the shortest decimals inside a double's
+# rounding interval and the closest of those: the digits repr prints (Gay's
+# dtoa mode 0).  Names and constants follow the paper's Java code, with two
+# changes for repr, which may print one digit where Java prints two: the
+# shorter candidate is tried from s >= 10 (Java: 100), or 8e-323 would print
+# as 7.9e-323, and subnormals take no C_TINY case (Java's 4.9E-324 is repr's
+# 5e-324).
+
+_K_MIN = -324
+_M32 = 0xFFFFFFFF
+_M63 = (1 << 63) - 1
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 for k = -324..292, as (g >> 63, g mod 2^63).
+
+    Each g lies in [2^125, 2^126]; the table is computed from exact Python ints.
+    """
+    table = []
+    for k in range(_K_MIN, 293):
+        shift = 125 - ((-k * 913_124_641_741) >> 38)
+        table.append((10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0)) + 1)
+    return np.array([(g >> 63, g & _M63) for g in table], np.uint64).T
+
+
+_G1, _G0 = _pow10_table()
+_POW10 = np.array([10**i for i in range(18)], np.uint64)
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b of uint64 arrays, from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _M32, a >> 32, b & _M32, b >> 32
+    cross_a, cross_b = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> 32) + (cross_a & _M32) + (cross_b & _M32)
+    return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+
+
+def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """g cp / 2^127 rounded down, with its lowest bit set if anything was dropped (Java's rop)."""
+    z = (g1 * cp >> 1) + _mul_hi(g0, cp)
+    return (_mul_hi(g1, cp) + (z >> 63)) | ((z & _M63) != 0)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k) such that f 10^k is the decimal repr writes for each finite |x|.
+
+    That is the shortest decimal that reads back as |x|, and of those the
+    closest to it (the even one on a tie).  Zero gives f = 0 and k = 1.
+    """
+    bits = x.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    t = bits & ((1 << 52) - 1)
+    normal = biased != 0
+    # |x| = c 2^q; a zero gets c = 1, and its f is set at the end.
+    c = np.where(normal, t | (1 << 52), t)
+    zero = c == 0
+    c |= zero
+    q = biased.astype(np.int64) + ~normal - 1075
+    # Above a power of two the interval is twice as wide as below it.
+    irregular = (t == 0) & (biased > 1)
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
+    # 4 x 10^-k at the point and the interval's ends, which count iff c is even.
+    out = c & 1
+    cb = c << 2
+    vb = _round_to_odd(g1, g0, cb << h)
+    vbl = _round_to_odd(g1, g0, (cb - 2 + irregular) << h)
+    vbr = _round_to_odd(g1, g0, (cb + 2) << h)
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin = vbl + out <= sp10 << 2
+    wpin = (sp10 + 10 << 2) + out <= vbr
+    uin = vbl + out <= s << 2
+    win = (s + 1 << 2) + out <= vbr
+    mid = (s << 2) + 2
+    # One digit fewer if exactly one multiple of 10 next to s is inside; else s
+    # or s + 1, whichever alone is inside, or is closer, or is even.
+    pick_s = np.where(uin != win, uin, (vb < mid) | (vb == mid) & (s & 1 == 0))
+    f = np.where((s >= 10) & (upin != wpin), sp10 + ~upin * np.uint64(10), s + ~pick_s)
+    f[zero] = 0
+    k[zero] = 1
+    return f, k
+
+
 def _format_rows(
     block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
 ) -> str:
     """Each row of ``block`` times ``factor`` in ``template``, joined by ``separator``.
 
-    ``template`` has one ``%r`` per coordinate; ``%r`` of a Python float is
-    its repr, the shortest round-tripping text, which is also what json.dumps
-    writes for a finite float.  A chunk after the first (``start`` > 0)
+    ``template`` has one ``%r`` per coordinate, and each float, which must be
+    finite, is written as its repr: the shortest round-tripping text, which
+    is also what json.dumps writes.  A chunk after the first (``start`` > 0)
     begins with the separator.
+
+    Each float fills one row of byte columns, each with a fixed role: sign,
+    the "0.000" of a small number, 17 digits each followed by a possible
+    point, the exponent, and then the template's text up to the next float.
+    Columns a float does not use hold 0, which one bytes.translate drops.
+    The arrays this takes grow with the number of floats in ``block``.
     """
-    text = separator.join([template] * len(block)) % tuple((block * factor).ravel().tolist())
-    return separator + text if start else text
+    first, *after = template.split("%r")
+    wrap = separator + first
+    after[-1] += wrap
+    x = np.ascontiguousarray(block * factor).ravel()
+    f, k = _shortest(x)
+    length = np.searchsorted(_POW10, f, side="right")
+    f *= _POW10[17 - length]
+    # |x| = 0.d1d2...d17 x 10^decpt; ndig counts the digits up to the last nonzero one.
+    hi, lo = (f // 10**8).astype(np.uint32), (f % 10**8).astype(np.uint32)
+    digits = np.empty((17, x.size), np.uint8)
+    for i in range(17):
+        digits[i] = hi // 10 ** (8 - i) % 10 if i < 9 else lo // 10 ** (16 - i) % 10
+    ndig = ((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    decpt = k + length
+    # repr is positional for -4 < decpt < 17, else d.ddde+XX.
+    fixed = (-4 < decpt) & (decpt < 17)
+    # How many of "0.000" to write, how many digits, and after which digit the point goes.
+    lead = np.where(fixed & (decpt < 1), 2 - decpt, 0).astype(np.uint8)
+    shown = np.where(fixed, np.maximum(ndig, decpt + 1), ndig).astype(np.uint8)
+    point = np.where(fixed, decpt, ndig > 1).astype(np.int8)
+    e = np.abs(decpt - 1)
+    d0 = ord("0")
+    exponent = [np.full(x.size, ord("e")), np.where(decpt < 1, ord("-"), ord("+")),
+                (e >= 100) * (e // 100 + d0), e // 10 % 10 + d0, e % 10 + d0]
+
+    lits = [np.frombuffer(piece.encode(), np.uint8) for piece in after]
+    cells = np.zeros((x.size, 44 + max(map(len, lits))), np.uint8)
+    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    small = np.frombuffer(b"0.000", np.uint8)
+    cells[:, 1:6] = small * (np.arange(5, dtype=np.uint8) < lead[:, None])
+    cells[:, 6:39:2] = ((digits + d0) * (np.arange(17, dtype=np.uint8)[:, None] < shown)).T
+    cells[:, 7:38:2] = (np.arange(1, 17, dtype=np.int8) == point[:, None]) * np.uint8(ord("."))
+    cells[:, 39:44] = (np.array(exponent, np.uint8) * ~fixed).T
+    per_row = cells.reshape(len(block), len(after), -1)
+    for i, lit in enumerate(lits):
+        per_row[:, i, 44 : 44 + len(lit)] = lit
+    text = cells.tobytes().translate(None, b"\0").decode()
+    return (wrap if start else first) + text[: len(text) - len(wrap)]
 
 
 def _csv(batch: SampleBatch, e: Ellipsoid) -> tuple:
@@ -284,12 +416,11 @@ def cmd_sample(args) -> int:
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
     head, layout, tail = _FORMATS[args.format](batch, e)
 
-    # Formatting floats holds the interpreter lock, so the chunks render on
-    # forked workers, which are forked on entry, before --out is opened.
     def render(i: int, rows: slice) -> bytes:
         return _format_rows(batch.points[rows], rows.start, *layout).encode()
 
-    with _chunk_results(batch.count, render, forked=True) as chunks:
+    # Chunks of a fixed number of floats bound the formatter's arrays at any dimension.
+    with _chunk_results(batch.count, render, _RENDER_FLOATS // e.dim) as chunks:
         _emit(itertools.chain([head.encode()], chunks, [tail.encode()]), args.out)
     return EXIT_OK
 

@@ -132,6 +132,13 @@ class Ellipsoid:
             raise DimensionMismatch(
                 f"shape is {shape.shape[0]}x{shape.shape[0]} but centre has length {n}"
             )
+        # Every point, and the sum or difference of two, must be finite in
+        # float64.  A row's 1-norm bounds its bounding-box halfwidth without
+        # squaring, which would overflow first.
+        with np.errstate(over="ignore"):
+            reach = 2.0 * (np.abs(centre) + np.abs(shape).sum(axis=1))
+        if not np.isfinite(reach).all():
+            raise ValueError("the bounding box at twice its extent is not finite in float64")
         # Overflow raises FloatingPointError (exit 2), not a printed RuntimeWarning.
         with np.errstate(over="raise"):
             det = float(np.linalg.det(shape))

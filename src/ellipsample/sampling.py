@@ -17,20 +17,18 @@ method, count) and a shorter batch is a prefix of a longer one at every
 chunk boundary.
 
 Chunks are independent, so ``_chunk_results`` is the one driver for every
-stage that maps over them: it runs a batch's chunks, the pull-back and the
-Monte Carlo volume in ``validation`` on one thread per usable CPU, and the
-text of ``cli``'s ``sample`` on one forked process per usable CPU.  A chunk
-writes only its own rows and every reduction across chunks is a max or an
-integer sum, so the bytes do not depend on the worker count.  Nothing
-configures it: one usable CPU runs every chunk inline, with no pool.
+stage that maps over them: a batch's chunks, the pull-back and the Monte
+Carlo volume in ``validation``, and the text of ``cli``'s ``sample`` all run
+on one thread per usable CPU.  A chunk writes only its own rows and every
+reduction across chunks is an integer sum, so the bytes do not depend on
+the thread count.  Nothing configures it: one usable CPU runs every chunk
+inline, with no pool.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
-import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -101,84 +99,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The chunk function of a forked worker, set once in each worker by
-# _start_worker; the parent never sets it.
-_worker_fn = None
-
-
-def _start_worker(fn: Callable, parent: int) -> None:
-    global _worker_fn
-    _worker_fn = fn
-    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
-
-
-def _exit_with_parent(parent: int) -> None:
-    # An idle worker blocks on a task pipe that its own inherited copy keeps
-    # open, so it would outlive a parent ended by a signal, such as SIGTERM.
-    while os.getppid() == parent:
-        time.sleep(0.2)
-    os._exit(1)
-
-
-def _run_in_worker(i: int, rows: slice):
-    return _worker_fn(i, rows)
-
-
 @contextmanager
-def _chunk_results(
-    count: int, fn: Callable, size: int = CHUNK_SIZE, forked: bool = False
-) -> Iterator[Iterator]:
+def _chunk_results(count: int, fn: Callable, size: int = CHUNK_SIZE) -> Iterator[Iterator]:
     """fn(i, rows) for each chunk i, in chunk order; rows is the slice of chunk i of range(count).
 
-    ``fn`` must depend only on i and its own rows.  The chunks run on one
-    worker per usable CPU, at most one per chunk, with at most two chunks per
-    worker in flight, so a slow consumer holds the workers back instead of
-    piling up results.  The workers are threads, for ``fn``s whose numpy
-    work releases the interpreter lock; with ``forked``, for ``fn``s that
-    hold it (formatting floats as text), they are processes forked on entry,
-    which inherit ``fn`` through the fork, so only i, rows and the result are
-    pickled.  A forked worker whose parent is gone exits on its own.  The
-    chunks run inline, with no pool, on one usable CPU and for one chunk,
-    and with ``forked`` also where the platform cannot fork and while other
-    threads run, since a forked child gets none of them and could find a
-    lock they held still taken.  Nothing configures it.
+    ``fn`` must depend only on i and its own rows, and its numpy work should
+    release the interpreter lock.  The chunks run on one thread per usable
+    CPU, at most one per chunk, with at most two chunks per thread in flight,
+    so a slow consumer holds the threads back instead of piling up results.
+    On one usable CPU, and for one chunk, they run inline, with no pool.
+    Nothing configures it.
 
     The first chunk, in chunk order, that raises has its exception re-raised
-    here, and chunks not yet started are cancelled; a forked worker that
-    dies raises ChildProcessError.  The pool is shut down and joined on
-    every way out.
+    here, and chunks not yet started are cancelled.  The pool is shut down
+    and joined on every way out.
     """
     chunks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
     workers = min(_usable_cpus(), len(chunks))
-    if workers <= 1 or forked and (not hasattr(os, "fork") or threading.active_count() > 1):
+    if workers <= 1:
         yield (fn(i, rows) for i, rows in enumerate(chunks))
         return
     # Imported here, so runs that never make a pool do not pay for the import.
     from concurrent import futures
 
-    if forked:
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        pool = futures.ProcessPoolExecutor(workers, context, _start_worker, (fn, os.getpid()))
-        task = _run_in_worker
-    else:
-        pool = futures.ThreadPoolExecutor(workers)
-        task = fn
+    pool = futures.ThreadPoolExecutor(workers)
     try:
-        submits = (pool.submit(task, i, rows) for i, rows in enumerate(chunks))
-        # The first submit forks every worker, before the caller writes anything.
+        submits = (pool.submit(fn, i, rows) for i, rows in enumerate(chunks))
         pending = list(itertools.islice(submits, 2 * workers))
 
         def in_order() -> Iterator:
-            try:
-                while pending:
-                    result = pending.pop(0).result()
-                    pending.extend(itertools.islice(submits, 1))
-                    yield result
-            # Only a forked pool breaks: the thread pool has no initializer.
-            except futures.BrokenExecutor as exc:
-                raise ChildProcessError(f"a worker died: {exc}") from None
+            while pending:
+                result = pending.pop(0).result()
+                pending.extend(itertools.islice(submits, 1))
+                yield result
 
         yield in_order()
     finally:

@@ -129,22 +129,25 @@ def _bin_index(u: np.ndarray, sq_norms: np.ndarray, shells: int) -> np.ndarray:
 
 
 def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> np.ndarray:
-    """||u||^2 of each point, or with ``shells`` its bin; pulled back in CHUNK_SIZE-row blocks."""
+    """||u||^2 of each point, or with ``shells`` its bin; pulled back in CHUNK_SIZE-row blocks.
+
+    A chunk whose largest norm exceeds 1 + PULLBACK_SLACK, or is NaN, raises
+    PointOutsideEllipsoid before it is binned.
+    """
     if batch.dim != e.dim:
         raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
     out = np.empty(batch.count, dtype=float if shells is None else np.int64)
 
-    def pull(i: int, rows: slice) -> float:
+    def pull(i: int, rows: slice) -> None:
         u = e.pullback(batch.points[rows])
         sq_norms = (u * u).sum(axis=1)
+        worst = math.sqrt(sq_norms.max())
+        if not worst <= 1.0 + PULLBACK_SLACK:
+            raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
         out[rows] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
-        return sq_norms.max()
 
-    # 0 for an empty batch; a NaN norm stays NaN.
-    with _chunk_results(batch.count, pull) as maxima:
-        worst = math.sqrt(np.max(list(maxima), initial=0.0))
-    if not worst <= 1.0 + PULLBACK_SLACK:
-        raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
+    with _chunk_results(batch.count, pull) as pulled:
+        list(pulled)
     return out
 
 

@@ -54,3 +54,16 @@ def dense_shape(n: int) -> np.ndarray:
 def dense_shape_text(n: int) -> str:
     """``dense_shape(n)`` in the matrix text format, each entry written with repr."""
     return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in dense_shape(n))
+
+
+def repr_rows(
+    block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
+) -> str:
+    """The reference for ``cli._format_rows``: the same text through Python's ``%r``.
+
+    ``%r`` of a Python float is its repr, so each float is written exactly as
+    repr writes it; a chunk after the first (``start`` > 0) begins with the
+    separator.
+    """
+    text = separator.join([template] * len(block)) % tuple((block * factor).ravel().tolist())
+    return separator + text if start else text

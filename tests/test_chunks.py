@@ -1,20 +1,16 @@
 """The chunk driver: same bits at any worker count, failures surface, no pool on one CPU."""
 
 import hashlib
-import mmap
-import multiprocessing
 import os
-import select
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ellipsample import Ellipsoid, RngStream, cli, sampling
+from ellipsample import Ellipsoid, RngStream, sampling
 from ellipsample.cli import main
 from ellipsample.sampling import CHUNK_SIZE, _chunk_results, sample_batch
 from ellipsample.validation import _pull_back, chi_square_uniformity, mc_volume, radial_ks
@@ -23,28 +19,11 @@ from test_golden import CASES
 
 WORKER_COUNTS = (2, 3, 7)
 COUNTS = (1, CHUNK_SIZE, 3 * CHUNK_SIZE + 5)
-FLAVOURS = {"threads": False, "forked": True}
 
 
-def flavour_cases(*cases, bare=None):
-    """pytest params (forked, *case) for each flavour; the ``bare`` flavour's ids omit its name."""
-    params = []
-    for name, forked in FLAVOURS.items():
-        for case in cases:
-            words = [str(value) for value in case]
-            name_words = words if name == bare else [name, *words]
-            params.append(pytest.param(forked, *case, id="-".join(name_words)))
-    return params
-
-
-def driven(count, fn, size=CHUNK_SIZE, forked=False) -> list:
-    with _chunk_results(count, fn, size, forked) as results:
+def driven(count, fn, size=CHUNK_SIZE) -> list:
+    with _chunk_results(count, fn, size) as results:
         return list(results)
-
-
-def shared_flags(count: int) -> np.ndarray:
-    """count zero bytes that threads and forked workers write to the same memory."""
-    return np.frombuffer(mmap.mmap(-1, count), np.uint8)
 
 
 def at_each_worker_count(monkeypatch, fn):
@@ -133,22 +112,19 @@ def test_mc_volume_working_set_is_a_few_blocks_per_thread(monkeypatch):
     assert peak < 20e6
 
 
-@pytest.mark.parametrize("forked, workers", flavour_cases((1,), (2,), (7,), bare="threads"))
-def test_results_come_back_in_chunk_order(forked, workers, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_results_come_back_in_chunk_order(workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
-    found = driven(25, lambda i, rows: (i, rows.start, rows.stop), 10, forked)
+    found = driven(25, lambda i, rows: (i, rows.start, rows.stop), 10)
     assert found == [(0, 0, 10), (1, 10, 20), (2, 20, 25)]
-    assert driven(0, lambda i, rows: i, forked=forked) == []
-    assert multiprocessing.active_children() == []
+    assert driven(0, lambda i, rows: i) == []
 
 
-@pytest.mark.parametrize(
-    "forked, workers", flavour_cases((1,), (2,), (3,), (7,), bare="threads")
-)
-def test_a_failing_chunk_raises_and_cancels_the_rest(forked, workers, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_a_failing_chunk_raises_and_cancels_the_rest(workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
     chunks = 400
-    ran = shared_flags(chunks)
+    ran = np.zeros(chunks, np.uint8)
 
     def fn(i, rows):
         ran[i] = 1
@@ -157,22 +133,21 @@ def test_a_failing_chunk_raises_and_cancels_the_rest(forked, workers, monkeypatc
         time.sleep(0.005)
 
     with pytest.raises(ArithmeticError, match="chunk 2 failed"):
-        driven(chunks, fn, 1, forked)
+        driven(chunks, fn, 1)
     assert ran[2] == 1 and ran.sum() < chunks
-    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("forked, workers", flavour_cases((2,), (3,)))
-def test_at_most_two_chunks_per_worker_are_in_flight(forked, workers, monkeypatch):
+@pytest.mark.parametrize("workers", [2, 3], ids=["threads-2", "threads-3"])
+def test_at_most_two_chunks_per_worker_are_in_flight(workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
     chunks = 40
-    started = shared_flags(chunks)
+    started = np.zeros(chunks, np.uint8)
 
     def fn(i, rows):
         started[i] = 1
         return i
 
-    with _chunk_results(chunks, fn, 1, forked) as results:
+    with _chunk_results(chunks, fn, 1) as results:
         for taken, i in enumerate(results, 1):
             # A slow consumer, which free-running workers would leave behind.
             time.sleep(0.01)
@@ -205,17 +180,13 @@ class RefusedPool:
         raise AssertionError("a pool was created")
 
 
-@pytest.mark.parametrize(
-    "forked, workers, count",
-    flavour_cases((1, 3 * CHUNK_SIZE + 5), (7, CHUNK_SIZE), bare="threads"),
-)
-def test_one_worker_or_one_chunk_makes_no_pool(forked, workers, count, monkeypatch, capsys):
+@pytest.mark.parametrize("workers, count", [(1, 3 * CHUNK_SIZE + 5), (7, CHUNK_SIZE)])
+def test_one_worker_or_one_chunk_makes_no_pool(workers, count, monkeypatch, capsys):
     import concurrent.futures
 
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RefusedPool)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
-    assert driven(count, lambda i, rows: rows.stop, forked=forked)[-1] == count
+    assert driven(count, lambda i, rows: rows.stop)[-1] == count
     e = dense(3)
     batch = sample_batch(e, count, 9)
     radial_ks(batch, e)
@@ -231,17 +202,12 @@ def sample_argv(fmt: str, count: int) -> list[str]:
 
 
 def run_main(argv, capsys) -> tuple[int, bytes, str]:
-    """main(argv), its stdout bytes and stderr; no worker may outlive the call."""
+    """main(argv), its stdout bytes and stderr."""
     code = main(argv)
     captured = capsys.readouterr()
-    assert multiprocessing.active_children() == []
     return code, captured.out.encode(), captured.err
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
-
-
-@needs_fork
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -251,7 +217,7 @@ def test_sample_output_does_not_depend_on_the_worker_count(fmt, workers, count, 
 
     pools = []
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
@@ -260,47 +226,22 @@ def test_sample_output_does_not_depend_on_the_worker_count(fmt, workers, count, 
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: 1)
     reference = run_main(argv, capsys)
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     assert run_main(argv, capsys) == reference
     assert reference[0] == 0
-    # One chunk renders inline; more fork a pool of at most one worker per chunk.
+    # One chunk is drawn and rendered inline; more make one pool for each
+    # stage, of at most one thread per chunk.
     chunks = -(-count // CHUNK_SIZE)
-    assert len(pools) == (chunks > 1)
+    assert len(pools) == 2 * (chunks > 1)
     assert all(pool._max_workers == min(workers, chunks) for pool in pools)
-
-
-@pytest.mark.parametrize("why", ["no-fork", "other-thread"])
-def test_rendering_is_inline_without_fork_or_beside_other_threads(why, monkeypatch, capsys):
-    import concurrent.futures
-
-    argv = sample_argv("csv", 3 * CHUNK_SIZE + 5)
-    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 1)
-    reference = run_main(argv, capsys)
-    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
-    if why == "no-fork":
-        monkeypatch.delattr(os, "fork", raising=False)
-        assert run_main(argv, capsys) == reference
-        return
-    # sample_batch's own thread pool must not count as another thread.
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        found = run_main(argv, capsys)
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert found == reference
 
 
 class ChunkFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("forked, workers", flavour_cases((1,), (2,), (3,), bare="forked"))
-def test_the_first_failing_chunk_raises_its_own_class(forked, workers, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2, 3], ids=["threads-1", "threads-2", "threads-3"])
+def test_the_first_failing_chunk_raises_its_own_class(workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
 
     def fn(i, rows):
@@ -310,79 +251,10 @@ def test_the_first_failing_chunk_raises_its_own_class(forked, workers, monkeypat
 
     found = []
     with pytest.raises(ChunkFailed, match=f"chunk at row {CHUNK_SIZE}$"):
-        with _chunk_results(5 * CHUNK_SIZE, fn, forked=forked) as chunks:
+        with _chunk_results(5 * CHUNK_SIZE, fn) as chunks:
             for chunk in chunks:
                 found.append(chunk)
     assert found == [b"ok"]
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-def test_a_dead_worker_is_exit_1_with_one_error_line(monkeypatch, capsys):
-    parent = os.getpid()
-
-    def die(block, start, *rows):
-        if os.getpid() == parent:
-            raise AssertionError("rendered inline")
-        os._exit(1)
-
-    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_format_rows", die)
-    code, _, err = run_main(sample_argv("csv", 3 * CHUNK_SIZE + 5), capsys)
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
-
-
-# Runs main with two usable CPUs, then reports how many worker processes are
-# still alive.
-_CLOSED_CHILD = """
-import multiprocessing, sys
-from ellipsample import sampling
-from ellipsample.cli import main
-sampling._usable_cpus = lambda: 2
-code = main(sys.argv[1:])
-sys.stderr.write(f"children alive: {len(multiprocessing.active_children())}\\n")
-raise SystemExit(code)
-"""
-
-
-@needs_fork
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_leaves_no_worker(unbuffered):
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-c", _CLOSED_CHILD, *sample_argv("csv", 20 * CHUNK_SIZE)]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        head = proc.stdout.read(10)
-        proc.stdout.close()
-        err = proc.stderr.read().decode().splitlines()
-    assert len(head) == 10
-    assert proc.returncode == 1
-    assert len(err) == 2 and err[0].startswith("error: ")
-    assert err[1] == "children alive: 0"
-
-
-@needs_fork
-def test_workers_exit_when_the_parent_is_killed():
-    # Two usable CPUs, as in _CLOSED_CHILD, on output no one reads.
-    argv = [sys.executable, "-c", _CLOSED_CHILD, *sample_argv("csv", 40 * CHUNK_SIZE)]
-    with subprocess.Popen(argv, env=child_env(), stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL) as proc:
-        assert len(proc.stdout.read(10)) == 10
-        proc.kill()
-        proc.wait()
-        # Every worker holds a copy of the child's stdout, so the pipe reaches
-        # its end once the last worker has exited.
-        fd = proc.stdout.fileno()
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if select.select([fd], [], [], 0.1)[0] and not os.read(fd, 1 << 16):
-                break
-        else:
-            pytest.fail("a worker outlived its killed parent by 10 s")
 
 
 # Runs one CLI command in a child and reports which process-pool modules it imported.
@@ -402,8 +274,9 @@ raise SystemExit(code)
         "volume --radii 2,1 --seed 1 --mc 20000",
         "check --radii 2,1 --count 20000 --seed 7",
         f"sample --radii 2,1 --count {CHUNK_SIZE} --seed 7 --format json",
+        f"sample --radii 2,1 --count {3 * CHUNK_SIZE + 5} --seed 7",
     ],
-    ids=["volume", "check", "sample-one-chunk"],
+    ids=["volume", "check", "sample-one-chunk", "sample-chunks"],
 )
 def test_runs_that_fork_no_pool_do_not_import_it(argv):
     run = subprocess.run(

@@ -612,6 +612,18 @@ class TestExitCodeDiscipline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("command", ["sample", "check", "volume"])
+    def test_points_past_float64_are_exit_2_without_warnings(self, command, capsys):
+        # sample would write inf and check would warn before exit 3 without the
+        # bounding-box rule; warnings are recorded, not raised, so catch them here.
+        argv = [command, "--radii", "1e308", "--centre=1e308", "--seed", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv + (["--count", "4"] if command != "volume" else []), capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: the bounding box at twice its extent is not finite in float64\n"
+        assert [str(w.message) for w in caught] == []
+
     # Each size is far past the address space, so nothing is ever allocated.
     @pytest.mark.parametrize(
         "argv",

@@ -70,6 +70,20 @@ class TestConstructors:
         with pytest.raises(SingularShape):
             Ellipsoid.from_shape([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "radii, centre",
+        [([1e308], [0.0]), ([1.0], [1e308]), ([1e308], [1e308]), ([1e308, 1.0], [0.0, 0.0])],
+    )
+    def test_bounding_box_past_float64_rejected(self, radii, centre):
+        # No point, or sum of two, may overflow; checked before the condition number.
+        with pytest.raises(ValueError, match="not finite in float64"):
+            Ellipsoid.from_spec({"dim": len(radii), "radii": radii, "centre": centre})
+
+    def test_largest_finite_bounding_box_accepted(self):
+        # 2 x (4e307 + 4e307) is finite, so the far end of the segment is too.
+        e = Ellipsoid.from_spec({"dim": 1, "radii": [4e307], "centre": [4e307]})
+        assert 2.0 * e.forward([1.0])[0] == 1.6e308
+
     def test_from_shape_near_singular_rejected(self):
         with pytest.raises(SingularShape):
             Ellipsoid.from_shape([[1.0, 0.0], [0.0, 1e-13]], [0.0, 0.0])

@@ -198,8 +198,6 @@ class TestChiSquareUniformity:
         with pytest.raises(PointOutsideEllipsoid):
             chi_square_uniformity(bad, e, shells=1, alpha=0.001)
 
-    # chi2 bins the chunk (casting the NaN radius warns) before the check raises
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     def test_nan_point_detected(self):
         e = ellipse_2x1()
         pts = sample_batch(e, 1000, 10).points.copy()
