@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tests",
         default=",".join(_CHECK_NAMES),
         metavar="LIST",
-        help="comma list from chi2,ks,identity (default all)",
+        help=f"comma list from {','.join(_CHECK_NAMES)} (default all)",
     )
     p_check.set_defaults(func=cmd_check)
 

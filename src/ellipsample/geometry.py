@@ -18,6 +18,7 @@ produces.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -84,16 +85,25 @@ def _block_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
-def _in_unit_ball(u: np.ndarray) -> np.ndarray:
-    """The membership rule ||u||^2 <= (1 + slack)^2 for each point along the last axis.
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """||row||^2 of each row along the last axis: the one squared-norm reduction.
 
-    The squares are summed coordinate by coordinate, so a point gets the
-    same verdict whether it is tested alone or in a block of any size.
+    A row's sum does not depend on the rows that come with it, so a point
+    gets the same value alone or in a block of any size.
     """
-    sq = np.zeros(u.shape[:-1])
-    for coord in np.moveaxis(u, -1, 0):
-        sq += coord * coord
-    return sq <= (1.0 + MEMBERSHIP_SLACK) ** 2
+    return (rows * rows).sum(axis=-1)
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``m``, scaled so no square overflows or underflows.
+
+    Each row is scaled by 2^-k, k the binary exponent of its largest
+    magnitude (J. L. Blue, ACM TOMS 4(1), 1978), and its norm scaled back.
+    A power of two scales exactly, so wherever the unscaled squares are
+    normal the result has the bits of sqrt(_sq_norms(m)); a zero row is 0.
+    """
+    k = np.frexp(np.abs(m).max(axis=-1))[1]
+    return np.ldexp(np.sqrt(_sq_norms(np.ldexp(m, -k[..., None]))), k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +114,11 @@ class Ellipsoid:
     ``abs_det_shape`` caches |det shape|, the volume scale factor, and the
     transposed inverse of ``shape`` is cached for the pull-back.  Instances
     are immutable and safe to share across threads.
+
+    One extent rule serves every box: the halfwidths are the Euclidean norms
+    of shape's rows, computed scaled (``_row_norms``) so they are exact at
+    every scale, and an ellipsoid whose box at twice that extent is not
+    finite in float64 is refused.
 
     Both affine maps are ``_block_product``: rows times a fixed matrix in
     zero-padded blocks of exactly 64 rows, so a row's bits do not depend on
@@ -133,10 +148,10 @@ class Ellipsoid:
                 f"shape is {shape.shape[0]}x{shape.shape[0]} but centre has length {n}"
             )
         # Every point, and the sum or difference of two, must be finite in
-        # float64.  A row's 1-norm bounds its bounding-box halfwidth without
-        # squaring, which would overflow first.
+        # float64.  By Cauchy-Schwarz every partial sum of row i of shape @ u,
+        # for a unit u, is at most that row's norm: the box halfwidth.
         with np.errstate(over="ignore"):
-            reach = 2.0 * (np.abs(centre) + np.abs(shape).sum(axis=1))
+            reach = 2.0 * (np.abs(centre) + _row_norms(shape))
         if not np.isfinite(reach).all():
             raise ValueError("the bounding box at twice its extent is not finite in float64")
         # Overflow raises FloatingPointError (exit 2), not a printed RuntimeWarning.
@@ -216,11 +231,14 @@ class Ellipsoid:
     def from_spec(cls, spec: Mapping) -> "Ellipsoid":
         """Build from the JSON ellipsoid spec (shared with the CLI).
 
-        Keys: "dim"; exactly one shape definition among "shape", "quadratic",
-        and "radii" (the latter with optional "rotation", identity by
-        default); "centre" (default origin) or "foci" [f1, f2], which
-        overrides centre via the midpoint.
+        ``spec`` is a mapping with keys: "dim", an integer (not a bool);
+        exactly one shape definition among "shape", "quadratic", and "radii"
+        (the latter with optional "rotation", identity by default); "centre"
+        (default origin) or "foci" [f1, f2], which overrides centre via the
+        midpoint.
         """
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"spec must be a mapping, got {type(spec).__name__}")
         unknown = set(spec) - _SPEC_KEYS
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
@@ -232,36 +250,34 @@ class Ellipsoid:
             )
         if "rotation" in spec and defining[0] != "radii":
             raise ValueError("'rotation' is only valid together with 'radii'")
-        if "dim" not in spec:
-            raise ValueError("spec requires 'dim'")
-        n = int(spec["dim"])
+        dim = spec.get("dim")
+        if isinstance(dim, bool) or not hasattr(dim, "__index__"):
+            raise ValueError(f"spec requires an integer 'dim', got {dim!r}")
+        n = operator.index(dim)
         # Checked before a default centre or rotation of that size is allocated.
         linalg.check_dim(n)
+
+        def array(key: str, value, shape: tuple) -> np.ndarray:
+            arr = np.asarray(value, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"'{key}' has shape {arr.shape}, expected {shape}")
+            return arr
 
         if "foci" in spec:
             foci = list(spec["foci"])
             if len(foci) != 2:
                 raise ValueError("'foci' must hold exactly two points")
-            centre = centre_from_foci(foci[0], foci[1])
+            centre = array("centre", centre_from_foci(foci[0], foci[1]), (n,))
         else:
-            centre = np.asarray(spec.get("centre", np.zeros(n)), dtype=float)
-        if centre.shape != (n,):
-            raise ValueError(f"centre has shape {centre.shape}, expected ({n},)")
+            centre = array("centre", spec.get("centre", np.zeros(n)), (n,))
 
         kind = defining[0]
-        if kind in ("shape", "quadratic"):
-            mat = np.asarray(spec[kind], dtype=float)
-            if mat.shape != (n, n):
-                raise ValueError(f"'{kind}' has shape {mat.shape}, expected ({n}, {n})")
-            if kind == "shape":
-                return cls.from_shape(mat, centre)
-            return cls.from_quadratic(mat, centre)
-        radii = np.asarray(spec["radii"], dtype=float)
-        if radii.shape != (n,):
-            raise ValueError(f"'radii' has shape {radii.shape}, expected ({n},)")
-        rotation = np.asarray(spec.get("rotation", np.eye(n)), dtype=float)
-        if rotation.shape != (n, n):
-            raise ValueError(f"'rotation' has shape {rotation.shape}, expected ({n}, {n})")
+        if kind == "shape":
+            return cls.from_shape(array(kind, spec[kind], (n, n)), centre)
+        if kind == "quadratic":
+            return cls.from_quadratic(array(kind, spec[kind], (n, n)), centre)
+        radii = array("radii", spec["radii"], (n,))
+        rotation = array("rotation", spec.get("rotation", np.eye(n)), (n, n))
         return cls.from_radii_rotation(radii, rotation, centre)
 
     # -- queries ------------------------------------------------------------
@@ -319,7 +335,7 @@ class Ellipsoid:
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership test; returns a boolean mask."""
-        return _in_unit_ball(self.pullback(points))
+        return _sq_norms(self.pullback(points)) <= (1.0 + MEMBERSHIP_SLACK) ** 2
 
     def volume(self) -> float:
         """Volume of the membership set: unit-ball volume times |det shape|."""
@@ -336,8 +352,10 @@ class Ellipsoid:
 
         The box [centre - w, centre + w] contains the ellipsoid and each
         face touches it (w_i = max of e_i . (shape @ u) over the unit ball).
+        The norms are scaled (``_row_norms``), so the box is exact at every
+        scale the constructor accepts: it never overflows or underflows.
         """
-        return np.sqrt((self.shape * self.shape).sum(axis=1))
+        return _row_norms(self.shape)
 
     def box_volume(self) -> float:
         """Volume of the bounding box of ``bounding_halfwidths``."""

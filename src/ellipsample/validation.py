@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
-from .geometry import Ellipsoid, unit_ball_volume
+from .geometry import Ellipsoid, _sq_norms, unit_ball_volume
 from .linalg import check_dim
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
@@ -140,7 +140,7 @@ def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> n
 
     def pull(i: int, rows: slice) -> None:
         u = e.pullback(batch.points[rows])
-        sq_norms = (u * u).sum(axis=1)
+        sq_norms = _sq_norms(u)
         worst = math.sqrt(sq_norms.max())
         if not worst <= 1.0 + PULLBACK_SLACK:
             raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")

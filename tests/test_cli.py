@@ -624,6 +624,39 @@ class TestExitCodeDiscipline:
         assert err == "error: ValueError: the bounding box at twice its extent is not finite in float64\n"
         assert [str(w.message) for w in caught] == []
 
+    # Bounding boxes whose unscaled row norms overflow or round through subnormals.
+    EXTREME_SCALES = [
+        ("sample --radii 1e200 --method reject --count 4", "e+"),
+        ("volume --radii 1e200 --mc 10000", "verdict agree\n"),
+        ("sample --radii 1.4e154,1e150 --count 2 --format svg", "viewBox="),
+        ("volume --radii 1e-200 --mc 10000", "verdict agree\n"),
+        ("volume --radii 1e-160 --mc 10000", "verdict agree\n"),
+        ("check --radii 1e-170 --count 1000 --method reject --tests ks", '"pass": true'),
+    ]
+
+    @pytest.mark.parametrize("argv, marker", EXTREME_SCALES, ids=[a for a, _ in EXTREME_SCALES])
+    def test_box_is_exact_at_extreme_scales(self, argv, marker, capsys):
+        code, out, err = run([*argv.split(), "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert marker in out
+        assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ({"dim": 2.7, "radii": [1, 2]}, "spec requires an integer 'dim', got 2.7"),
+            ({"dim": "2", "radii": [1, 2]}, "spec requires an integer 'dim', got '2'"),
+            ({"dim": True, "radii": [1]}, "spec requires an integer 'dim', got True"),
+            ([1, 2], "spec must be a mapping, got list"),
+        ],
+        ids=["float-dim", "str-dim", "bool-dim", "list-spec"],
+    )
+    def test_malformed_spec_is_exit_2(self, spec, error, capsys, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(["volume", "--spec", str(path), "--seed", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: ValueError: {error}\n")
+
     # Each size is far past the address space, so nothing is ever allocated.
     @pytest.mark.parametrize(
         "argv",

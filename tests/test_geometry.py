@@ -18,7 +18,7 @@ from ellipsample import (
     random_rotation,
     unit_ball_volume,
 )
-from ellipsample.geometry import MEMBERSHIP_SLACK
+from ellipsample.geometry import MEMBERSHIP_SLACK, _row_norms
 from ellipsample.sampling import CHUNK_SIZE
 from ellipsample.validation import PULLBACK_SLACK
 from helpers import dense_shape, rand_ball_point, rand_ellipsoid
@@ -250,7 +250,7 @@ class TestTransforms:
         e = Ellipsoid.from_radii_rotation([2.0, 1.0], np.eye(2), np.zeros(2))
         assert e.contains([2.0, 0.0])  # boundary point on the major axis
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 64])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 10, 64])
     def test_contains_agrees_with_contains_many_at_boundary(self, n):
         # the unit ball pulls back exactly one by one and in a block, so
         # the membership rule alone decides points a few ulps off its edge
@@ -263,7 +263,7 @@ class TestTransforms:
         assert 0 < one_by_one.sum() < len(pts)
         np.testing.assert_array_equal(one_by_one, ball.contains_many(pts))
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 17, 33, 64])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 10, 17, 33, 64])
     def test_contains_agrees_with_contains_many_at_rotated_boundary(self, n):
         # a general ellipsoid pulls back inexactly, so a point within a few
         # ulps of its edge gets one verdict only if both paths round alike
@@ -452,6 +452,36 @@ class TestBoundingHalfwidths:
             x = e.forward(u)
             assert abs(x[i] - e.centre[i]) == pytest.approx(w[i], rel=1e-12)
 
+    def test_equals_the_unscaled_norm_where_its_squares_are_normal(self):
+        rng = RngStream(57)
+        for trial in range(400):
+            n = 1 + trial % 64
+            # entries within 1e+-100 square to normal floats; 10^+-(200/n) keeps
+            # |det| inside float64, so every shape is accepted
+            top = min(100.0, 200.0 / n)
+            scale = 10.0 ** ((2.0 * float(rng.derive(trial).uniforms(1)[0]) - 1.0) * top)
+            shape = scale * np.asarray(rng.derive(1000 + trial).normals((n, n)))
+            e = Ellipsoid.from_shape(shape, np.zeros(n))
+            np.testing.assert_array_equal(
+                e.bounding_halfwidths(), np.sqrt((e.shape * e.shape).sum(axis=1))
+            )
+
+    def test_one_radius_is_its_own_halfwidth_at_every_scale(self):
+        for j in range(-300, 301):
+            r = 10.0**j
+            assert Ellipsoid.from_shape([[r]], [0.0]).bounding_halfwidths()[0] == r
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_power_of_two_scaling_is_exact(self, n):
+        # Past n = 1 the determinant of these shapes leaves float64, so the
+        # ellipsoid is refused; bounding_halfwidths is _row_norms of its shape.
+        shape = dense_shape(n)
+        w = _row_norms(shape)
+        for k in (-600, -500, 500, 600):
+            np.testing.assert_array_equal(_row_norms(np.ldexp(shape, k)), np.ldexp(w, k))
+        e = Ellipsoid.from_shape(shape, np.zeros(n))
+        np.testing.assert_array_equal(e.bounding_halfwidths(), w)
+
 
 class TestSpecParsing:
     def test_shape_form(self):
@@ -495,6 +525,10 @@ class TestSpecParsing:
     def test_invalid_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             Ellipsoid.from_spec(spec)
+
+    @pytest.mark.parametrize("dim", [np.int64(2), np.int32(2), np.uint8(2)], ids=repr)
+    def test_numpy_integer_dim_accepted(self, dim):
+        assert Ellipsoid.from_spec({"dim": dim, "radii": [2.0, 1.0]}).dim == 2
 
     def test_provenance_round_trip(self):
         e = rand_ellipsoid(3, RngStream(66))
