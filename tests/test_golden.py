@@ -119,6 +119,12 @@ CASES = {
         0,
         "26f1d8f5dcb5cbfac0ced019dd37a74e885b1154b85d54d366320e64bb19e970",
     ),
+    # About 236k box proposals in one block, tested in 2048-row pieces.
+    "sample-reject-8d-pieces": (
+        "sample --dim 8 --method reject --count 3000 --seed 4 --format json",
+        0,
+        "b969d86f9f150ac782ddb78c3bb28849e73126dfca3053f0504d873957e10a12",
+    ),
     # Dense shapes at dimensions where BLAS kernels round differently.
     "sample-dense-17d": (
         "sample --shape {D17} --count 16384 --seed 21 --format json",
@@ -151,6 +157,12 @@ CASES = {
         "volume --radii 2,1 --seed 1 --mc 300000",
         0,
         "be59e3722629389a84f8b658b45cf04ae95107db2bce099604e13e67458acdff",
+    ),
+    # Past one _MC_CHUNK at 12 dimensions, in 1365-row pieces.
+    "volume-mc-12d-pieces": (
+        "volume --dim 12 --seed 5 --mc 300000",
+        0,
+        "ba9cf65f71f0467d1734dba6e0a8ecf195dc68bd14a09250d78d4a477958a8ce",
     ),
     "volume-quadratic": (
         "volume --quadratic {Q} --seed 1",
