@@ -28,7 +28,9 @@ import numpy as np
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import check_dim, parse_matrix_text
-from .sampling import RngStream, SampleBatch, _check_request, _chunk_results, sample_batch
+from .sampling import (
+    PIECE_FLOATS, RngStream, SampleBatch, _check_request, _chunk_results, sample_batch,
+)
 from .validation import (
     _check_ks_count,
     _uniformity_bins,
@@ -48,8 +50,6 @@ _CHECK_NAMES = ("chi2", "ks", "identity")
 _IDENTITY_TRIALS = 20
 # Child-stream index for the identity check; far above any batch chunk index.
 _IDENTITY_STREAM = 2**31 - 1
-# Floats per rendered chunk: one CHUNK_SIZE chunk of 2-d points.
-_RENDER_FLOATS = 16384
 
 class ConfigError(Exception):
     """Invalid command-line configuration; maps to exit code 2."""
@@ -419,8 +419,8 @@ def cmd_sample(args) -> int:
     def render(i: int, rows: slice) -> bytes:
         return _format_rows(batch.points[rows], rows.start, *layout).encode()
 
-    # Chunks of a fixed number of floats bound the formatter's arrays at any dimension.
-    with _chunk_results(batch.count, render, _RENDER_FLOATS // e.dim) as chunks:
+    # Each rendered chunk is one piece, which bounds the formatter's arrays at any dimension.
+    with _chunk_results(batch.count, render, PIECE_FLOATS // e.dim) as chunks:
         _emit(itertools.chain([head.encode()], chunks, [tail.encode()]), args.out)
     return EXIT_OK
 

@@ -85,6 +85,13 @@ def _block_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+def _finite(volume: float, what: str) -> float:
+    """``volume``, or OverflowError if it is past float64's range."""
+    if not math.isfinite(volume):
+        raise OverflowError(f"the {what} overflows float64")
+    return volume
+
+
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
     """||row||^2 of each row along the last axis: the one squared-norm reduction.
 
@@ -338,8 +345,11 @@ class Ellipsoid:
         return _sq_norms(self.pullback(points)) <= (1.0 + MEMBERSHIP_SLACK) ** 2
 
     def volume(self) -> float:
-        """Volume of the membership set: unit-ball volume times |det shape|."""
-        return unit_ball_volume(self.dim) * self.abs_det_shape
+        """Volume of the membership set: unit-ball volume times |det shape|.
+
+        One past float64's range is an OverflowError, never inf.
+        """
+        return _finite(unit_ball_volume(self.dim) * self.abs_det_shape, "volume")
 
     def pdf(self, x) -> float:
         """Uniform density over the ellipsoid: 1 / volume inside, 0 outside."""
@@ -358,8 +368,9 @@ class Ellipsoid:
         return _row_norms(self.shape)
 
     def box_volume(self) -> float:
-        """Volume of the bounding box of ``bounding_halfwidths``."""
-        return float(np.prod(2.0 * self.bounding_halfwidths()))
+        """Volume of the bounding box of ``bounding_halfwidths``; OverflowError as ``volume``."""
+        with np.errstate(over="ignore"):
+            return _finite(float(np.prod(2.0 * self.bounding_halfwidths())), "bounding-box volume")
 
     def spec_dict(self) -> dict:
         """Resolved provenance spec; feeding it to from_spec rebuilds this ellipsoid."""

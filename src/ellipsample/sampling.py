@@ -23,6 +23,12 @@ on one thread per usable CPU.  A chunk writes only its own rows and every
 reduction across chunks is an integer sum, so the bytes do not depend on
 the thread count.  Nothing configures it: one usable CPU runs every chunk
 inline, with no pool.
+
+Each task does its numpy work in pieces of at most PIECE_FLOATS floats
+(``_pieces``), so a thread's temporaries stay near 128 KiB at any
+dimension, and the peak is the output plus O(threads x 128 KiB).  A
+stream's variates do not depend on how a read is split, and the affine
+maps work in fixed row blocks, so the pieces move no bits.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ MAX_DRAWS = 10**9
 
 # Fixed batch chunking; one derived stream per chunk index.
 CHUNK_SIZE = 8192
+
+# A chunk task's working set: its numpy temporaries hold at most this many floats each.
+PIECE_FLOATS = 16384
 
 # Memory cap for a single vectorized rejection proposal block.
 _MAX_PROPOSALS = 500_000
@@ -104,9 +113,11 @@ def _chunk_results(count: int, fn: Callable, size: int = CHUNK_SIZE) -> Iterator
     """fn(i, rows) for each chunk i, in chunk order; rows is the slice of chunk i of range(count).
 
     ``fn`` must depend only on i and its own rows, and its numpy work should
-    release the interpreter lock.  The chunks run on one thread per usable
-    CPU, at most one per chunk, with at most two chunks per thread in flight,
-    so a slow consumer holds the threads back instead of piling up results.
+    release the interpreter lock and go in PIECE_FLOATS pieces (``_pieces``),
+    so each thread's temporaries stay that small.  The chunks run on one
+    thread per usable CPU, at most one per chunk, with at most two chunks
+    per thread in flight, so a slow consumer holds the threads back instead
+    of piling up results.
     On one usable CPU, and for one chunk, they run inline, with no pool.
     Nothing configures it.
 
@@ -138,6 +149,13 @@ def _chunk_results(count: int, fn: Callable, size: int = CHUNK_SIZE) -> Iterator
         pool.shutdown(cancel_futures=True)
 
 
+def _pieces(rows: slice, dim: int) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` of at most PIECE_FLOATS // dim rows each."""
+    step = PIECE_FLOATS // dim
+    starts = range(rows.start, rows.stop, step)
+    return (slice(start, min(start + step, rows.stop)) for start in starts)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Points plus the provenance needed to regenerate them exactly."""
@@ -162,14 +180,22 @@ class SampleBatch:
         return self.points.shape[0]
 
 
-def _ball_chunk(n: int, m: int, rng: RngStream, radius_exponent: float) -> np.ndarray:
+def _ball_chunk(
+    n: int, m: int, rng: RngStream, radius_exponent: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """m points of the unit n-ball: Gaussian directions, radii u**radius_exponent.
 
     Exponent 1/n gives the uniform law; exponent 1 gives the centre-biased
     negative control.  A Gaussian vector with exactly zero norm is redrawn.
+    Written into ``out`` (a new array if None, else an (m, n) array), a
+    piece at a time; the stream is read in the order of one whole draw: all
+    normals, then the redraws, then the uniforms.
     """
-    g = np.asarray(rng.normals((m, n)), dtype=float)
-    norms = np.linalg.norm(g, axis=1)
+    g = np.empty((m, n)) if out is None else out
+    norms = np.empty(m)
+    for piece in _pieces(slice(0, m), n):
+        g[piece] = rng.normals((piece.stop - piece.start, n))
+        norms[piece] = np.linalg.norm(g[piece], axis=1)
     while (stuck := norms == 0.0).any():
         g[stuck] = rng.normals((int(stuck.sum()), n))
         norms[stuck] = np.linalg.norm(g[stuck], axis=1)
@@ -184,29 +210,30 @@ def _box_proposals(e: Ellipsoid, k: int, rng: RngStream) -> np.ndarray:
 
 
 def _box_rejection_chunk(
-    e: Ellipsoid, m: int, rng: RngStream, rate: float
+    e: Ellipsoid, m: int, rng: RngStream, rate: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """m ellipsoid points by rejection from the bounding box.
+    """m ellipsoid points by rejection from the bounding box, written into ``out`` as _ball_chunk.
 
     The expected acceptance ``rate``, volume / box volume, only sizes the
-    proposal blocks.  Returns (points, attempts, accepted); accepted counts
-    every proposal that landed inside, including surplus beyond m, so
-    accepted/attempts is an unbiased binomial estimate of that rate.
+    proposal blocks; each block is drawn and tested a piece at a time.
+    Returns (points, attempts, accepted); accepted counts every proposal
+    that landed inside, including surplus beyond m, so accepted/attempts is
+    an unbiased binomial estimate of that rate.
     """
-    out = np.empty((m, e.dim))
+    out = np.empty((m, e.dim)) if out is None else out
     filled = 0
     attempts = 0
     accepted = 0
     while filled < m:
-        need = m - filled
-        draw = min(_MAX_PROPOSALS, max(16, int(1.25 * need / rate) + 1))
-        props = _box_proposals(e, draw, rng)
-        keep = props[e.contains_many(props)]
-        take = min(need, keep.shape[0])
-        out[filled : filled + take] = keep[:take]
-        filled += take
+        draw = min(_MAX_PROPOSALS, max(16, int(1.25 * (m - filled) / rate) + 1))
+        for piece in _pieces(slice(0, draw), e.dim):
+            props = _box_proposals(e, piece.stop - piece.start, rng)
+            keep = props[e.contains_many(props)]
+            take = min(m - filled, keep.shape[0])
+            out[filled : filled + take] = keep[:take]
+            filled += take
+            accepted += keep.shape[0]
         attempts += draw
-        accepted += keep.shape[0]
     return out, attempts, accepted
 
 
@@ -261,14 +288,16 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     root = RngStream(seed)
     points = np.empty((count, e.dim))
 
-    # The only branch on the method: box rejection, or ball points mapped
-    # straight into the chunk's rows by Ellipsoid._ball_image.
+    # The only branch on the method: box rejection, or ball points drawn into
+    # the chunk's rows and mapped there by Ellipsoid._ball_image, a piece at a time.
     def fill(i: int, rows: slice) -> None:
         out = points[rows]
         if method == "ellipsoid_rejection":
-            out[:] = _box_rejection_chunk(e, len(out), root.derive(i), rate)[0]
-        else:
-            e._ball_image(_ball_chunk(e.dim, len(out), root.derive(i), exponent), out=out)
+            _box_rejection_chunk(e, len(out), root.derive(i), rate, out=out)
+            return
+        _ball_chunk(e.dim, len(out), root.derive(i), exponent, out=out)
+        for piece in _pieces(slice(0, len(out)), e.dim):
+            e._ball_image(out[piece].copy(), out=out[piece])
 
     with _chunk_results(count, fill) as filled:
         list(filled)

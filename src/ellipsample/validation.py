@@ -8,9 +8,10 @@ radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
 A test keeps one number per point: ||u||^2 for KS, the bin index for
-chi-square.  So each test pulls each point back once, in CHUNK_SIZE-row
-blocks on the threads of ``sampling._chunk_results``, and keeps only that.
-That is bit-identical to one pull-back of the whole batch:
+chi-square.  So each test pulls each point back once, chunk by chunk on the
+threads of ``sampling._chunk_results``, each chunk in PIECE_FLOATS pieces,
+and keeps only that.  That is bit-identical to one pull-back of the whole
+batch:
 ``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
 row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
 not depend on how many rows come with it.
@@ -34,7 +35,7 @@ from .geometry import Ellipsoid, _sq_norms, unit_ball_volume
 from .linalg import check_dim
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
-    _chunk_results,
+    _chunk_results, _pieces,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -129,9 +130,9 @@ def _bin_index(u: np.ndarray, sq_norms: np.ndarray, shells: int) -> np.ndarray:
 
 
 def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> np.ndarray:
-    """||u||^2 of each point, or with ``shells`` its bin; pulled back in CHUNK_SIZE-row blocks.
+    """||u||^2 of each point, or with ``shells`` its bin; pulled back a piece at a time.
 
-    A chunk whose largest norm exceeds 1 + PULLBACK_SLACK, or is NaN, raises
+    A piece whose largest norm exceeds 1 + PULLBACK_SLACK, or is NaN, raises
     PointOutsideEllipsoid before it is binned.
     """
     if batch.dim != e.dim:
@@ -139,12 +140,15 @@ def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> n
     out = np.empty(batch.count, dtype=float if shells is None else np.int64)
 
     def pull(i: int, rows: slice) -> None:
-        u = e.pullback(batch.points[rows])
-        sq_norms = _sq_norms(u)
-        worst = math.sqrt(sq_norms.max())
-        if not worst <= 1.0 + PULLBACK_SLACK:
-            raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}")
-        out[rows] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
+        for piece in _pieces(rows, e.dim):
+            u = e.pullback(batch.points[piece])
+            sq_norms = _sq_norms(u)
+            worst = math.sqrt(sq_norms.max())
+            if not worst <= 1.0 + PULLBACK_SLACK:
+                raise PointOutsideEllipsoid(
+                    f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}"
+                )
+            out[piece] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
 
     with _chunk_results(batch.count, pull) as pulled:
         list(pulled)
@@ -264,15 +268,14 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
         raise ValueError(f"at most {MAX_DRAWS} draws are supported, got {count}")
     box_volume = e.box_volume()
 
-    # Chunk i's draws come from the child stream derive(i), read in CHUNK_SIZE-row
-    # blocks; a stream's uniforms do not depend on how a read is split, so these
-    # are the draws of one read of the whole chunk, in a CHUNK_SIZE working set.
+    # Chunk i's draws come from the child stream derive(i), read a piece at a
+    # time; a stream's uniforms do not depend on how a read is split, so these
+    # are the draws of one read of the whole chunk.
     def inside(i: int, rows: slice) -> int:
         stream = rng.derive(i)
-        size = rows.stop - rows.start
         return sum(
-            int(e.contains_many(_box_proposals(e, min(CHUNK_SIZE, size - start), stream)).sum())
-            for start in range(0, size, CHUNK_SIZE)
+            int(e.contains_many(_box_proposals(e, piece.stop - piece.start, stream)).sum())
+            for piece in _pieces(rows, e.dim)
         )
 
     # _MC_CHUNK fixes which draws each child stream makes, so the estimate's bytes.

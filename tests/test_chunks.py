@@ -112,6 +112,38 @@ def test_mc_volume_working_set_is_a_few_blocks_per_thread(monkeypatch):
     assert peak < 20e6
 
 
+def traced_peak(argv, capsys) -> tuple[int, int]:
+    """The traced peak bytes of main(argv), which must succeed, and the length of its output."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, len(capsys.readouterr().out)
+
+
+def test_check_working_set_does_not_grow_with_the_thread_count(monkeypatch, capsys):
+    argv = "check --dim 64 --count 65536 --seed 3 --tests ks".split()
+    peaks = []
+    for workers in (2, 7):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
+        peaks.append(traced_peak(argv, capsys)[0])
+    # A whole 8192 x 64 chunk's temporaries are about 5 MB per thread; a piece's, a few 128 KiB.
+    assert (peaks[1] - peaks[0]) / 5 < 1e6
+
+
+def test_box_rejection_working_set_is_a_few_pieces(monkeypatch, capsys):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+    argv = "sample --dim 8 --method reject --count 3000 --seed 4".split()
+    peak, out = traced_peak(argv, capsys)
+    # About 236k proposals in one block: 15 MB as one array, before its
+    # temporaries.  Pieced, sampling takes under 2 MB, and the two chunks of
+    # text rendered at once about 3 MB.
+    assert peak < out + 8e6
+
+
 @pytest.mark.parametrize("workers", [1, 2, 7])
 def test_results_come_back_in_chunk_order(workers, monkeypatch):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)

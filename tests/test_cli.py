@@ -612,6 +612,25 @@ class TestExitCodeDiscipline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            ("volume --radii 1e154,1e154", "volume"),
+            ("volume --radii 1e154,1e154 --mc 10000", "volume"),
+            ("sample --radii 1e154,1e154 --method reject --count 4", "volume"),
+            ("check --radii 1e154,1e154 --method reject --count 1000", "volume"),
+            ("volume --radii 1e154,0.5e154 --mc 10000", "bounding-box volume"),
+        ],
+    )
+    def test_volume_past_float64_is_exit_2_without_warnings(self, argv, what, capsys):
+        # The points are finite, but the volume (or the box's) is not.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([*argv.split(), "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: OverflowError: the {what} overflows float64\n"
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("command", ["sample", "check", "volume"])
     def test_points_past_float64_are_exit_2_without_warnings(self, command, capsys):
         # sample would write inf and check would warn before exit 3 without the

@@ -294,7 +294,7 @@ class TestRadialKs:
 
 
 class TestChunkedPullBack:
-    """The tests pull back in CHUNK_SIZE-row blocks; a partial last block included."""
+    """The tests pull back chunk by chunk, in pieces; a partial last chunk included."""
 
     COUNT = 3 * CHUNK_SIZE + 5
 

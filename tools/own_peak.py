@@ -1,0 +1,73 @@
+"""Wall time, CPU time and own peak memory of one ``python -m ellipsample`` run.
+
+Runs ``python -m ellipsample ARGS`` on the package under this repository's
+``src/`` and prints one line, for example:
+
+    wall_s 0.594 cpu_s 0.925 own_peak_mb 161.8 exit 0
+
+``own_peak_mb`` is the child's own VmHWM, read from /proc/self/status in an
+atexit hook and sent back through a pipe.  Unlike ``ru_maxrss`` from
+``wait4``, it never reports the parent's RSS at fork time, so it can read
+below the RSS of a large parent.  ``cpu_s`` is the child's user plus system
+time from ``wait4``.  The command's standard output is discarded (give
+``--out`` to keep it); its standard error passes through.  Linux only;
+standard library only.  Run from anywhere:
+
+    python3 tools/own_peak.py sample --dim 2 --count 1000000 --seed 3 --out points.csv
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The child: report VmHWM at exit, then run the package as ``python -m`` would.
+_CHILD = """
+import atexit, os, runpy, sys
+
+def report(fd=int(os.environ.pop("OWN_PEAK_FD"))):
+    with open("/proc/self/status") as fh:
+        os.write(fd, next(line for line in fh if line.startswith("VmHWM:")).encode())
+
+atexit.register(report)
+sys.argv[0] = "ellipsample"
+runpy.run_module("ellipsample", run_name="__main__", alter_sys=True)
+"""
+
+
+def run(args: list[str]) -> tuple[float, float, float, int]:
+    """(wall s, cpu s, own peak MB, exit code) of ``python -m ellipsample`` with ``args``."""
+    read, write = os.pipe()
+    env = dict(os.environ, OWN_PEAK_FD=str(write))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CHILD, *args], stdout=subprocess.DEVNULL, env=env, pass_fds=(write,)
+    )
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        line = fh.read().decode()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # "VmHWM:   161800 kB"; empty if the child died before its exit hooks ran.
+    peak = int(line.split()[1]) * 1024 / 1e6 if line else float("nan")
+    return wall, usage.ru_utime + usage.ru_stime, peak, proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if not argv or argv[0] in ("-h", "--help"):
+        print(__doc__.strip())
+        return 0 if argv else 2
+    wall, cpu, peak, code = run(argv)
+    print(f"wall_s {wall:.3f} cpu_s {cpu:.3f} own_peak_mb {peak:.1f} exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
