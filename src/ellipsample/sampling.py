@@ -25,8 +25,8 @@ the thread count.  Nothing configures it: one usable CPU runs every chunk
 inline, with no pool.
 
 Each task does its numpy work in pieces of at most PIECE_FLOATS floats
-(``_pieces``), so a thread's temporaries stay near 128 KiB at any
-dimension, and the peak is the output plus O(threads x 128 KiB).  A
+(``_pieces``), so a thread's temporaries are a small multiple of 128 KiB at
+any dimension, and the peak is the output plus O(threads x 128 KiB).  A
 stream's variates do not depend on how a read is split, and the affine
 maps work in fixed row blocks, so the pieces move no bits.
 """
