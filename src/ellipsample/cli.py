@@ -9,7 +9,11 @@ identical command lines produce byte-identical output.
 
 ``sample`` formats every float it writes with ``_format_rows``, renders
 its chunks on the threads of ``sampling._chunk_results`` and writes them
-with ``_emit``.
+with ``_emit``.  Each rendering thread keeps one ``_Workspace``, sized to a
+PIECE_FLOATS piece and allocated on its first call: every numpy call of
+the render writes a whole piece into it with ``out=``, so a steady render
+allocates only its text, and memory is not handed back to the OS and
+faulted in again chunk after chunk.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import math
 import os
 import sys
+import threading
 from collections.abc import Iterable
 
 import numpy as np
@@ -190,6 +195,11 @@ def resolve_ellipsoid(args) -> Ellipsoid:
 # shorter candidate is tried from s >= 10 (Java: 100), or 8e-323 would print
 # as 7.9e-323, and subnormals take no C_TINY case (Java's 4.9E-324 is repr's
 # 5e-324).
+#
+# Every numpy call below writes a whole piece into a thread's workspace
+# with ``out=`` (or an in-place operator), so rendering a piece allocates
+# nothing but its text.  Each np.take passes mode="clip", as the default
+# mode copies ``out`` before writing it; every index is in range.
 
 _K_MIN = -324
 _M32 = 0xFFFFFFFF
@@ -205,67 +215,344 @@ def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
     for k in range(_K_MIN, 293):
         shift = 125 - ((-k * 913_124_641_741) >> 38)
         table.append((10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0)) + 1)
-    return np.array([(g >> 63, g & _M63) for g in table], np.uint64).T
+    return np.array([g >> 63 for g in table], np.uint64), np.array([g & _M63 for g in table], np.uint64)
 
 
 _G1, _G0 = _pow10_table()
-_POW10 = np.array([10**i for i in range(18)], np.uint64)
 
 
-def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a * b of uint64 arrays, from 32-bit halves."""
-    a_lo, a_hi, b_lo, b_hi = a & _M32, a >> 32, b & _M32, b >> 32
-    cross_a, cross_b = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> 32) + (cross_a & _M32) + (cross_b & _M32)
-    return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+def _mul_hi(a_lo, a_hi, b_lo, b_hi, out, t, u) -> None:
+    """out = the high 64 bits of each 128-bit product a * b, from 32-bit halves; t and u are scratch."""
+    np.multiply(a_lo, b_lo, out=out)
+    out >>= 32
+    np.multiply(a_hi, b_lo, out=t)
+    np.bitwise_and(t, _M32, out=u)
+    out += u
+    np.multiply(a_lo, b_hi, out=u)
+    out += u  # below 2^64: at most 2^32 + (2^32 - 1) 2^32
+    out >>= 32
+    t >>= 32
+    out += t
+    np.multiply(a_hi, b_hi, out=u)
+    out += u
 
 
-def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """g cp / 2^127 rounded down, with its lowest bit set if anything was dropped (Java's rop)."""
-    z = (g1 * cp >> 1) + _mul_hi(g0, cp)
-    return (_mul_hi(g1, cp) + (z >> 63)) | ((z & _M63) != 0)
+def _round_to_odd(g, cp, out, c_lo, c_hi, t, u) -> None:
+    """out = g cp / 2^127 rounded down, with its lowest bit set if anything was dropped (Java's rop).
+
+    g is (g1, g1's low and high halves, g0's low and high halves); cp is
+    overwritten, and c_lo, c_hi, t and u are scratch.
+    """
+    g1, g1_lo, g1_hi, g0_lo, g0_hi = g
+    np.bitwise_and(cp, _M32, out=c_lo)
+    np.right_shift(cp, 32, out=c_hi)
+    z = cp
+    z *= g1
+    z >>= 1
+    _mul_hi(g0_lo, g0_hi, c_lo, c_hi, out, t, u)
+    z += out
+    _mul_hi(g1_lo, g1_hi, c_lo, c_hi, out, t, u)
+    np.right_shift(z, 63, out=t)
+    out += t
+    z &= _M63
+    np.minimum(z, 1, out=z)
+    out |= z
 
 
-def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, k) such that f 10^k is the decimal repr writes for each finite |x|.
+def _shortest(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k) such that f 10^k is the decimal repr writes for each finite |x|, x = u[0] as float64.
 
     That is the shortest decimal that reads back as |x|, and of those the
     closest to it (the even one on a tie).  Zero gives f = 0 and k = 1.
+    f (uint64) and k (int64) are views of rows of ``u``, whose rows 1-20 are
+    scratch.
     """
-    bits = x.view(np.uint64)
-    biased = (bits >> 52) & 0x7FF
-    t = bits & ((1 << 52) - 1)
-    normal = biased != 0
-    # |x| = c 2^q; a zero gets c = 1, and its f is set at the end.
-    c = np.where(normal, t | (1 << 52), t)
-    zero = c == 0
-    c |= zero
-    q = biased.astype(np.int64) + ~normal - 1075
+    bits = u[0]
+    c, q, k, h, g1, g0, g1_lo, g1_hi, g0_hi, c_lo, c_hi, cp, m0, m1, t0, t1, vbl, vbr, vb = u[1:20]
+    qi, ki, hi = q.view(np.int64), k.view(np.int64), h.view(np.int64)
+    zero, irregular = u[20].view(bool).reshape(8, -1)[:2]
+    # |x| = c 2^q; a zero gets c = 1, and its f and k are set at the end.
+    np.right_shift(bits, 52, out=q)
+    q &= 0x7FF
+    np.bitwise_and(bits, (1 << 52) - 1, out=c)
     # Above a power of two the interval is twice as wide as below it.
-    irregular = (t == 0) & (biased > 1)
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
-    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
+    np.equal(c, 0, out=irregular)
+    np.greater(q, 1, out=zero)
+    irregular &= zero
+    np.minimum(q, 1, out=t0)
+    t0 <<= 52
+    c |= t0
+    np.equal(c, 0, out=zero)
+    np.maximum(c, 1, out=c)
+    np.maximum(q, 1, out=q)
+    qi -= 1075
+    np.multiply(qi, 661_971_961_083, out=ki)
+    np.subtract(ki, 274_743_187_321, out=ki, where=irregular)
+    ki >>= 41
+    np.multiply(ki, -913_124_641_741, out=hi)
+    hi >>= 38
+    hi += qi
+    hi += 2
+    np.subtract(ki, _K_MIN, out=t0.view(np.int64))
+    np.take(_G1, t0.view(np.int64), out=g1, mode="clip")
+    np.take(_G0, t0.view(np.int64), out=g0, mode="clip")
+    np.bitwise_and(g1, _M32, out=g1_lo)
+    np.right_shift(g1, 32, out=g1_hi)
+    np.right_shift(g0, 32, out=g0_hi)
+    g0 &= _M32
+    g = (g1, g1_lo, g1_hi, g0, g0_hi)
     # 4 x 10^-k at the point and the interval's ends, which count iff c is even.
-    out = c & 1
-    cb = c << 2
-    vb = _round_to_odd(g1, g0, cb << h)
-    vbl = _round_to_odd(g1, g0, (cb - 2 + irregular) << h)
-    vbr = _round_to_odd(g1, g0, (cb + 2) << h)
-    s = vb >> 2
-    sp10 = s // 10 * 10
-    upin = vbl + out <= sp10 << 2
-    wpin = (sp10 + 10 << 2) + out <= vbr
-    uin = vbl + out <= s << 2
-    win = (s + 1 << 2) + out <= vbr
-    mid = (s << 2) + 2
-    # One digit fewer if exactly one multiple of 10 next to s is inside; else s
-    # or s + 1, whichever alone is inside, or is closer, or is even.
-    pick_s = np.where(uin != win, uin, (vb < mid) | (vb == mid) & (s & 1 == 0))
-    f = np.where((s >= 10) & (upin != wpin), sp10 + ~upin * np.uint64(10), s + ~pick_s)
-    f[zero] = 0
-    k[zero] = 1
-    return f, k
+    np.left_shift(c, 2, out=t0)
+    np.left_shift(t0, h, out=cp)
+    _round_to_odd(g, cp, vb, c_lo, c_hi, m0, m1)
+    np.subtract(t0, 2, out=cp)
+    np.add(cp, 1, out=cp, where=irregular)
+    cp <<= h
+    _round_to_odd(g, cp, vbl, c_lo, c_hi, m0, m1)
+    np.add(t0, 2, out=cp)
+    cp <<= h
+    _round_to_odd(g, cp, vbr, c_lo, c_hi, m0, m1)
+    c &= 1
+    vbl += c
+    vbr -= c
+    # Below, (a - b) >> 63 is 1 iff a < b, as every value is far below 2^63.
+    # s or s + 1, whichever alone is inside, or else the closer, or the even
+    # one: vb & 7 holds s's parity and the two bits below s, and 0xC8 lists
+    # those for which s + 1 wins.
+    s, f, out, far = q, c_lo, c_hi, m0
+    np.right_shift(vb, 2, out=s)
+    np.left_shift(s, 2, out=t0)
+    np.subtract(t0, vbl, out=out)
+    out >>= 63
+    np.subtract(vbr, t0, out=t0)
+    t0 -= 4
+    t0 >>= 63
+    np.bitwise_and(vb, 7, out=far)
+    np.right_shift(np.uint64(0xC8), far, out=far)
+    far &= 1
+    # far, unless exactly one of s (out == 0) and s + 1 (t0 == 0) is inside.
+    t0 ^= out
+    out ^= far
+    t0 &= out
+    far ^= t0
+    np.add(s, far, out=f)
+    # One digit fewer if s >= 10 and exactly one multiple of 10 next to s is
+    # inside: sp10 if it is the lower one, else sp10 + 10.
+    sp10, one, pick = t0, t1, out
+    np.floor_divide(s, 10, out=sp10)
+    sp10 *= 10
+    np.left_shift(sp10, 2, out=one)
+    np.subtract(one, vbl, out=out)
+    out >>= 63
+    np.subtract(vbr, one, out=one)
+    one -= 40
+    one >>= 63
+    one ^= out
+    np.subtract(s, 10, out=far)
+    far >>= 63
+    far ^= 1
+    one &= far
+    pick *= 10
+    pick += sp10
+    pick -= f
+    pick *= one
+    f += pick
+    np.copyto(f, 0, where=zero)
+    np.copyto(ki, 1, where=zero)
+    return f, ki
+
+
+# A float's byte columns, 8 to a word: the sign and the "0.000" of a small
+# number (word 0), its 17 digits with a zero inserted where the point goes
+# (18 columns from 8), the exponent (from 26) and, from column 31, the
+# template's text up to the next float.
+_DIGIT_COL, _EXP_COL, _TEXT_COL = 8, 26, 31
+_POW10 = 10 ** np.arange(19)
+# Decimal exponents of finite doubles: 5e-324 is 0.5 10^-323, 1.8e308 is 0.18 10^309.
+_DECPT_MIN, _DECPT_MAX = -323, 309
+
+
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """The int64 tables ``_format_piece`` lays a float out with.
+
+    ``digits``: the values of a group of 4 digits, one to a byte.
+    ``ends``: for a group at each position (starting at digit column 0, 4,
+    8, 12 and 14), the column after its last nonzero digit, or 0.  Per
+    decimal exponent: ``classes``, its layout class times 38; ``divisors``,
+    10 to the number of digits after the point column; ``exponents``, its
+    exponent bytes in word 3.  ``layout``: per layout class, end column and
+    sign, the words 0-3 of the sign, "0.000", the digit columns' "0" and
+    the point.
+    """
+    # Digits a, b, c, d of the groups 0000-9999, and the column after the
+    # last nonzero one, counted from the group's start (narrow types: this
+    # runs at import).
+    a, b, c, d = np.ix_(*[np.arange(10)] * 4)
+    digits = (a | b << 8 | c << 16 | d << 24).ravel()
+    last = np.maximum(np.maximum((a > 0) * np.int8(1), (b > 0) * np.int8(2)),
+                      np.maximum((c > 0) * np.int8(3), (d > 0) * np.int8(4))).ravel()
+    starts = np.array([[0], [4], [8], [12], [14]], np.int8)
+    ends = np.where(last > 0, last + starts, np.int8(0)).ravel().astype(np.int64)
+
+    # repr is positional for -4 < decpt < 17 (class decpt + 3), else d.ddde+XX (class 20).
+    decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1)
+    fixed = (-4 < decpt) & (decpt < 17)
+    classes = np.where(fixed, decpt + 3, 20) * 38
+    divisors = 10 ** (17 - np.where(fixed, np.maximum(decpt, 0), 1))
+    e = np.abs(decpt - 1)
+    exponent = ((ord("e") << 16) + (np.where(decpt < 1, ord("-"), ord("+")) << 24)
+                + ((e >= 100) * (e // 100 + 48) << 32) + (e // 10 % 10 + 48 << 40) + (e % 10 + 48 << 48))
+    exponents = exponent * ~fixed
+
+    cls, end = np.ix_(range(21), range(19))
+    fixed, decpt = cls < 20, cls - 3
+    # How many of "0.000" to write, which digit column holds the point (or
+    # the inserted zero), whether it is a point, and where the digits stop.
+    lead = np.where(fixed & (decpt < 1), 2 - decpt, 0)[..., None]
+    point = np.where(fixed, np.maximum(decpt, 0), 1)[..., None]
+    dot = np.where(fixed, decpt >= 1, end > 2)[..., None]
+    stop = np.where(fixed & (decpt >= 1), np.maximum(end, decpt + 2), end)[..., None]
+    col = np.arange(32)
+    digit = col - _DIGIT_COL
+    row = (
+        (col - 1 < lead) * np.frombuffer(b"\0" + b"0.000" + bytes(26), np.uint8)
+        + (digit >= 0) * (digit < stop) * (digit != point) * np.uint8(ord("0"))
+        + (digit == point) * dot * np.uint8(ord("."))
+    )
+    # Then the same rows with a minus sign in column 0.
+    layout = np.stack([row, row | (col == 0) * np.uint8(ord("-"))], axis=2).reshape(-1, 32).view(np.int64)
+    return digits, ends[:40_100], classes, divisors, exponents, layout
+
+
+_DIGITS, _ENDS, _CLASSES, _DIVISORS, _EXPONENTS, _LAYOUT = _layout_tables()
+_GROUP_OFFSETS = np.arange(0, 50_000, 10_000)[:, None]
+
+
+class _Workspace(threading.local):
+    """One thread's scratch for ``_format_rows``, sized to a PIECE_FLOATS piece.
+
+    ``threading.local`` runs ``__init__`` on a thread's first use, so each
+    render thread allocates these once and every later piece writes into
+    them: 21 rows of 64-bit integers and ``cells``, the bytes a piece is
+    laid out in.  The first ``size`` bytes of ``cells`` hold the last
+    piece, laid out for the literals ``lits``; the rest are 0.
+    """
+
+    def __init__(self):
+        self.ints = np.empty(21 * PIECE_FLOATS, np.uint64)
+        self.cells = bytearray()
+        self.size = 0
+        self.lits = None
+
+    def rows(self, n: int) -> np.ndarray:
+        """The integer rows cut to n entries each and packed, so any run of rows is contiguous."""
+        return self.ints[: 21 * n].reshape(21, n)
+
+    def cells_for(self, shape: tuple[int, int], lits: list[bytes]) -> np.ndarray:
+        """The byte cells of ``shape`` floats as 64-bit words, each float's literal in place, 0 beyond."""
+        width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
+        size = shape[0] * shape[1] * width
+        # Sized to this width, as translate reads all of it.
+        if len(self.cells) != PIECE_FLOATS * width:
+            self.cells, self.size = bytearray(PIECE_FLOATS * width), 0
+        cells = np.frombuffer(self.cells, np.uint8)
+        if self.lits != lits or self.size < size:
+            text = np.array([list(lit.ljust(width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
+            cells[:size].reshape(*shape, width)[..., _TEXT_COL:] = text
+            self.lits = lits
+        # Bytes past this piece that an earlier, longer one wrote must not reach the text.
+        cells[size : self.size] = 0
+        self.size = size
+        return cells[:size].view(np.int64).reshape(-1, width // 8)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: list[bytes]) -> str:
+    """The text of each float of ``piece`` times ``factor``, each followed by its literal in ``lits``.
+
+    Each float fills a row of byte columns (see ``_DIGIT_COL``).  The 17
+    digits d0 d1 ... d16 of |x| = 0.d0d1...d16 x 10^decpt get a zero
+    inserted where the point goes (in front if nowhere), and their values,
+    four at a time from ``_DIGITS``, are or'ed with a ``_LAYOUT`` row, picked
+    by the layout class of decpt, the column after the last nonzero digit
+    and the sign, and with decpt's exponent bytes.  Columns a float does not
+    use hold 0, which one bytearray.translate drops.
+    """
+    w = _WORKSPACE
+    u = w.rows(piece.size)
+    ints = u.view(np.int64)
+    np.multiply(piece, factor, out=u[0].view(np.float64).reshape(piece.shape))
+    f, index = _shortest(u)
+    f = f.view(np.int64)
+    t, p = ints[1], ints[2]
+    # t = the length of f less one, from the bit length of max(f, 1) (so -1
+    # for a zero): floor(bit length x 1233 / 2^12) is the length or one less.
+    np.maximum(f, 1, out=t)
+    np.copyto(p.view(np.float64), t)
+    np.right_shift(p, 52, out=t)
+    t *= 1233
+    t -= 1022 * 1233
+    t >>= 12
+    np.take(_POW10, t, out=p, mode="clip")
+    np.subtract(f, p, out=p)
+    p >>= 63
+    t += p
+    # k becomes the tables' index of decpt = k + the length of f.
+    index += t
+    index += 1 - _DECPT_MIN
+    np.subtract(16, t, out=t)
+    np.take(_POW10, t, out=p, mode="clip")
+    f *= p
+    # f = d0d1...d16; with the zero inserted j digits from the end, f + 9 10^j (f // 10^j).
+    np.take(_DIVISORS, index, out=p, mode="clip")
+    np.floor_divide(f, p, out=t)
+    t *= p
+    t *= 9
+    f += t
+    # The 18 digit columns in groups of 4, 4, 4, 4 and the last 2.
+    groups, values, ends = ints[4:9], ints[11:16], ints[16:21]
+    top, low = t, p
+    np.floor_divide(f, 10**10, out=top)
+    np.multiply(top, 10**10, out=low)
+    np.subtract(f, low, out=low)
+    np.floor_divide(low, 100, out=f)
+    np.multiply(f, 100, out=groups[4])
+    np.subtract(low, groups[4], out=groups[4])
+    for i, half in ((0, top), (2, f)):
+        np.floor_divide(half, 10**4, out=groups[i])
+        np.multiply(groups[i], 10**4, out=groups[i + 1])
+        np.subtract(half, groups[i + 1], out=groups[i + 1])
+    np.take(_DIGITS, groups, out=values, mode="clip")
+    groups += _GROUP_OFFSETS
+    np.take(_ENDS, groups, out=ends, mode="clip")
+    end = ends[0]
+    for later in ends[1:]:
+        np.maximum(end, later, out=end)
+    key, sign, layout = t, p, ints[4:8].reshape(-1, 4)
+    np.take(_CLASSES, index, out=key, mode="clip")
+    end <<= 1
+    key += end
+    np.right_shift(u[0], 63, out=sign.view(np.uint64))
+    key += sign
+    np.take(_LAYOUT, key, axis=0, out=layout, mode="clip")
+
+    words = w.cells_for(piece.shape, lits)
+    np.copyto(words[:, 0], layout[:, 0])
+    for word, (a, b) in ((1, values[0:2]), (2, values[2:4])):
+        b <<= 32
+        a |= b
+        np.bitwise_or(a, layout[:, word], out=words[:, word])
+    # Word 3 keeps the literal's first byte.
+    last, kept = values[4], words[:, 3]
+    last >>= 16
+    np.take(_EXPONENTS, index, out=p, mode="clip")
+    last |= p
+    last |= layout[:, 3]
+    kept &= 0x7F << 56
+    kept |= last
+    return w.cells.translate(None, b"\0").decode()
 
 
 def _format_rows(
@@ -278,49 +565,16 @@ def _format_rows(
     is also what json.dumps writes.  A chunk after the first (``start`` > 0)
     begins with the separator.
 
-    Each float fills one row of byte columns, each with a fixed role: sign,
-    the "0.000" of a small number, 17 digits each followed by a possible
-    point, the exponent, and then the template's text up to the next float.
-    Columns a float does not use hold 0, which one bytes.translate drops.
-    The arrays this takes grow with the number of floats in ``block``.
+    The rows go through ``_format_piece`` a PIECE_FLOATS piece at a time, in
+    the calling thread's workspace, so a call of any size allocates little
+    more than its text.
     """
     first, *after = template.split("%r")
     wrap = separator + first
     after[-1] += wrap
-    x = np.ascontiguousarray(block * factor).ravel()
-    f, k = _shortest(x)
-    length = np.searchsorted(_POW10, f, side="right")
-    f *= _POW10[17 - length]
-    # |x| = 0.d1d2...d17 x 10^decpt; ndig counts the digits up to the last nonzero one.
-    hi, lo = (f // 10**8).astype(np.uint32), (f % 10**8).astype(np.uint32)
-    digits = np.empty((17, x.size), np.uint8)
-    for i in range(17):
-        digits[i] = hi // 10 ** (8 - i) % 10 if i < 9 else lo // 10 ** (16 - i) % 10
-    ndig = ((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
-    decpt = k + length
-    # repr is positional for -4 < decpt < 17, else d.ddde+XX.
-    fixed = (-4 < decpt) & (decpt < 17)
-    # How many of "0.000" to write, how many digits, and after which digit the point goes.
-    lead = np.where(fixed & (decpt < 1), 2 - decpt, 0).astype(np.uint8)
-    shown = np.where(fixed, np.maximum(ndig, decpt + 1), ndig).astype(np.uint8)
-    point = np.where(fixed, decpt, ndig > 1).astype(np.int8)
-    e = np.abs(decpt - 1)
-    d0 = ord("0")
-    exponent = [np.full(x.size, ord("e")), np.where(decpt < 1, ord("-"), ord("+")),
-                (e >= 100) * (e // 100 + d0), e // 10 % 10 + d0, e % 10 + d0]
-
-    lits = [np.frombuffer(piece.encode(), np.uint8) for piece in after]
-    cells = np.zeros((x.size, 44 + max(map(len, lits))), np.uint8)
-    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    small = np.frombuffer(b"0.000", np.uint8)
-    cells[:, 1:6] = small * (np.arange(5, dtype=np.uint8) < lead[:, None])
-    cells[:, 6:39:2] = ((digits + d0) * (np.arange(17, dtype=np.uint8)[:, None] < shown)).T
-    cells[:, 7:38:2] = (np.arange(1, 17, dtype=np.int8) == point[:, None]) * np.uint8(ord("."))
-    cells[:, 39:44] = (np.array(exponent, np.uint8) * ~fixed).T
-    per_row = cells.reshape(len(block), len(after), -1)
-    for i, lit in enumerate(lits):
-        per_row[:, i, 44 : 44 + len(lit)] = lit
-    text = cells.tobytes().translate(None, b"\0").decode()
+    lits = [piece.encode() for piece in after]
+    step = PIECE_FLOATS // block.shape[1]
+    text = "".join(_format_piece(block[i : i + step], factor, lits) for i in range(0, len(block), step))
     return (wrap if start else first) + text[: len(text) - len(wrap)]
 
 

@@ -168,6 +168,10 @@ class Ellipsoid:
         if det == 0.0:
             raise SingularShape("|det| is 0: the shape is singular or its determinant underflows")
         inverse = np.linalg.inv(shape)
+        # A tiny shape can be perfectly conditioned and still have an inverse
+        # past float64's range, which the condition number would read as inf.
+        if not np.isfinite(inverse).all():
+            raise ValueError("the inverse of the shape is not finite in float64")
         condition = float(np.linalg.norm(shape, 1) * np.linalg.norm(inverse, 1))
         if not condition <= CONDITION_MAX:
             raise SingularShape(f"condition number {condition:.3e} is numerically singular")

@@ -1,13 +1,15 @@
 """``cli._format_rows`` writes every float as its repr, compared with ``%r`` itself."""
 
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ellipsample import Ellipsoid, cli, sample_batch
 from ellipsample.cli import _FORMATS, _format_rows, main
-from ellipsample.sampling import CHUNK_SIZE
+from ellipsample.sampling import CHUNK_SIZE, PIECE_FLOATS
 from helpers import dense_shape, repr_rows
 
 LINE = ("%r\n", "", 1.0)
@@ -96,3 +98,69 @@ def test_sample_bytes_equal_the_repr_rendering(fmt, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_format_rows", repr_rows)
     assert main(argv) == 0
     assert found == capsys.readouterr().out
+
+
+def render_cases() -> list[tuple]:
+    """_format_rows arguments across templates, dimensions and sizes, from a full piece to past one."""
+    cases = []
+    for fmt, dim, rows in [("json", 64, 256), ("svg", 2, 300), ("csv", 1, 1000), ("csv", 2, 3),
+                           ("csv", 2, PIECE_FLOATS // 2 + 100), ("json", 64, 300)]:
+        e = Ellipsoid.from_spec({"dim": dim, "shape": dense_shape(dim), "centre": np.zeros(dim)})
+        layout = _FORMATS[fmt](sample_batch(e, 5, 3), e)[1]
+        block = finite_bit_patterns(rows * dim * 2, rows + dim)[: rows * dim].reshape(rows, dim)
+        cases.append((block, CHUNK_SIZE, *layout))
+    return cases
+
+
+def test_threads_rendering_at_once_match_one_thread():
+    # Each thread renders every case, starting at a different one, so the
+    # workspaces see the templates in different orders.
+    cases = render_cases()
+    serial = [_format_rows(*case) for case in cases]
+    found = {}
+    barrier = threading.Barrier(4)
+
+    def render(t: int) -> None:
+        barrier.wait()
+        for i in range(len(cases)):
+            j = (i + t) % len(cases)
+            found[t, j] = _format_rows(*cases[j])
+
+    threads = [threading.Thread(target=render, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(found[t, j] == serial[j] for t in range(4) for j in range(len(cases)))
+
+
+def test_one_thread_leaks_no_bytes_from_a_longer_call():
+    # Longest literals first (64-d JSON, SVG), then shorter rows, a short
+    # final chunk and a block past PIECE_FLOATS, all in one fresh thread.
+    found = []
+    thread = threading.Thread(target=lambda: found.extend(_format_rows(*c) for c in render_cases()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert found == [repr_rows(*case) for case in render_cases()]
+
+
+def test_a_steady_render_allocates_little_more_than_its_text():
+    # One 8192 x 2 chunk's text is about 0.32 MB; its working set was 4.15 MB.
+    e = Ellipsoid.from_spec({"dim": 2, "radii": [2.0, 1.0], "centre": [1.0, -0.5]})
+    block = sample_batch(e, 2 * CHUNK_SIZE, 7).points
+    template = _FORMATS["csv"](sample_batch(e, 5, 3), e)[1]
+    _format_rows(block[:CHUNK_SIZE], 0, *template)
+    tracemalloc.start()
+    try:
+        _format_rows(block[CHUNK_SIZE:], CHUNK_SIZE, *template)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

@@ -84,6 +84,17 @@ class TestConstructors:
         e = Ellipsoid.from_spec({"dim": 1, "radii": [4e307], "centre": [4e307]})
         assert 2.0 * e.forward([1.0])[0] == 1.6e308
 
+    @pytest.mark.parametrize("radius", [1e-320, 5e-309])
+    def test_inverse_past_float64_rejected_as_not_finite(self, radius):
+        # Perfectly conditioned, but 1 / radius overflows float64.
+        with pytest.raises(ValueError, match="inverse of the shape is not finite in float64") as info:
+            Ellipsoid.from_spec({"dim": 1, "radii": [radius]})
+        assert not isinstance(info.value, SingularShape)
+
+    def test_smallest_invertible_radius_accepted(self):
+        e = Ellipsoid.from_spec({"dim": 1, "radii": [6e-309]})
+        assert e.volume() == pytest.approx(1.2e-308, rel=1e-12)
+
     def test_from_shape_near_singular_rejected(self):
         with pytest.raises(SingularShape):
             Ellipsoid.from_shape([[1.0, 0.0], [0.0, 1e-13]], [0.0, 0.0])

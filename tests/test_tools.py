@@ -1,0 +1,42 @@
+"""The scripts under tools/ run and print the lines their docstrings describe."""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def run_tool(*args: str) -> str:
+    result = subprocess.run(
+        [sys.executable, str(TOOLS / args[0]), *args[1:]],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return result.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status and wait4")
+def test_own_peak_prints_one_line_of_readings():
+    fields = run_tool("own_peak.py", "volume", "--dim", "2", "--seed", "1").split()
+    readings = dict(zip(fields[::2], fields[1::2]))
+    assert list(readings) == ["wall_s", "cpu_s", "own_peak_mb", "minflt", "sys_s", "exit"]
+    assert len(fields) == 12
+    assert readings["exit"] == "0"
+    wall, cpu, sys_s = float(readings["wall_s"]), float(readings["cpu_s"]), float(readings["sys_s"])
+    assert 0 < wall and 0 < cpu and 0 <= sys_s <= cpu
+    # A Python process with numpy imported holds tens of MB and faults in thousands of pages.
+    assert math.isfinite(float(readings["own_peak_mb"])) and float(readings["own_peak_mb"]) > 1
+    assert int(readings["minflt"]) > 100
+
+
+def test_code_lines_counts_every_module():
+    header, *rows, total = [line.split() for line in run_tool("code_lines.py").splitlines()]
+    assert header == ["module", "lines", "code"]
+    modules = {Path(p).name for p in (TOOLS.parent / "src" / "ellipsample").glob("*.py")}
+    assert {row[0] for row in rows} == modules
+    counts = [(int(lines), int(code)) for _, lines, code in rows]
+    assert all(0 <= code <= lines for lines, code in counts)
+    assert total == ["total", str(sum(c[0] for c in counts)), str(sum(c[1] for c in counts))]

@@ -1,15 +1,17 @@
-"""Wall time, CPU time and own peak memory of one ``python -m ellipsample`` run.
+"""Wall time, CPU time, own peak memory and page faults of one ``python -m ellipsample`` run.
 
 Runs ``python -m ellipsample ARGS`` on the package under this repository's
 ``src/`` and prints one line, for example:
 
-    wall_s 0.594 cpu_s 0.925 own_peak_mb 161.8 exit 0
+    wall_s 0.594 cpu_s 0.925 own_peak_mb 161.8 minflt 9120 sys_s 0.104 exit 0
 
 ``own_peak_mb`` is the child's own VmHWM, read from /proc/self/status in an
 atexit hook and sent back through a pipe.  Unlike ``ru_maxrss`` from
 ``wait4``, it never reports the parent's RSS at fork time, so it can read
 below the RSS of a large parent.  ``cpu_s`` is the child's user plus system
-time from ``wait4``.  The command's standard output is discarded (give
+time from ``wait4``, ``sys_s`` its system time alone and ``minflt`` its
+minor page faults: memory the allocator hands back to the OS and takes
+again shows in both.  The command's standard output is discarded (give
 ``--out`` to keep it); its standard error passes through.  Linux only;
 standard library only.  Run from anywhere:
 
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,8 +43,17 @@ runpy.run_module("ellipsample", run_name="__main__", alter_sys=True)
 """
 
 
-def run(args: list[str]) -> tuple[float, float, float, int]:
-    """(wall s, cpu s, own peak MB, exit code) of ``python -m ellipsample`` with ``args``."""
+class Run(NamedTuple):
+    wall_s: float
+    cpu_s: float
+    own_peak_mb: float
+    minflt: int
+    sys_s: float
+    exit: int
+
+
+def run(args: list[str]) -> Run:
+    """The readings of one ``python -m ellipsample`` run with ``args``."""
     read, write = os.pipe()
     env = dict(os.environ, OWN_PEAK_FD=str(write))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -57,15 +69,17 @@ def run(args: list[str]) -> tuple[float, float, float, int]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     # "VmHWM:   161800 kB"; empty if the child died before its exit hooks ran.
     peak = int(line.split()[1]) * 1024 / 1e6 if line else float("nan")
-    return wall, usage.ru_utime + usage.ru_stime, peak, proc.returncode
+    return Run(wall, usage.ru_utime + usage.ru_stime, peak, usage.ru_minflt, usage.ru_stime,
+               proc.returncode)
 
 
 def main(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip())
         return 0 if argv else 2
-    wall, cpu, peak, code = run(argv)
-    print(f"wall_s {wall:.3f} cpu_s {cpu:.3f} own_peak_mb {peak:.1f} exit {code}")
+    r = run(argv)
+    print(f"wall_s {r.wall_s:.3f} cpu_s {r.cpu_s:.3f} own_peak_mb {r.own_peak_mb:.1f} "
+          f"minflt {r.minflt} sys_s {r.sys_s:.3f} exit {r.exit}")
     return 0
 
 
