@@ -19,6 +19,7 @@ faulted in again chunk after chunk.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -366,14 +367,17 @@ def _shortest(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # number (word 0), its 17 digits with a zero inserted where the point goes
 # (18 columns from 8), the exponent (from 26) and, from column 31, the
 # template's text up to the next float.
-_DIGIT_COL, _EXP_COL, _TEXT_COL = 8, 26, 31
+_DIGIT_COL, _TEXT_COL = 8, 31
 _POW10 = 10 ** np.arange(19)
 # Decimal exponents of finite doubles: 5e-324 is 0.5 10^-323, 1.8e308 is 0.18 10^309.
 _DECPT_MIN, _DECPT_MAX = -323, 309
 
 
+@functools.cache
 def _layout_tables() -> tuple[np.ndarray, ...]:
-    """The int64 tables ``_format_piece`` lays a float out with.
+    """The read-only int64 tables ``_format_piece`` lays a float out with, built on the first call.
+
+    Only ``sample`` renders, so ``check`` and ``volume`` never build them.
 
     ``digits``: the values of a group of 4 digits, one to a byte.
     ``ends``: for a group at each position (starting at digit column 0, 4,
@@ -385,8 +389,7 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
     the point.
     """
     # Digits a, b, c, d of the groups 0000-9999, and the column after the
-    # last nonzero one, counted from the group's start (narrow types: this
-    # runs at import).
+    # last nonzero one, counted from the group's start.
     a, b, c, d = np.ix_(*[np.arange(10)] * 4)
     digits = (a | b << 8 | c << 16 | d << 24).ravel()
     last = np.maximum(np.maximum((a > 0) * np.int8(1), (b > 0) * np.int8(2)),
@@ -421,31 +424,36 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
     )
     # Then the same rows with a minus sign in column 0.
     layout = np.stack([row, row | (col == 0) * np.uint8(ord("-"))], axis=2).reshape(-1, 32).view(np.int64)
-    return digits, ends[:40_100], classes, divisors, exponents, layout
+    tables = digits, ends[:40_100].copy(), classes, divisors, exponents, layout
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-_DIGITS, _ENDS, _CLASSES, _DIVISORS, _EXPONENTS, _LAYOUT = _layout_tables()
+# ``ends`` holds one block of 10000 per group position.
 _GROUP_OFFSETS = np.arange(0, 50_000, 10_000)[:, None]
 
 
 class _Workspace(threading.local):
     """One thread's scratch for ``_format_rows``, sized to a PIECE_FLOATS piece.
 
-    ``threading.local`` runs ``__init__`` on a thread's first use, so each
-    render thread allocates these once and every later piece writes into
-    them: 21 rows of 64-bit integers and ``cells``, the bytes a piece is
-    laid out in.  The first ``size`` bytes of ``cells`` hold the last
-    piece, laid out for the literals ``lits``; the rest are 0.
+    ``threading.local`` gives each thread its own attributes, and a
+    thread's first render allocates them: 21 rows of 64-bit integers and
+    ``cells``, the bytes a piece is laid out in.  Every later piece writes
+    into them.  The first ``size`` bytes of ``cells`` hold the last piece,
+    laid out for the literals ``lits``; the rest are 0.
     """
 
     def __init__(self):
-        self.ints = np.empty(21 * PIECE_FLOATS, np.uint64)
+        self.ints = None
         self.cells = bytearray()
         self.size = 0
         self.lits = None
 
     def rows(self, n: int) -> np.ndarray:
         """The integer rows cut to n entries each and packed, so any run of rows is contiguous."""
+        if self.ints is None:
+            self.ints = np.empty(21 * PIECE_FLOATS, np.uint64)
         return self.ints[: 21 * n].reshape(21, n)
 
     def cells_for(self, shape: tuple[int, int], lits: list[bytes]) -> np.ndarray:
@@ -475,12 +483,13 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
     Each float fills a row of byte columns (see ``_DIGIT_COL``).  The 17
     digits d0 d1 ... d16 of |x| = 0.d0d1...d16 x 10^decpt get a zero
     inserted where the point goes (in front if nowhere), and their values,
-    four at a time from ``_DIGITS``, are or'ed with a ``_LAYOUT`` row, picked
-    by the layout class of decpt, the column after the last nonzero digit
-    and the sign, and with decpt's exponent bytes.  Columns a float does not
-    use hold 0, which one bytearray.translate drops.
+    four at a time from the ``digits`` table, are or'ed with a ``layout``
+    row, picked by the layout class of decpt, the column after the last
+    nonzero digit and the sign, and with decpt's exponent bytes.  Columns a
+    float does not use hold 0, which one bytearray.translate drops.
     """
     w = _WORKSPACE
+    digits, column_ends, classes, divisors, exponents, layouts = _layout_tables()
     u = w.rows(piece.size)
     ints = u.view(np.int64)
     np.multiply(piece, factor, out=u[0].view(np.float64).reshape(piece.shape))
@@ -506,7 +515,7 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
     np.take(_POW10, t, out=p, mode="clip")
     f *= p
     # f = d0d1...d16; with the zero inserted j digits from the end, f + 9 10^j (f // 10^j).
-    np.take(_DIVISORS, index, out=p, mode="clip")
+    np.take(divisors, index, out=p, mode="clip")
     np.floor_divide(f, p, out=t)
     t *= p
     t *= 9
@@ -524,19 +533,19 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
         np.floor_divide(half, 10**4, out=groups[i])
         np.multiply(groups[i], 10**4, out=groups[i + 1])
         np.subtract(half, groups[i + 1], out=groups[i + 1])
-    np.take(_DIGITS, groups, out=values, mode="clip")
+    np.take(digits, groups, out=values, mode="clip")
     groups += _GROUP_OFFSETS
-    np.take(_ENDS, groups, out=ends, mode="clip")
+    np.take(column_ends, groups, out=ends, mode="clip")
     end = ends[0]
     for later in ends[1:]:
         np.maximum(end, later, out=end)
     key, sign, layout = t, p, ints[4:8].reshape(-1, 4)
-    np.take(_CLASSES, index, out=key, mode="clip")
+    np.take(classes, index, out=key, mode="clip")
     end <<= 1
     key += end
     np.right_shift(u[0], 63, out=sign.view(np.uint64))
     key += sign
-    np.take(_LAYOUT, key, axis=0, out=layout, mode="clip")
+    np.take(layouts, key, axis=0, out=layout, mode="clip")
 
     words = w.cells_for(piece.shape, lits)
     np.copyto(words[:, 0], layout[:, 0])
@@ -544,14 +553,15 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
         b <<= 32
         a |= b
         np.bitwise_or(a, layout[:, word], out=words[:, word])
-    # Word 3 keeps the literal's first byte.
-    last, kept = values[4], words[:, 3]
+    # Word 3: the last two digits, the exponent and the literal's first
+    # byte, which stays from cells_for.
+    last, word3 = values[4], words[:, 3]
     last >>= 16
-    np.take(_EXPONENTS, index, out=p, mode="clip")
+    np.take(exponents, index, out=p, mode="clip")
     last |= p
     last |= layout[:, 3]
-    kept &= 0x7F << 56
-    kept |= last
+    word3 &= 0x7F << 56
+    word3 |= last
     return w.cells.translate(None, b"\0").decode()
 
 
