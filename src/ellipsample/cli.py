@@ -366,7 +366,9 @@ def _shortest(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # A float's byte columns, 8 to a word: the sign and the "0.000" of a small
 # number (word 0), its 17 digits with a zero inserted where the point goes
 # (18 columns from 8), the exponent (from 26) and, from column 31, the
-# template's text up to the next float.
+# template's text up to the next float.  The shifts that place bytes in a
+# word assume little-endian words: column c is bits 8 (c % 8) and up of
+# word c // 8.
 _DIGIT_COL, _TEXT_COL = 8, 31
 _POW10 = 10 ** np.arange(19)
 # Decimal exponents of finite doubles: 5e-324 is 0.5 10^-323, 1.8e308 is 0.18 10^309.
