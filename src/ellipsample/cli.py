@@ -9,11 +9,11 @@ identical command lines produce byte-identical output.
 
 ``sample`` formats every float it writes with ``_format_rows``, renders
 its chunks on the threads of ``sampling._chunk_results`` and writes them
-with ``_emit``.  Each rendering thread keeps one ``_Workspace``, sized to a
-PIECE_FLOATS piece and allocated on its first call: every numpy call of
-the render writes a whole piece into it with ``out=``, so a steady render
-allocates only its text, and memory is not handed back to the OS and
-faulted in again chunk after chunk.
+with ``_emit``.  Each rendering thread keeps one ``_Workspace``, allocated
+on its first render and as large as its largest piece (PIECE_FLOATS
+floats): every numpy call of the render writes a whole piece into it with
+``out=``, so a steady render allocates only its text, and memory is not
+handed back to the OS and faulted in again chunk after chunk.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _mul_hi(a_lo, a_hi, b_lo, b_hi, out, t, u) -> None:
     np.bitwise_and(t, _M32, out=u)
     out += u
     np.multiply(a_lo, b_hi, out=u)
-    out += u  # below 2^64: at most 2^32 + (2^32 - 1) 2^32
+    out += u  # at most 2 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1, so it cannot wrap
     out >>= 32
     t >>= 32
     out += t
@@ -437,34 +437,35 @@ _GROUP_OFFSETS = np.arange(0, 50_000, 10_000)[:, None]
 
 
 class _Workspace(threading.local):
-    """One thread's scratch for ``_format_rows``, sized to a PIECE_FLOATS piece.
+    """One thread's scratch for ``_format_rows``, as large as its largest piece (PIECE_FLOATS floats).
 
     ``threading.local`` gives each thread its own attributes, and a
     thread's first render allocates them: 21 rows of 64-bit integers and
-    ``cells``, the bytes a piece is laid out in.  Every later piece writes
-    into them.  The first ``size`` bytes of ``cells`` hold the last piece,
-    laid out for the literals ``lits``; the rest are 0.
+    ``cells``, the bytes a piece is laid out in, ``width`` to a float.
+    Every later piece of that size or smaller writes into them.  The first
+    ``size`` bytes of ``cells`` hold the last piece, laid out for the
+    literals ``lits``; the rest are 0.
     """
 
     def __init__(self):
-        self.ints = None
+        self.ints = np.empty(0, np.uint64)
         self.cells = bytearray()
-        self.size = 0
+        self.width = self.size = 0
         self.lits = None
 
     def rows(self, n: int) -> np.ndarray:
         """The integer rows cut to n entries each and packed, so any run of rows is contiguous."""
-        if self.ints is None:
-            self.ints = np.empty(21 * PIECE_FLOATS, np.uint64)
+        if self.ints.size < 21 * n:
+            self.ints = np.empty(21 * n, np.uint64)
         return self.ints[: 21 * n].reshape(21, n)
 
     def cells_for(self, shape: tuple[int, int], lits: list[bytes]) -> np.ndarray:
         """The byte cells of ``shape`` floats as 64-bit words, each float's literal in place, 0 beyond."""
         width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
         size = shape[0] * shape[1] * width
-        # Sized to this width, as translate reads all of it.
-        if len(self.cells) != PIECE_FLOATS * width:
-            self.cells, self.size = bytearray(PIECE_FLOATS * width), 0
+        # A new width takes new cells, as translate reads all of them.
+        if width != self.width or len(self.cells) < size:
+            self.cells, self.width, self.size = bytearray(size), width, 0
         cells = np.frombuffer(self.cells, np.uint8)
         if self.lits != lits or self.size < size:
             text = np.array([list(lit.ljust(width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
