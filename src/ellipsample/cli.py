@@ -9,11 +9,14 @@ identical command lines produce byte-identical output.
 
 ``sample`` formats every float it writes with ``_format_rows``, renders
 its chunks on the threads of ``sampling._chunk_results`` and writes them
-with ``_emit``.  Each rendering thread keeps one ``_Workspace``, allocated
-on its first render and as large as its largest piece (PIECE_FLOATS
-floats): every numpy call of the render writes a whole piece into it with
-``out=``, so a steady render allocates only its text, and memory is not
-handed back to the OS and faulted in again chunk after chunk.
+with ``_emit``.  One ``_format_rows`` call renders one block, as ASCII
+bytes, in its thread's ``_Workspace``: arrays sized to that block, made
+again only when the block's shape or literals change (in ``sample``, on a
+thread's first chunk and on the short last one).  Every numpy call of the
+render writes a whole block into them with ``out=``, so a steady render
+allocates only its text, and memory is not handed back to the OS and
+faulted in again chunk after chunk.  Callers keep each block to one
+PIECE_FLOATS piece, which bounds those arrays at any dimension.
 """
 
 from __future__ import annotations
@@ -197,10 +200,12 @@ def resolve_ellipsoid(args) -> Ellipsoid:
 # as 7.9e-323, and subnormals take no C_TINY case (Java's 4.9E-324 is repr's
 # 5e-324).
 #
-# Every numpy call below writes a whole piece into a thread's workspace
-# with ``out=`` (or an in-place operator), so rendering a piece allocates
+# Every numpy call below writes a whole block into a thread's workspace
+# with ``out=`` (or an in-place operator), so rendering a block allocates
 # nothing but its text.  Each np.take passes mode="clip", as the default
-# mode copies ``out`` before writing it; every index is in range.
+# mode copies ``out`` before writing it; every index is in range.  The
+# tables, the g table of the paper among them, are built by the first
+# render (``_layout_tables``), so only ``sample`` pays for them.
 
 _K_MIN = -324
 _M32 = 0xFFFFFFFF
@@ -217,9 +222,6 @@ def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
         shift = 125 - ((-k * 913_124_641_741) >> 38)
         table.append((10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0)) + 1)
     return np.array([g >> 63 for g in table], np.uint64), np.array([g & _M63 for g in table], np.uint64)
-
-
-_G1, _G0 = _pow10_table()
 
 
 def _mul_hi(a_lo, a_hi, b_lo, b_hi, out, t, u) -> None:
@@ -260,13 +262,13 @@ def _round_to_odd(g, cp, out, c_lo, c_hi, t, u) -> None:
     out |= z
 
 
-def _shortest(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shortest(u: np.ndarray, pow10: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(f, k) such that f 10^k is the decimal repr writes for each finite |x|, x = u[0] as float64.
 
     That is the shortest decimal that reads back as |x|, and of those the
     closest to it (the even one on a tie).  Zero gives f = 0 and k = 1.
     f (uint64) and k (int64) are views of rows of ``u``, whose rows 1-20 are
-    scratch.
+    scratch.  ``pow10`` is ``_pow10_table()``.
     """
     bits = u[0]
     c, q, k, h, g1, g0, g1_lo, g1_hi, g0_hi, c_lo, c_hi, cp, m0, m1, t0, t1, vbl, vbr, vb = u[1:20]
@@ -295,8 +297,8 @@ def _shortest(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi += qi
     hi += 2
     np.subtract(ki, _K_MIN, out=t0.view(np.int64))
-    np.take(_G1, t0.view(np.int64), out=g1, mode="clip")
-    np.take(_G0, t0.view(np.int64), out=g0, mode="clip")
+    np.take(pow10[0], t0.view(np.int64), out=g1, mode="clip")
+    np.take(pow10[1], t0.view(np.int64), out=g0, mode="clip")
     np.bitwise_and(g1, _M32, out=g1_lo)
     np.right_shift(g1, 32, out=g1_hi)
     np.right_shift(g0, 32, out=g0_hi)
@@ -377,9 +379,12 @@ _DECPT_MIN, _DECPT_MAX = -323, 309
 
 @functools.cache
 def _layout_tables() -> tuple[np.ndarray, ...]:
-    """The read-only int64 tables ``_format_piece`` lays a float out with, built on the first call.
+    """The read-only tables ``_format_rows`` renders a float with, built on the first call.
 
     Only ``sample`` renders, so ``check`` and ``volume`` never build them.
+
+    The int64 tables lay the digits out, and the last two are Schubfach's g
+    table for ``_shortest`` (``_pow10_table``).
 
     ``digits``: the values of a group of 4 digits, one to a byte.
     ``ends``: for a group at each position (starting at digit column 0, 4,
@@ -426,7 +431,7 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
     )
     # Then the same rows with a minus sign in column 0.
     layout = np.stack([row, row | (col == 0) * np.uint8(ord("-"))], axis=2).reshape(-1, 32).view(np.int64)
-    tables = digits, ends[:40_100].copy(), classes, divisors, exponents, layout
+    tables = digits, ends[:40_100].copy(), classes, divisors, exponents, layout, *_pow10_table()
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -437,51 +442,41 @@ _GROUP_OFFSETS = np.arange(0, 50_000, 10_000)[:, None]
 
 
 class _Workspace(threading.local):
-    """One thread's scratch for ``_format_rows``, as large as its largest piece (PIECE_FLOATS floats).
+    """One thread's scratch for ``_format_rows``, sized to the block it rendered last.
 
-    ``threading.local`` gives each thread its own attributes, and a
-    thread's first render allocates them: 21 rows of 64-bit integers and
-    ``cells``, the bytes a piece is laid out in, ``width`` to a float.
-    Every later piece of that size or smaller writes into them.  The first
-    ``size`` bytes of ``cells`` hold the last piece, laid out for the
-    literals ``lits``; the rest are 0.
+    ``threading.local`` gives each thread its own attributes.  ``arrays``
+    gives 21 rows of 64-bit integers, one entry per float, and ``cells``,
+    the bytes the block is laid out in, ``width`` to a float, with each
+    float's literal in place.  A block of the same shape and literals
+    writes into them again; any other gets new arrays of its exact size.
     """
 
-    def __init__(self):
-        self.ints = np.empty(0, np.uint64)
-        self.cells = bytearray()
-        self.width = self.size = 0
-        self.lits = None
+    key = None
 
-    def rows(self, n: int) -> np.ndarray:
-        """The integer rows cut to n entries each and packed, so any run of rows is contiguous."""
-        if self.ints.size < 21 * n:
-            self.ints = np.empty(21 * n, np.uint64)
-        return self.ints[: 21 * n].reshape(21, n)
-
-    def cells_for(self, shape: tuple[int, int], lits: list[bytes]) -> np.ndarray:
-        """The byte cells of ``shape`` floats as 64-bit words, each float's literal in place, 0 beyond."""
-        width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
-        size = shape[0] * shape[1] * width
-        # A new width takes new cells, as translate reads all of them.
-        if width != self.width or len(self.cells) < size:
-            self.cells, self.width, self.size = bytearray(size), width, 0
-        cells = np.frombuffer(self.cells, np.uint8)
-        if self.lits != lits or self.size < size:
+    def arrays(self, shape: tuple[int, int], lits: list[bytes]) -> tuple:
+        """The integer rows, the cells as rows of 64-bit words, and the cells."""
+        if (shape, lits) != self.key:
+            width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
+            cells = bytearray(shape[0] * shape[1] * width)
             text = np.array([list(lit.ljust(width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
-            cells[:size].reshape(*shape, width)[..., _TEXT_COL:] = text
-            self.lits = lits
-        # Bytes past this piece that an earlier, longer one wrote must not reach the text.
-        cells[size : self.size] = 0
-        self.size = size
-        return cells[:size].view(np.int64).reshape(-1, width // 8)
+            np.frombuffer(cells, np.uint8).reshape(*shape, width)[..., _TEXT_COL:] = text
+            words = np.frombuffer(cells, np.int64).reshape(-1, width // 8)
+            self.key, self.held = (shape, lits), (np.empty((21, words.shape[0]), np.uint64), words, cells)
+        return self.held
 
 
 _WORKSPACE = _Workspace()
 
 
-def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: list[bytes]) -> str:
-    """The text of each float of ``piece`` times ``factor``, each followed by its literal in ``lits``.
+def _format_rows(
+    block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
+) -> bytearray:
+    """Each row of ``block`` times ``factor`` in ``template``, joined by ``separator``, as ASCII.
+
+    ``template`` has one ``%r`` per coordinate, and each float, which must be
+    finite, is written as its repr: the shortest round-tripping text, which
+    is also what json.dumps writes.  A chunk after the first (``start`` > 0)
+    begins with the separator.
 
     Each float fills a row of byte columns (see ``_DIGIT_COL``).  The 17
     digits d0 d1 ... d16 of |x| = 0.d0d1...d16 x 10^decpt get a zero
@@ -490,13 +485,18 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
     row, picked by the layout class of decpt, the column after the last
     nonzero digit and the sign, and with decpt's exponent bytes.  Columns a
     float does not use hold 0, which one bytearray.translate drops.
+
+    The whole block is rendered at once in the calling thread's workspace,
+    so callers keep it to one PIECE_FLOATS piece.
     """
-    w = _WORKSPACE
-    digits, column_ends, classes, divisors, exponents, layouts = _layout_tables()
-    u = w.rows(piece.size)
+    first, *after = template.split("%r")
+    wrap = separator + first
+    after[-1] += wrap
+    digits, column_ends, classes, divisors, exponents, layouts, *pow10 = _layout_tables()
+    u, words, cells = _WORKSPACE.arrays(block.shape, [lit.encode() for lit in after])
     ints = u.view(np.int64)
-    np.multiply(piece, factor, out=u[0].view(np.float64).reshape(piece.shape))
-    f, index = _shortest(u)
+    np.multiply(block, factor, out=u[0].view(np.float64).reshape(block.shape))
+    f, index = _shortest(u, pow10)
     f = f.view(np.int64)
     t, p = ints[1], ints[2]
     # t = the length of f less one, from the bit length of max(f, 1) (so -1
@@ -550,14 +550,13 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
     key += sign
     np.take(layouts, key, axis=0, out=layout, mode="clip")
 
-    words = w.cells_for(piece.shape, lits)
     np.copyto(words[:, 0], layout[:, 0])
     for word, (a, b) in ((1, values[0:2]), (2, values[2:4])):
         b <<= 32
         a |= b
         np.bitwise_or(a, layout[:, word], out=words[:, word])
     # Word 3: the last two digits, the exponent and the literal's first
-    # byte, which stays from cells_for.
+    # byte, which stays from ``arrays``.
     last, word3 = values[4], words[:, 3]
     last >>= 16
     np.take(exponents, index, out=p, mode="clip")
@@ -565,30 +564,11 @@ def _format_piece(piece: np.ndarray, factor: float | tuple[float, ...], lits: li
     last |= layout[:, 3]
     word3 &= 0x7F << 56
     word3 |= last
-    return w.cells.translate(None, b"\0").decode()
-
-
-def _format_rows(
-    block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
-) -> str:
-    """Each row of ``block`` times ``factor`` in ``template``, joined by ``separator``.
-
-    ``template`` has one ``%r`` per coordinate, and each float, which must be
-    finite, is written as its repr: the shortest round-tripping text, which
-    is also what json.dumps writes.  A chunk after the first (``start`` > 0)
-    begins with the separator.
-
-    The rows go through ``_format_piece`` a PIECE_FLOATS piece at a time, in
-    the calling thread's workspace, so a call of any size allocates little
-    more than its text.
-    """
-    first, *after = template.split("%r")
-    wrap = separator + first
-    after[-1] += wrap
-    lits = [piece.encode() for piece in after]
-    step = PIECE_FLOATS // block.shape[1]
-    text = "".join(_format_piece(block[i : i + step], factor, lits) for i in range(0, len(block), step))
-    return (wrap if start else first) + text[: len(text) - len(wrap)]
+    # Trimmed and prefixed in place: a sliced copy would double the peak.
+    text = cells.translate(None, b"\0")
+    del text[len(text) - len(wrap) :]
+    text[:0] = (wrap if start else first).encode()
+    return text
 
 
 def _csv(batch: SampleBatch, e: Ellipsoid) -> tuple:
@@ -631,7 +611,7 @@ def _svg(batch: SampleBatch, e: Ellipsoid) -> tuple:
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">\n'
-        f'<polygon points="{_format_rows(ring, 0, "%r,%r", " ", flip)}" fill="none" '
+        f'<polygon points="{_format_rows(ring, 0, "%r,%r", " ", flip).decode()}" fill="none" '
         'stroke="black" stroke-width="1" vector-effect="non-scaling-stroke"/>\n'
     )
     circle = '<circle cx="%r" cy="%r" r="' + repr(dot) + '"/>\n'
@@ -651,12 +631,15 @@ def _emit(pieces: Iterable[bytes], out: str | None) -> None:
     flushed here, so a reader that closed early raises BrokenPipeError
     inside ``main``; standard output then points at the null device, so the
     interpreter's flush at exit cannot fail a second time.  A text-only
-    stream (``io.StringIO``) gets them decoded.
+    stream (``io.StringIO``) gets them decoded.  Standard output that was
+    closed when the process started is None, and raises OSError.
     """
     if out is not None:
         with open(out, "wb") as fh:
             fh.writelines(pieces)
         return
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
         sys.stdout.writelines(piece.decode() for piece in pieces)
@@ -683,8 +666,8 @@ def cmd_sample(args) -> int:
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
     head, layout, tail = _FORMATS[args.format](batch, e)
 
-    def render(i: int, rows: slice) -> bytes:
-        return _format_rows(batch.points[rows], rows.start, *layout).encode()
+    def render(i: int, rows: slice) -> bytearray:
+        return _format_rows(batch.points[rows], rows.start, *layout)
 
     # Each rendered chunk is one piece, which bounds the formatter's arrays at any dimension.
     with _chunk_results(batch.count, render, PIECE_FLOATS // e.dim) as chunks:

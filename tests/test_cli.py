@@ -1,7 +1,10 @@
 """Tests for the command-line interface: formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -561,6 +564,20 @@ class TestExitCodeDiscipline:
             assert proc.returncode == 1
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 in the child")
+    @pytest.mark.parametrize(
+        "command",
+        [["sample", "--dim", "2", "--count", "5"], ["check", "--dim", "2"], ["volume", "--dim", "2"]],
+    )
+    def test_stdout_closed_at_start_is_exit_1_with_one_error_line(self, command):
+        # With descriptor 1 closed at start, the interpreter sets sys.stdout to None.
+        result = subprocess.run(
+            [sys.executable, "-m", "ellipsample", *command, "--seed", "1"], env=child_env(),
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.decode() == "error: standard output is closed\n"
+
     # Per list flag: a list with an empty entry, one with spaces round its
     # entries, and the same list without them.
     COMMA_LISTS = {
@@ -722,3 +739,21 @@ class TestExitCodeDiscipline:
         err = capsys.readouterr().err
         assert code == 2
         assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", *RADII_ARGS, "--count", str(CHUNK_SIZE + 1), "--format", fmt]
+     for fmt in ("csv", "json", "svg")]
+    + [["check", *RADII_ARGS, "--count", "20000"], ["volume", *RADII_ARGS, "--mc", "10000"]],
+    ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+)
+def test_a_text_stdout_gets_the_text_of_a_binary_one(argv, capsysbinary):
+    # bench/run.py --trace 1 runs main with stdout redirected to an io.StringIO,
+    # which has no binary layer under it.
+    assert main([*argv, "--seed", "3"]) == 0
+    binary = capsysbinary.readouterr().out
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main([*argv, "--seed", "3"]) == 0
+    assert text.getvalue().encode() == binary

@@ -59,15 +59,15 @@ def test_edge_corpus_matches_repr():
     for start in range(0, x.size, 2**14):
         rows = x[start : start + 2**14, None]
         positive = _format_rows(rows, 0, *LINE).split()
-        assert _format_rows(-rows, 0, *LINE).split() == ["-" + text for text in positive]
+        assert _format_rows(-rows, 0, *LINE).split() == [b"-" + text for text in positive]
 
 
 def test_signed_zeros_and_layout_edges():
     x = np.array([[0.0, -0.0, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324,
                    -1.5e-05, 123.0, 0.5, 1e22, -2.5e-308]])
     assert _format_rows(x, 0, ",".join(["%r"] * 12), "", 1.0) == (
-        "0.0,-0.0,0.0001,9.999999999999999e-05,1e+16,9999999999999998.0,5e-324,"
-        "-1.5e-05,123.0,0.5,1e+22,-2.5e-308"
+        b"0.0,-0.0,0.0001,9.999999999999999e-05,1e+16,9999999999999998.0,5e-324,"
+        b"-1.5e-05,123.0,0.5,1e+22,-2.5e-308"
     )
 
 

@@ -10,11 +10,11 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def run_tool(*args: str) -> str:
+def run_tool(*args: str, code: int = 0) -> str:
     result = subprocess.run(
-        [sys.executable, str(TOOLS / args[0]), *args[1:]],
-        capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, str(TOOLS / args[0]), *args[1:]], capture_output=True, text=True, timeout=120
     )
+    assert result.returncode == code, result.stderr
     return result.stdout
 
 
@@ -30,6 +30,12 @@ def test_own_peak_prints_one_line_of_readings():
     # A Python process with numpy imported holds tens of MB and faults in thousands of pages.
     assert math.isfinite(float(readings["own_peak_mb"])) and float(readings["own_peak_mb"]) > 1
     assert int(readings["minflt"]) > 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status and wait4")
+def test_own_peak_exits_with_the_command_exit_code():
+    fields = run_tool("own_peak.py", "volume", "--dim", "0", "--seed", "1", code=2).split()
+    assert fields[-2:] == ["exit", "2"]
 
 
 def test_code_lines_counts_every_module():
