@@ -29,10 +29,10 @@ PIVOT_RTOL = 1e-12
 ROTATION_TOL = 1e-9
 
 
-def check_dim(n: int, cap: int = DIM_MAX) -> None:
-    """Raise DimensionOutOfRange unless 1 <= n <= cap: the one dimension-range rule."""
-    if not 1 <= n <= cap:
-        raise DimensionOutOfRange(f"dimension {n} outside supported range 1..{cap}")
+def check_dim(n: int) -> None:
+    """Raise DimensionOutOfRange unless 1 <= n <= DIM_MAX: the one dimension-range rule."""
+    if not 1 <= n <= DIM_MAX:
+        raise DimensionOutOfRange(f"dimension {n} outside supported range 1..{DIM_MAX}")
 
 
 def as_vector(v) -> np.ndarray:

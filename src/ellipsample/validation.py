@@ -32,9 +32,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, _sq_norms, unit_ball_volume
-from .linalg import check_dim
 from .sampling import (
-    CHUNK_SIZE, MAX_DRAWS, REJECTION_DIM_MAX, RngStream, SampleBatch, _ball_chunk, _box_proposals,
+    CHUNK_SIZE, MAX_DRAWS, RngStream, SampleBatch, _ball_chunk, _box_proposals,
     _chunk_results, _pieces,
 )
 
@@ -261,7 +260,6 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     Independent of the closed-form determinant route, so the two can be
     cross-checked.
     """
-    check_dim(e.dim, REJECTION_DIM_MAX)
     if count < _MC_MIN_COUNT:
         raise InsufficientSamples(f"need at least {_MC_MIN_COUNT} draws, got {count}")
     if count > MAX_DRAWS:

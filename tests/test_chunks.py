@@ -138,9 +138,10 @@ def test_box_rejection_working_set_is_a_few_pieces(monkeypatch, capsys):
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
     argv = "sample --dim 8 --method reject --count 3000 --seed 4".split()
     peak, out = traced_peak(argv, capsys)
-    # About 236k proposals in one block: 15 MB as one array, before its
-    # temporaries.  Pieced, sampling takes under 2 MB, and the two chunks of
-    # text rendered at once about 3 MB.
+    # About 236k proposals per chunk: 15 MB as one array, before its
+    # temporaries.  Drawn in passes of at most one piece, sized to the rows
+    # still empty, sampling takes under 2 MB, and the two chunks of text
+    # rendered at once about 3 MB.
     assert peak < out + 8e6
 
 

@@ -23,7 +23,7 @@ from ellipsample import (
     sample_batch,
     unit_ball_volume,
 )
-from ellipsample import cli
+from ellipsample import cli, sampling
 from ellipsample.cli import _METHOD_BY_FLAG, main
 from ellipsample.sampling import CHUNK_SIZE, METHODS
 from helpers import child_env, dense_shape_text
@@ -392,8 +392,8 @@ class TestCheckCommand:
         (["--dim", "2", "--count", "0"], "ValueError: count must be at least 1"),
         (["--dim", "63", "--count", "0", "--tests", "chi2"],
          "ValueError: count must be at least 1"),
-        (["--dim", "13", "--count", "10", "--method", "reject"],
-         "DimensionOutOfRange: dimension 13 outside supported range 1..12"),
+        (["--dim", "64", "--count", "10", "--method", "reject"],
+         "ValueError: rejection needs 5.99e+39 draws, over the 1000000000 cap"),
         (["--dim", "2", "--count", "1000", "--tests", "ks,identity,ks"],
          "ConfigError: --tests entries must be distinct names from ('chi2', 'ks', 'identity'): "
          "['ks', 'identity', 'ks']"),
@@ -597,11 +597,40 @@ class TestExitCodeDiscipline:
         assert stripped[0] == 0
 
     def test_rejection_method_dimension_cap_is_exit_2(self, capsys):
-        code, _, err = run(
-            ["sample", "--dim", "13", "--count", "10", "--seed", "1", "--method", "reject"],
+        # the one 1..64 rule; at 64-d the unit ball fills 1.7e-39 of its box,
+        # so the draw budget refuses the request before any draw
+        argv = ["sample", "--count", "1", "--seed", "1", "--method", "reject", "--dim"]
+        assert run([*argv, "65"], capsys) == (
+            2, "", "error: DimensionOutOfRange: dimension 65 outside supported range 1..64\n"
+        )
+        assert run([*argv, "64"], capsys) == (
+            2, "", "error: ValueError: rejection needs 5.99e+38 draws, over the 1000000000 cap\n"
+        )
+
+    def test_rejection_points_lie_inside_past_12_dimensions(self, capsys):
+        # the 13-d unit ball fills 1.1e-4 of its box: about 2.7e6 draws
+        code, out, err = run(
+            ["sample", "--dim", "13", "--count", "300", "--seed", "1", "--method", "reject"],
             capsys,
         )
-        assert code == 2
+        assert (code, err) == (0, "")
+        points = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        assert points.shape == (300, 13)
+        assert bool(Ellipsoid.from_shape(np.eye(13), np.zeros(13)).contains_many(points).all())
+
+    def test_rejection_rate_that_underflows_is_exit_2_at_once(self, capsys, monkeypatch):
+        # V_64 x 1e-320 underflows to 0, so the rate is 0.0 and no draw count fits
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a proposal")
+
+        monkeypatch.setattr(sampling, "_box_rejection_chunk", refuse)
+        code, out, err = run(
+            ["sample", "--radii", ",".join(["1e-5"] * 64), "--method", "reject", "--count", "1",
+             "--seed", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: rejection needs inf draws, over the 1000000000 cap\n"
 
     @pytest.mark.parametrize("command", ["sample", "check"])
     def test_rejection_past_the_draw_budget_is_exit_2_at_once(self, command, capsys, tmp_path):

@@ -19,7 +19,7 @@ from ellipsample import (
 )
 from ellipsample.linalg import is_rotation
 from ellipsample.sampling import (
-    CHUNK_SIZE, MAX_DRAWS, METHODS, _ball_chunk, _box_rejection_chunk, _check_request
+    CHUNK_SIZE, MAX_DRAWS, METHODS, PIECE_FLOATS, _ball_chunk, _box_rejection_chunk, _check_request
 )
 from helpers import dense_shape, rand_ellipsoid
 
@@ -139,28 +139,29 @@ class TestSampleEllipsoid:
         assert bool(e.contains_many(sample_batch(e, 2000, 14).points).all())
 
 
-def box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream):
-    """``_box_rejection_chunk`` at the acceptance rate ``sample_batch`` would pass it."""
-    return _box_rejection_chunk(e, m, rng, _check_request(e, m, "ellipsoid_rejection"))
+def box_rejection_chunk(e: Ellipsoid, m: int, rng: RngStream) -> tuple[int, int]:
+    """(attempts, accepted) of ``_box_rejection_chunk`` on m rows, at ``sample_batch``'s rate."""
+    rate = _check_request(e, m, "ellipsoid_rejection")
+    return _box_rejection_chunk(e, rng, rate, np.empty((m, e.dim)))
 
 
 class TestEllipsoidRejection:
     def test_1d_accepts_everything(self):
         # the bounding box of a segment is the segment itself
         seg = Ellipsoid.from_shape([[1.0]], [0.0])
-        _, attempts, accepted = box_rejection_chunk(seg, 10_000, RngStream(5))
+        attempts, accepted = box_rejection_chunk(seg, 10_000, RngStream(5))
         assert attempts == accepted
 
     def test_unit_disc_acceptance_rate(self):
         disc = Ellipsoid.from_shape(np.eye(2), np.zeros(2))
-        _, attempts, accepted = box_rejection_chunk(disc, 50_000, RngStream(15))
+        attempts, accepted = box_rejection_chunk(disc, 50_000, RngStream(15))
         rate = accepted / attempts
         stderr = math.sqrt(rate * (1.0 - rate) / attempts)
         assert abs(rate - math.pi / 4.0) <= 3.0 * stderr
 
     def test_acceptance_rate_matches_volume_ratio(self):
         e = rand_ellipsoid(2, RngStream(16))
-        _, attempts, accepted = box_rejection_chunk(e, 50_000, RngStream(17))
+        attempts, accepted = box_rejection_chunk(e, 50_000, RngStream(17))
         box_volume = float(np.prod(2.0 * e.bounding_halfwidths()))
         expected = e.volume() / box_volume
         rate = accepted / attempts
@@ -172,9 +173,25 @@ class TestEllipsoidRejection:
         batch = sample_batch(e, 1000, 19, "ellipsoid_rejection")
         assert bool(e.contains_many(batch.points).all())
 
+    def test_stops_at_the_pass_that_fills_the_rows(self):
+        disc = unit_ball(2)
+        out = np.empty((50_000, 2))
+        attempts, accepted = _box_rejection_chunk(disc, RngStream(15), math.pi / 4.0, out)
+        # one rate-sized block would leave about 12.5k inside proposals over
+        assert 0 <= accepted - 50_000 < PIECE_FLOATS // 2
+        # the rows are the first inside proposals of one read of the stream
+        props = 2.0 * RngStream(15).uniforms((attempts, 2)) - 1.0
+        inside = props[disc.contains_many(props)]
+        assert len(inside) == accepted
+        np.testing.assert_array_equal(out, inside[:50_000])
+
     def test_dimension_cap(self):
-        with pytest.raises(DimensionOutOfRange):
-            sample_batch(unit_ball(13), 10, 1, "ellipsoid_rejection")
+        # the one 1..64 rule; past 12 dimensions only the draw budget limits rejection
+        assert bool(unit_ball(13).contains_many(
+            sample_batch(unit_ball(13), 10, 1, "ellipsoid_rejection").points
+        ).all())
+        with pytest.raises(ValueError, match="rejection needs 5.99e\\+39 draws"):
+            sample_batch(unit_ball(64), 10, 1, "ellipsoid_rejection")
 
     def test_cost_past_the_draw_budget_rejected_at_once(self):
         # a dense 12-d shape accepts about 9.35e-5 of its box draws; a million
@@ -278,9 +295,12 @@ class TestSampleBatch:
             sample_batch(ellipse_2x1_at_1_0(), 0, 1)
 
     def test_rejection_dimension_cap(self):
-        # rejection refuses n = 13 whatever the shape
-        with pytest.raises(DimensionOutOfRange):
-            sample_batch(rand_ellipsoid(13, RngStream(20)), 10, 1, "ellipsoid_rejection")
+        # rejection takes n = 13 whatever the shape; by Hadamard's inequality no
+        # shape fills more of its box than the ball, V_n / 2^n
+        e = rand_ellipsoid(13, RngStream(20))
+        rate = _check_request(e, 10, "ellipsoid_rejection")
+        assert 0.0 < rate < unit_ball_volume(13) / 2.0**13
+        assert bool(e.contains_many(sample_batch(e, 10, 1, "ellipsoid_rejection").points).all())
 
 
 class TestDistributionalInvariants:
@@ -322,6 +342,6 @@ class TestRandomRotation:
 
 
 def test_rejection_rate_constant_matches_volume():
-    # on the unit ball, box rejection sizes its proposal blocks from this ratio; sanity-check it
-    for n in range(1, 13):
+    # on the unit ball, box rejection sizes its passes from this ratio; sanity-check it
+    for n in range(1, 65):
         assert 0.0 < unit_ball_volume(n) / 2.0**n <= 1.0 + 1e-12

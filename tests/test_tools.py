@@ -1,5 +1,6 @@
 """The scripts under tools/ run and print the lines their docstrings describe."""
 
+import importlib.util
 import math
 import subprocess
 import sys
@@ -36,6 +37,15 @@ def test_own_peak_prints_one_line_of_readings():
 def test_own_peak_exits_with_the_command_exit_code():
     fields = run_tool("own_peak.py", "volume", "--dim", "0", "--seed", "1", code=2).split()
     assert fields[-2:] == ["exit", "2"]
+
+
+def test_own_peak_exits_128_plus_the_signal_that_killed_the_command(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("own_peak", TOOLS / "own_peak.py")
+    own_peak = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(own_peak)
+    monkeypatch.setattr(own_peak, "run", lambda args: own_peak.Run(1.0, 1.0, 9.0, 100, 0.1, -9))
+    assert own_peak.main(["volume", "--dim", "2"]) == 137
+    assert capsys.readouterr().out.split()[-2:] == ["exit", "-9"]
 
 
 def test_code_lines_counts_every_module():

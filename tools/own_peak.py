@@ -13,7 +13,8 @@ time from ``wait4``, ``sys_s`` its system time alone and ``minflt`` its
 minor page faults: memory the allocator hands back to the OS and takes
 again shows in both.  The command's standard output is discarded (give
 ``--out`` to keep it); its standard error passes through, and its exit
-code is the tool's.  Linux only; standard library only.  Run from anywhere:
+code is the tool's, or 128 + N if signal N killed it, as in a shell.
+Linux only; standard library only.  Run from anywhere:
 
     python3 tools/own_peak.py sample --dim 2 --count 1000000 --seed 3 --out points.csv
 """
@@ -80,7 +81,8 @@ def main(argv: list[str]) -> int:
     r = run(argv)
     print(f"wall_s {r.wall_s:.3f} cpu_s {r.cpu_s:.3f} own_peak_mb {r.own_peak_mb:.1f} "
           f"minflt {r.minflt} sys_s {r.sys_s:.3f} exit {r.exit}")
-    return r.exit
+    # A child killed by signal N reads exit -N; sys.exit would wrap -N to 256 - N.
+    return r.exit if r.exit >= 0 else 128 - r.exit
 
 
 if __name__ == "__main__":
