@@ -13,10 +13,11 @@ with ``_emit``.  One ``_format_rows`` call renders one block, as ASCII
 bytes, in its thread's ``_Workspace``: arrays sized to that block, made
 again only when the block's shape or literals change (in ``sample``, on a
 thread's first chunk and on the short last one).  Every numpy call of the
-render writes a whole block into them with ``out=``, so a steady render
-allocates only its text, and memory is not handed back to the OS and
-faulted in again chunk after chunk.  Callers keep each block to one
-PIECE_FLOATS piece, which bounds those arrays at any dimension.
+render writes a whole block into them with ``out=``, and a mask of the
+cells' nonzero bytes gathers the text in one allocation of its own size,
+so a steady render allocates only its text, and memory is not handed back
+to the OS and faulted in again chunk after chunk.  Callers keep each block
+to one PIECE_FLOATS piece, which bounds those arrays at any dimension.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def resolve_ellipsoid(args) -> Ellipsoid:
 #
 # Every numpy call below writes a whole block into a thread's workspace
 # with ``out=`` (or an in-place operator), so rendering a block allocates
-# nothing but its text.  Each np.take passes mode="clip", as the default
-# mode copies ``out`` before writing it; every index is in range.  The
+# nothing but its text.  Each take is the ndarray method, which skips
+# np.take's Python frames, and passes mode="clip", as the default mode
+# copies ``out`` before writing it; every index is in range.  The
 # tables, the g table of the paper among them, are built by the first
 # render (``_layout_tables``), so only ``sample`` pays for them.
 
@@ -297,8 +299,8 @@ def _shortest(u: np.ndarray, pow10: list[np.ndarray]) -> tuple[np.ndarray, np.nd
     hi += qi
     hi += 2
     np.subtract(ki, _K_MIN, out=t0.view(np.int64))
-    np.take(pow10[0], t0.view(np.int64), out=g1, mode="clip")
-    np.take(pow10[1], t0.view(np.int64), out=g0, mode="clip")
+    pow10[0].take(t0.view(np.int64), out=g1, mode="clip")
+    pow10[1].take(t0.view(np.int64), out=g0, mode="clip")
     np.bitwise_and(g1, _M32, out=g1_lo)
     np.right_shift(g1, 32, out=g1_hi)
     np.right_shift(g0, 32, out=g0_hi)
@@ -445,23 +447,29 @@ class _Workspace(threading.local):
     """One thread's scratch for ``_format_rows``, sized to the block it rendered last.
 
     ``threading.local`` gives each thread its own attributes.  ``arrays``
-    gives 21 rows of 64-bit integers, one entry per float, and ``cells``,
-    the bytes the block is laid out in, ``width`` to a float, with each
-    float's literal in place.  A block of the same shape and literals
-    writes into them again; any other gets new arrays of its exact size.
+    gives at least 21 rows of 64-bit integers, one entry per float, and
+    ``cells``, the bytes the block is laid out in, ``width`` to a float
+    after one lead cell of the same width, with each float's literal in
+    place.  The mask that compacts the cells takes the integer rows' bytes,
+    which are free once the words are laid out.  A block of the same shape
+    and literals writes into them again; any other gets new arrays of its
+    exact size.
     """
 
     key = None
 
     def arrays(self, shape: tuple[int, int], lits: list[bytes]) -> tuple:
-        """The integer rows, the cells as rows of 64-bit words, and the cells."""
+        """The integer rows, the floats' cells as rows of 64-bit words, all the cells, and the mask."""
         if (shape, lits) != self.key:
             width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
-            cells = bytearray(shape[0] * shape[1] * width)
+            floats = shape[0] * shape[1]
+            cells = np.zeros((floats + 1) * width, np.uint8)
             text = np.array([list(lit.ljust(width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
-            np.frombuffer(cells, np.uint8).reshape(*shape, width)[..., _TEXT_COL:] = text
-            words = np.frombuffer(cells, np.int64).reshape(-1, width // 8)
-            self.key, self.held = (shape, lits), (np.empty((21, words.shape[0]), np.uint64), words, cells)
+            cells[width:].reshape(*shape, width)[..., _TEXT_COL:] = text
+            words = cells[width:].view(np.int64).reshape(-1, width // 8)
+            u = np.empty((max(21, -(-cells.size // (8 * floats))), floats), np.uint64)
+            mask = u.reshape(-1).view(bool)[: cells.size]
+            self.key, self.held = (shape, lits), (u, words, cells, mask)
         return self.held
 
 
@@ -470,7 +478,7 @@ _WORKSPACE = _Workspace()
 
 def _format_rows(
     block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
-) -> bytearray:
+) -> memoryview:
     """Each row of ``block`` times ``factor`` in ``template``, joined by ``separator``, as ASCII.
 
     ``template`` has one ``%r`` per coordinate, and each float, which must be
@@ -484,16 +492,22 @@ def _format_rows(
     four at a time from the ``digits`` table, are or'ed with a ``layout``
     row, picked by the layout class of decpt, the column after the last
     nonzero digit and the sign, and with decpt's exponent bytes.  Columns a
-    float does not use hold 0, which one bytearray.translate drops.
+    float does not use hold 0.  A lead cell holds the text's prefix, and a
+    mask of the nonzero bytes, cleared over the ``wrap`` that ends the last
+    float's literal, gathers the text in one allocation of its own size.
+    Both numpy calls release the interpreter lock while they run.  The text
+    comes back as a memoryview, which compares equal to its bytes.
 
     The whole block is rendered at once in the calling thread's workspace,
     so callers keep it to one PIECE_FLOATS piece.
     """
     first, *after = template.split("%r")
     wrap = separator + first
+    # The column of the last float's cell at which its ``wrap`` begins.
+    cut = _TEXT_COL + len(after[-1].encode())
     after[-1] += wrap
     digits, column_ends, classes, divisors, exponents, layouts, *pow10 = _layout_tables()
-    u, words, cells = _WORKSPACE.arrays(block.shape, [lit.encode() for lit in after])
+    u, words, cells, mask = _WORKSPACE.arrays(block.shape, [lit.encode() for lit in after])
     ints = u.view(np.int64)
     np.multiply(block, factor, out=u[0].view(np.float64).reshape(block.shape))
     f, index = _shortest(u, pow10)
@@ -507,7 +521,7 @@ def _format_rows(
     t *= 1233
     t -= 1022 * 1233
     t >>= 12
-    np.take(_POW10, t, out=p, mode="clip")
+    _POW10.take(t, out=p, mode="clip")
     np.subtract(f, p, out=p)
     p >>= 63
     t += p
@@ -515,10 +529,10 @@ def _format_rows(
     index += t
     index += 1 - _DECPT_MIN
     np.subtract(16, t, out=t)
-    np.take(_POW10, t, out=p, mode="clip")
+    _POW10.take(t, out=p, mode="clip")
     f *= p
     # f = d0d1...d16; with the zero inserted j digits from the end, f + 9 10^j (f // 10^j).
-    np.take(divisors, index, out=p, mode="clip")
+    divisors.take(index, out=p, mode="clip")
     np.floor_divide(f, p, out=t)
     t *= p
     t *= 9
@@ -536,19 +550,18 @@ def _format_rows(
         np.floor_divide(half, 10**4, out=groups[i])
         np.multiply(groups[i], 10**4, out=groups[i + 1])
         np.subtract(half, groups[i + 1], out=groups[i + 1])
-    np.take(digits, groups, out=values, mode="clip")
+    digits.take(groups, out=values, mode="clip")
     groups += _GROUP_OFFSETS
-    np.take(column_ends, groups, out=ends, mode="clip")
-    end = ends[0]
-    for later in ends[1:]:
-        np.maximum(end, later, out=end)
+    column_ends.take(groups, out=ends, mode="clip")
+    end = ints[9]
+    np.maximum.reduce(ends, axis=0, out=end)
     key, sign, layout = t, p, ints[4:8].reshape(-1, 4)
-    np.take(classes, index, out=key, mode="clip")
+    classes.take(index, out=key, mode="clip")
     end <<= 1
     key += end
     np.right_shift(u[0], 63, out=sign.view(np.uint64))
     key += sign
-    np.take(layouts, key, axis=0, out=layout, mode="clip")
+    layouts.take(key, axis=0, out=layout, mode="clip")
 
     np.copyto(words[:, 0], layout[:, 0])
     for word, (a, b) in ((1, values[0:2]), (2, values[2:4])):
@@ -559,16 +572,18 @@ def _format_rows(
     # byte, which stays from ``arrays``.
     last, word3 = values[4], words[:, 3]
     last >>= 16
-    np.take(exponents, index, out=p, mode="clip")
+    exponents.take(index, out=p, mode="clip")
     last |= p
     last |= layout[:, 3]
     word3 &= 0x7F << 56
     word3 |= last
-    # Trimmed and prefixed in place: a sliced copy would double the peak.
-    text = cells.translate(None, b"\0")
-    del text[len(text) - len(wrap) :]
-    text[:0] = (wrap if start else first).encode()
-    return text
+    # The text is every nonzero byte from the prefix in the lead cell to the
+    # last float's literal, less the separator and ``first`` that end it.
+    width = words.shape[1] * 8
+    cells[:width] = np.frombuffer((wrap if start else first).encode().ljust(width, b"\0"), np.uint8)
+    np.not_equal(cells, 0, out=mask)
+    mask[cells.size - width + cut :] = False
+    return cells[mask].data
 
 
 def _csv(batch: SampleBatch, e: Ellipsoid) -> tuple:
@@ -611,7 +626,7 @@ def _svg(batch: SampleBatch, e: Ellipsoid) -> tuple:
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">\n'
-        f'<polygon points="{_format_rows(ring, 0, "%r,%r", " ", flip).decode()}" fill="none" '
+        f'<polygon points="{str(_format_rows(ring, 0, "%r,%r", " ", flip), "ascii")}" fill="none" '
         'stroke="black" stroke-width="1" vector-effect="non-scaling-stroke"/>\n'
     )
     circle = '<circle cx="%r" cy="%r" r="' + repr(dot) + '"/>\n'
@@ -642,7 +657,7 @@ def _emit(pieces: Iterable[bytes], out: str | None) -> None:
         raise OSError("standard output is closed")
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
-        sys.stdout.writelines(piece.decode() for piece in pieces)
+        sys.stdout.writelines(str(piece, "ascii") for piece in pieces)
         return
     sys.stdout.flush()
     writer = io.BufferedWriter(binary)
@@ -666,7 +681,7 @@ def cmd_sample(args) -> int:
     batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
     head, layout, tail = _FORMATS[args.format](batch, e)
 
-    def render(i: int, rows: slice) -> bytearray:
+    def render(i: int, rows: slice) -> memoryview:
         return _format_rows(batch.points[rows], rows.start, *layout)
 
     # Each rendered chunk is one piece, which bounds the formatter's arrays at any dimension.

@@ -23,14 +23,14 @@ def run_tool(*args: str, code: int = 0) -> str:
 def test_own_peak_prints_one_line_of_readings():
     fields = run_tool("own_peak.py", "volume", "--dim", "2", "--seed", "1").split()
     readings = dict(zip(fields[::2], fields[1::2]))
-    assert list(readings) == ["wall_s", "cpu_s", "own_peak_mb", "minflt", "sys_s", "exit"]
-    assert len(fields) == 12
+    assert list(readings) == ["wall_s", "cpu_s", "own_peak_mb", "minflt", "sys_s", "nvcsw", "exit"]
+    assert len(fields) == 14
     assert readings["exit"] == "0"
     wall, cpu, sys_s = float(readings["wall_s"]), float(readings["cpu_s"]), float(readings["sys_s"])
     assert 0 < wall and 0 < cpu and 0 <= sys_s <= cpu
     # A Python process with numpy imported holds tens of MB and faults in thousands of pages.
     assert math.isfinite(float(readings["own_peak_mb"])) and float(readings["own_peak_mb"]) > 1
-    assert int(readings["minflt"]) > 100
+    assert int(readings["minflt"]) > 100 and int(readings["nvcsw"]) >= 0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status and wait4")
@@ -43,7 +43,7 @@ def test_own_peak_exits_128_plus_the_signal_that_killed_the_command(monkeypatch,
     spec = importlib.util.spec_from_file_location("own_peak", TOOLS / "own_peak.py")
     own_peak = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(own_peak)
-    monkeypatch.setattr(own_peak, "run", lambda args: own_peak.Run(1.0, 1.0, 9.0, 100, 0.1, -9))
+    monkeypatch.setattr(own_peak, "run", lambda args: own_peak.Run(1.0, 1.0, 9.0, 100, 0.1, 50, -9))
     assert own_peak.main(["volume", "--dim", "2"]) == 137
     assert capsys.readouterr().out.split()[-2:] == ["exit", "-9"]
 

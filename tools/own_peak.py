@@ -1,9 +1,9 @@
-"""Wall time, CPU time, own peak memory and page faults of one ``python -m ellipsample`` run.
+"""Wall time, CPU time, own peak memory, page faults and context switches of one ``python -m ellipsample`` run.
 
 Runs ``python -m ellipsample ARGS`` on the package under this repository's
 ``src/`` and prints one line, for example:
 
-    wall_s 0.594 cpu_s 0.925 own_peak_mb 161.8 minflt 9120 sys_s 0.104 exit 0
+    wall_s 0.594 cpu_s 0.925 own_peak_mb 161.8 minflt 9120 sys_s 0.104 nvcsw 7512 exit 0
 
 ``own_peak_mb`` is the child's own VmHWM, read from /proc/self/status in an
 atexit hook and sent back through a pipe.  Unlike ``ru_maxrss`` from
@@ -11,7 +11,9 @@ atexit hook and sent back through a pipe.  Unlike ``ru_maxrss`` from
 below the RSS of a large parent.  ``cpu_s`` is the child's user plus system
 time from ``wait4``, ``sys_s`` its system time alone and ``minflt`` its
 minor page faults: memory the allocator hands back to the OS and takes
-again shows in both.  The command's standard output is discarded (give
+again shows in both.  ``nvcsw`` is its voluntary context switches, also
+from ``wait4``: a thread that blocks, on I/O or on the interpreter lock
+another thread holds, adds one.  The command's standard output is discarded (give
 ``--out`` to keep it); its standard error passes through, and its exit
 code is the tool's, or 128 + N if signal N killed it, as in a shell.
 Linux only; standard library only.  Run from anywhere:
@@ -50,6 +52,7 @@ class Run(NamedTuple):
     own_peak_mb: float
     minflt: int
     sys_s: float
+    nvcsw: int
     exit: int
 
 
@@ -71,7 +74,7 @@ def run(args: list[str]) -> Run:
     # "VmHWM:   161800 kB"; empty if the child died before its exit hooks ran.
     peak = int(line.split()[1]) * 1024 / 1e6 if line else float("nan")
     return Run(wall, usage.ru_utime + usage.ru_stime, peak, usage.ru_minflt, usage.ru_stime,
-               proc.returncode)
+               usage.ru_nvcsw, proc.returncode)
 
 
 def main(argv: list[str]) -> int:
@@ -80,7 +83,7 @@ def main(argv: list[str]) -> int:
         return 0 if argv else 2
     r = run(argv)
     print(f"wall_s {r.wall_s:.3f} cpu_s {r.cpu_s:.3f} own_peak_mb {r.own_peak_mb:.1f} "
-          f"minflt {r.minflt} sys_s {r.sys_s:.3f} exit {r.exit}")
+          f"minflt {r.minflt} sys_s {r.sys_s:.3f} nvcsw {r.nvcsw} exit {r.exit}")
     # A child killed by signal N reads exit -N; sys.exit would wrap -N to 256 - N.
     return r.exit if r.exit >= 0 else 128 - r.exit
 
