@@ -1,4 +1,4 @@
-"""Wall time, CPU time, own peak memory, page faults and context switches of one ``python -m ellipsample`` run.
+"""Time, own peak memory, page faults and context switches of one ``python -m ellipsample`` run.
 
 Runs ``python -m ellipsample ARGS`` on the package under this repository's
 ``src/`` and prints one line, for example:
@@ -13,9 +13,10 @@ time from ``wait4``, ``sys_s`` its system time alone and ``minflt`` its
 minor page faults: memory the allocator hands back to the OS and takes
 again shows in both.  ``nvcsw`` is its voluntary context switches, also
 from ``wait4``: a thread that blocks, on I/O or on the interpreter lock
-another thread holds, adds one.  The command's standard output is discarded (give
-``--out`` to keep it); its standard error passes through, and its exit
-code is the tool's, or 128 + N if signal N killed it, as in a shell.
+another thread holds, adds one.  The command's standard output is
+discarded (give ``--out`` to keep it); its standard error passes through,
+and its exit code is the tool's, or 128 + N if signal N killed it, as in
+a shell.
 Linux only; standard library only.  Run from anywhere:
 
     python3 tools/own_peak.py sample --dim 2 --count 1000000 --seed 3 --out points.csv
