@@ -123,9 +123,9 @@ class Ellipsoid:
     are immutable and safe to share across threads.
 
     One extent rule serves every box: the halfwidths are the Euclidean norms
-    of shape's rows, computed scaled (``_row_norms``) so they are exact at
-    every scale, and an ellipsoid whose box at twice that extent is not
-    finite in float64 is refused.
+    of shape's rows, computed once and scaled (``_row_norms``) so they are
+    exact at every scale, and an ellipsoid whose box at twice that extent is
+    not finite in float64 is refused.
 
     Both affine maps are ``_block_product``: rows times a fixed matrix in
     zero-padded blocks of exactly 64 rows, so a row's bits do not depend on
@@ -145,6 +145,7 @@ class Ellipsoid:
     centre: np.ndarray
     abs_det_shape: float = field(init=False)
     _inverse_t: np.ndarray = field(init=False, repr=False)
+    _halfwidths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = linalg.as_square(self.shape).copy()
@@ -158,7 +159,8 @@ class Ellipsoid:
         # float64.  By Cauchy-Schwarz every partial sum of row i of shape @ u,
         # for a unit u, is at most that row's norm: the box halfwidth.
         with np.errstate(over="ignore"):
-            reach = 2.0 * (np.abs(centre) + _row_norms(shape))
+            halfwidths = _row_norms(shape)
+            reach = 2.0 * (np.abs(centre) + halfwidths)
         if not np.isfinite(reach).all():
             raise ValueError("the bounding box at twice its extent is not finite in float64")
         # Overflow raises FloatingPointError (exit 2), not a printed RuntimeWarning.
@@ -179,6 +181,7 @@ class Ellipsoid:
         object.__setattr__(self, "centre", _lock(centre))
         object.__setattr__(self, "abs_det_shape", abs(det))
         object.__setattr__(self, "_inverse_t", _lock(np.ascontiguousarray(inverse.T)))
+        object.__setattr__(self, "_halfwidths", _lock(halfwidths))
 
     # -- constructors -------------------------------------------------------
 
@@ -368,13 +371,14 @@ class Ellipsoid:
         face touches it (w_i = max of e_i . (shape @ u) over the unit ball).
         The norms are scaled (``_row_norms``), so the box is exact at every
         scale the constructor accepts: it never overflows or underflows.
+        They are computed once, at construction, and returned read-only.
         """
-        return _row_norms(self.shape)
+        return self._halfwidths
 
     def box_volume(self) -> float:
         """Volume of the bounding box of ``bounding_halfwidths``; OverflowError as ``volume``."""
         with np.errstate(over="ignore"):
-            return _finite(float(np.prod(2.0 * self.bounding_halfwidths())), "bounding-box volume")
+            return _finite(float(np.prod(2.0 * self._halfwidths)), "bounding-box volume")
 
     def spec_dict(self) -> dict:
         """Resolved provenance spec; feeding it to from_spec rebuilds this ellipsoid."""

@@ -1,18 +1,20 @@
 """Random point generation for hyperellipsoids.
 
-Every sampler is a ``sample_batch`` method.  The primary one, "transform",
-draws uniform unit-ball points (Gaussian direction, radius u^(1/n)) and
-pushes them through the ellipsoid's affine map, which preserves uniformity.
-The map writes each chunk straight into the batch's rows
-(``Ellipsoid._ball_image``), in the fixed-height row blocks that the
-``Ellipsoid`` docstring describes.
-Rejection from the bounding box ("ellipsoid_rejection") is kept as an
-independent oracle; on the unit ball it is rejection from the cube
-[-1, 1]^n.  It fills a chunk's rows in passes of at most one piece, each
-sized to the rows still empty at the expected acceptance rate, and the
-MAX_DRAWS budget on count / rate is its only cost guard.  "biased" (radius
-u instead of u^(1/n)) is the negative control that proves the validation
-suite can detect non-uniformity.
+Every sampler is a ``sample_batch`` method, and each method is one chunk
+task that draws, scales and maps its own rows, a piece at a time.  The
+primary one, "transform" (``_transform_chunk``), draws uniform unit-ball
+points (Gaussian direction, radius u^(1/n)) into the batch's rows and
+pushes them there through the ellipsoid's affine map, which preserves
+uniformity (``Ellipsoid._ball_image``, in the fixed-height row blocks that
+the ``Ellipsoid`` docstring describes).
+Rejection from the bounding box ("ellipsoid_rejection",
+``_box_rejection_chunk``) is kept as an independent oracle; on the unit
+ball it is rejection from the cube [-1, 1]^n.  It fills a chunk's rows in
+passes of at most one piece, each sized to the rows still empty at the
+expected acceptance rate, and the MAX_DRAWS budget on count / rate is its
+only cost guard.  "biased" (the transform task with radius u instead of
+u^(1/n)) is the negative control that proves the validation suite can
+detect non-uniformity.
 
 Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
@@ -179,28 +181,30 @@ class SampleBatch:
         return self.points.shape[0]
 
 
-def _ball_chunk(
-    n: int, m: int, rng: RngStream, radius_exponent: float, out: np.ndarray | None = None
+def _transform_chunk(
+    e: Ellipsoid, rng: RngStream, radius_exponent: float, out: np.ndarray
 ) -> np.ndarray:
-    """m points of the unit n-ball: Gaussian directions, radii u**radius_exponent.
+    """Fill the rows of ``out`` with points of ``e``: unit-ball points through its affine map.
 
-    Exponent 1/n gives the uniform law; exponent 1 gives the centre-biased
+    A ball point is a Gaussian direction with radius u**radius_exponent;
+    exponent 1/n gives the uniform law, exponent 1 the centre-biased
     negative control.  A Gaussian vector with exactly zero norm is redrawn.
-    Written into ``out`` (a new array if None, else an (m, n) array), a
-    piece at a time; the stream is read in the order of one whole draw: all
-    normals, then the redraws, then the uniforms.
+    The stream is read in the order of one whole draw: all normals, then
+    the redraws, then the uniforms.  So the Gaussians are drawn into
+    ``out`` in one piece loop, and a second one scales each piece to the
+    ball and maps it in place (``Ellipsoid._ball_image``).  Returns ``out``.
     """
-    g = np.empty((m, n)) if out is None else out
-    norms = np.empty(m)
-    for piece in _pieces(slice(0, m), n):
-        g[piece] = rng.normals((piece.stop - piece.start, n))
-        norms[piece] = np.linalg.norm(g[piece], axis=1)
+    norms = np.empty(len(out))
+    for piece in _pieces(slice(0, len(out)), e.dim):
+        out[piece] = rng.normals((piece.stop - piece.start, e.dim))
+        norms[piece] = np.linalg.norm(out[piece], axis=1)
     while (stuck := norms == 0.0).any():
-        g[stuck] = rng.normals((int(stuck.sum()), n))
-        norms[stuck] = np.linalg.norm(g[stuck], axis=1)
-    radii = rng.uniforms(m) ** radius_exponent
-    g *= (radii / norms)[:, None]
-    return g
+        out[stuck] = rng.normals((int(stuck.sum()), e.dim))
+        norms[stuck] = np.linalg.norm(out[stuck], axis=1)
+    scale = rng.uniforms(len(out)) ** radius_exponent / norms
+    for piece in _pieces(slice(0, len(out)), e.dim):
+        e._ball_image(out[piece] * scale[piece, None], out=out[piece])
+    return out
 
 
 def _box_proposals(e: Ellipsoid, k: int, rng: RngStream) -> np.ndarray:
@@ -286,16 +290,11 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     root = RngStream(seed)
     points = np.empty((count, e.dim))
 
-    # The only branch on the method: box rejection, or ball points drawn into
-    # the chunk's rows and mapped there by Ellipsoid._ball_image, a piece at a time.
-    def fill(i: int, rows: slice) -> None:
-        out = points[rows]
+    # The only branch on the method: each task fills the chunk's rows, a piece at a time.
+    def fill(i: int, rows: slice):
         if method == "ellipsoid_rejection":
-            _box_rejection_chunk(e, root.derive(i), rate, out)
-            return
-        _ball_chunk(e.dim, len(out), root.derive(i), exponent, out=out)
-        for piece in _pieces(slice(0, len(out)), e.dim):
-            e._ball_image(out[piece].copy(), out=out[piece])
+            return _box_rejection_chunk(e, root.derive(i), rate, points[rows])
+        return _transform_chunk(e, root.derive(i), exponent, points[rows])
 
     with _chunk_results(count, fill) as filled:
         list(filled)

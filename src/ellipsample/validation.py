@@ -33,8 +33,8 @@ import numpy as np
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
 from .geometry import Ellipsoid, _sq_norms, unit_ball_volume
 from .sampling import (
-    CHUNK_SIZE, MAX_DRAWS, RngStream, SampleBatch, _ball_chunk, _box_proposals,
-    _chunk_results, _pieces,
+    CHUNK_SIZE, MAX_DRAWS, RngStream, SampleBatch, _box_proposals, _chunk_results, _pieces,
+    _transform_chunk,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -321,7 +321,7 @@ def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestRepor
     inverse_scale = float(np.abs(inverse_map).max())
     worst = 0.0
     for _ in range(trials):
-        x = e.forward(_ball_chunk(n, 1, rng, 1.0 / n)[0])
+        x = _transform_chunk(e, rng, 1.0 / n, np.empty((1, n)))[0]
         pdf_err = abs(e.pdf(x) - expected_pdf) / expected_pdf
         h = _FD_REL_STEP * max(float(np.abs(x).max()), float(np.abs(x - e.centre).max()))
         # Row j of each half is x +- h along axis j; one pull-back takes all 2n.

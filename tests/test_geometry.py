@@ -15,9 +15,12 @@ from ellipsample import (
     RngStream,
     SingularShape,
     centre_from_foci,
+    mc_volume,
     random_rotation,
+    sample_batch,
     unit_ball_volume,
 )
+from ellipsample import geometry
 from ellipsample.geometry import MEMBERSHIP_SLACK, _row_norms
 from ellipsample.sampling import CHUNK_SIZE
 from ellipsample.validation import PULLBACK_SLACK
@@ -492,6 +495,16 @@ class TestBoundingHalfwidths:
             np.testing.assert_array_equal(_row_norms(np.ldexp(shape, k)), np.ldexp(w, k))
         e = Ellipsoid.from_shape(shape, np.zeros(n))
         np.testing.assert_array_equal(e.bounding_halfwidths(), w)
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        e8 = rand_ellipsoid(8, RngStream(58))
+        calls = []
+        monkeypatch.setattr(geometry, "_row_norms", lambda m: calls.append(1) or _row_norms(m))
+        mc_volume(e8, 100_000, RngStream(59))
+        sample_batch(e8, 2000, 3, "ellipsoid_rejection")
+        assert not calls
+        with pytest.raises(ValueError):
+            e8.bounding_halfwidths()[0] = 0.0
 
 
 class TestSpecParsing:

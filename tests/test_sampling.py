@@ -12,14 +12,18 @@ from ellipsample import (
     RngStream,
     SampleBatch,
     chi_square_two_sample,
+    chi_square_uniformity,
+    mc_volume,
     radial_ks,
     random_rotation,
     sample_batch,
     unit_ball_volume,
 )
+from ellipsample import sampling
 from ellipsample.linalg import is_rotation
 from ellipsample.sampling import (
-    CHUNK_SIZE, MAX_DRAWS, METHODS, PIECE_FLOATS, _ball_chunk, _box_rejection_chunk, _check_request
+    CHUNK_SIZE, MAX_DRAWS, METHODS, PIECE_FLOATS, _box_rejection_chunk, _check_request,
+    _transform_chunk,
 )
 from helpers import dense_shape, rand_ellipsoid
 
@@ -110,15 +114,18 @@ class TestSampleUnitBall:
                 return super().normals(size)
 
         stub = StubStream()
-        point = _ball_chunk(3, 1, stub, 1.0 / 3.0)[0]
+        point = _transform_chunk(unit_ball(3), stub, 1.0 / 3.0, np.empty((1, 3)))[0]
         assert stub.gaussian_calls >= 2
         assert 0.0 < np.linalg.norm(point) <= 1.0
 
 
 class TestSampleEllipsoid:
     def test_unit_disc_equals_ball_sampler(self):
+        # The identity map moves no bit of the ball points it is handed.
         x = sample_batch(unit_ball(2), 100, 42).points
-        u = _ball_chunk(2, 100, RngStream(42).derive(0), 0.5)
+        stream = RngStream(42).derive(0)
+        g = stream.normals((100, 2))
+        u = g * (stream.uniforms(100) ** 0.5 / np.linalg.norm(g, axis=1))[:, None]
         np.testing.assert_array_equal(x, u)
 
     def test_mean_is_centre(self):
@@ -252,6 +259,31 @@ class TestSampleBatch:
         longer = sample_batch(e, 3 * CHUNK_SIZE + 5, 9)
         shorter = sample_batch(e, 2 * CHUNK_SIZE, 9)
         np.testing.assert_array_equal(longer.points[: 2 * CHUNK_SIZE], shorter.points)
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_bytes_do_not_depend_on_piece_size(self, n, monkeypatch):
+        # Radii 0.5..2 on the axes keep box rejection at its best rate, 2.5e-3
+        # at 10-d.  Even so the full count there is 6.6e6 proposals, about 20 s
+        # in the 9-row passes of 96-float pieces; 300 points take 13k passes.
+        e = Ellipsoid.from_shape(np.diag(np.linspace(0.5, 2.0, n)), np.linspace(-1.0, 1.0, n))
+
+        def run() -> list:
+            out = []
+            for method in METHODS:
+                count = 300 if (n, method) == (10, "ellipsoid_rejection") else 2 * CHUNK_SIZE + 77
+                out.append(sample_batch(e, count, 13, method).points)
+            batch = sample_batch(e, 2 * CHUNK_SIZE + 77, 14)
+            out.append(chi_square_uniformity(batch, e, shells=2).statistic)
+            out.append(radial_ks(batch, e).statistic)
+            out.append(mc_volume(e, 50_000, RngStream(15)))
+            return out
+
+        default = run()
+        # At least n floats, so a piece holds at least one row.
+        for piece_floats in (96, 200, 4096):
+            monkeypatch.setattr(sampling, "PIECE_FLOATS", piece_floats)
+            for got, want in zip(run(), default):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_all_points_contained(self, method):
