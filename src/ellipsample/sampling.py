@@ -19,11 +19,15 @@ detect non-uniformity.
 Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
 method, count) and a shorter batch is a prefix of a longer one at every
-chunk boundary.
+chunk boundary.  ``_draw_chunk`` is the one branch on the method:
+``sample_batch`` draws each chunk into the batch's own rows, and ``check``
+(``_drawn_chunks``) into a CHUNK_SIZE-row buffer that each thread reuses,
+so it pulls the same points back without ever holding the batch.
 
 Chunks are independent, so ``_chunk_results`` is the one driver for every
-stage that maps over them: a batch's chunks, the pull-back and the Monte
-Carlo volume in ``validation``, and the text of ``cli``'s ``sample`` all run
+stage that maps over them: a batch's chunks, the pull-back pass (which
+draws its own chunks in ``check``) and the Monte Carlo volume in
+``validation``, and the text of ``cli``'s ``sample`` all run
 on one thread per usable CPU.  A chunk writes only its own rows and every
 reduction across chunks is an integer sum, so the bytes do not depend on
 the thread count.  Nothing configures it: one usable CPU runs every chunk
@@ -31,7 +35,8 @@ inline, with no pool.
 
 Each task does its numpy work in pieces of at most PIECE_FLOATS floats
 (``_pieces``), so a thread's temporaries are a small multiple of 128 KiB at
-any dimension, and the peak is the output plus O(threads x 128 KiB).  A
+any dimension, and the peak is the output (for ``check``, one chunk's
+rows per thread and KS's 8 bytes a point) plus O(threads x 128 KiB).  A
 stream's variates do not depend on how a read is split, and the affine
 maps work in fixed row blocks, so the pieces move no bits.
 """
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -126,8 +132,10 @@ def _chunk_results(count: int, fn: Callable, size: int = CHUNK_SIZE) -> Iterator
     here, and chunks not yet started are cancelled.  The pool is shut down
     and joined on every way out.
     """
-    chunks = [slice(start, min(start + size, count)) for start in range(0, count, size)]
-    workers = min(_usable_cpus(), len(chunks))
+    # Made as they run, so no list of slices grows with the count.
+    starts = range(0, count, size)
+    chunks = (slice(start, min(start + size, count)) for start in starts)
+    workers = min(_usable_cpus(), len(starts))
     if workers <= 1:
         yield (fn(i, rows) for i, rows in enumerate(chunks))
         return
@@ -276,6 +284,36 @@ def _check_request(e: Ellipsoid, count: int, method: str) -> float:
     return rate
 
 
+def _draw_chunk(e: Ellipsoid, method: str, rate: float, rng: RngStream, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``out`` with ``method``'s points of ``e`` from ``rng``; returns ``out``.
+
+    The one branch on the method, for ``sample_batch`` and ``check`` alike;
+    ``rate`` is ``_check_request``'s acceptance rate.
+    """
+    if method == "ellipsoid_rejection":
+        _box_rejection_chunk(e, rng, rate, out)
+        return out
+    return _transform_chunk(e, rng, 1.0 if method == "biased" else 1.0 / e.dim, out)
+
+
+def _drawn_chunks(e: Ellipsoid, seed: int, method: str, rate: float) -> Callable:
+    """points(i, rows): chunk i of ``sample_batch(e, count, seed, method)``, the batch never held.
+
+    Each thread draws into one CHUNK_SIZE-row buffer of its own, which its
+    next call overwrites, so a ``_chunk_results`` task must be done with
+    its chunk's points when it returns.
+    """
+    root = RngStream(seed)
+    local = threading.local()
+
+    def points(i: int, rows: slice) -> np.ndarray:
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty((CHUNK_SIZE, e.dim))
+        return _draw_chunk(e, method, rate, root.derive(i), local.buffer[: rows.stop - rows.start])
+
+    return points
+
+
 def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform") -> SampleBatch:
     """Generate a reproducible batch of ``count`` points from ``e``.
 
@@ -286,15 +324,11 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     one preallocated array, through ``_chunk_results``.
     """
     rate = _check_request(e, count, method)
-    exponent = 1.0 if method == "biased" else 1.0 / e.dim
     root = RngStream(seed)
     points = np.empty((count, e.dim))
 
-    # The only branch on the method: each task fills the chunk's rows, a piece at a time.
-    def fill(i: int, rows: slice):
-        if method == "ellipsoid_rejection":
-            return _box_rejection_chunk(e, root.derive(i), rate, points[rows])
-        return _transform_chunk(e, root.derive(i), exponent, points[rows])
+    def fill(i: int, rows: slice) -> None:
+        _draw_chunk(e, method, rate, root.derive(i), points[rows])
 
     with _chunk_results(count, fill) as filled:
         list(filled)

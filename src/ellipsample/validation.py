@@ -7,14 +7,17 @@ hold probability 1/K, and the 2^n sign orthants are equal by symmetry.  The
 radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
-A test keeps one number per point: ||u||^2 for KS, the bin index for
-chi-square.  So each test pulls each point back once, chunk by chunk on the
-threads of ``sampling._chunk_results``, each chunk in PIECE_FLOATS pieces,
-and keeps only that.  That is bit-identical to one pull-back of the whole
-batch:
-``Ellipsoid.pullback`` multiplies by the cached inverse in the fixed-height
-row blocks that the ``Ellipsoid`` docstring describes, so a row's bits do
-not depend on how many rows come with it.
+Every test reads its points through one pass, ``_pull_back_pass``: chunk
+by chunk on the threads of ``sampling._chunk_results``, each chunk in
+PIECE_FLOATS pieces, each point is pulled back once, checked against the
+unit ball and kept only as what the tests need.  Chi-square keeps integer
+bin counts; KS keeps ||u||^2, 8 bytes a point, because its statistic needs
+one sort of all of them.  The public tests run the pass over a held batch;
+``check`` runs it once for all its tests over chunks drawn as it goes, so
+it holds no batch.  Pieces are bit-identical to one pull-back of the whole
+batch: ``Ellipsoid.pullback`` multiplies by the cached inverse in the
+fixed-height row blocks that the ``Ellipsoid`` docstring describes, so a
+row's bits do not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,30 +132,51 @@ def _bin_index(u: np.ndarray, sq_norms: np.ndarray, shells: int) -> np.ndarray:
     return shell * 2**dim + (u < 0.0) @ (1 << np.arange(dim))
 
 
-def _pull_back(batch: SampleBatch, e: Ellipsoid, shells: int | None = None) -> np.ndarray:
-    """||u||^2 of each point, or with ``shells`` its bin; pulled back a piece at a time.
-
-    A piece whose largest norm exceeds 1 + PULLBACK_SLACK, or is NaN, raises
-    PointOutsideEllipsoid before it is binned.
-    """
+def _batch_points(batch: SampleBatch, e: Ellipsoid) -> Callable:
+    """``_pull_back_pass``'s points(i, rows) for a held batch: its rows, once its dim is checked."""
     if batch.dim != e.dim:
         raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
-    out = np.empty(batch.count, dtype=float if shells is None else np.int64)
+    return lambda i, rows: batch.points[rows]
 
-    def pull(i: int, rows: slice) -> None:
-        for piece in _pieces(rows, e.dim):
-            u = e.pullback(batch.points[piece])
-            sq_norms = _sq_norms(u)
-            worst = math.sqrt(sq_norms.max())
+
+def _pull_back_pass(
+    e: Ellipsoid, count: int, points: Callable, shells: int | None = None, radii: bool = False
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Pull each of ``count`` points back once and keep what chi-square and KS need of it.
+
+    points(i, rows) gives chunk i's points; the chunks run on the threads
+    of ``_chunk_results`` and each is pulled back a PIECE_FLOATS piece at a
+    time.  A piece whose largest norm exceeds 1 + PULLBACK_SLACK, or is
+    NaN, raises PointOutsideEllipsoid before it is kept.  Returns
+    (observed, sq_norms): with ``shells`` the integer count of each bin,
+    added to chunk by chunk in chunk order, else None; with ``radii`` each
+    point's ||u||^2 in one ``count``-long array, else None.
+    """
+    sq_norms = np.empty(count) if radii else None
+
+    def pull(i: int, rows: slice) -> np.ndarray | None:
+        chunk = points(i, rows)
+        index = None if shells is None else np.empty(len(chunk), np.int64)
+        for piece in _pieces(slice(0, len(chunk)), e.dim):
+            u = e.pullback(chunk[piece])
+            sq = _sq_norms(u)
+            worst = math.sqrt(sq.max())
             if not worst <= 1.0 + PULLBACK_SLACK:
                 raise PointOutsideEllipsoid(
                     f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}"
                 )
-            out[piece] = sq_norms if shells is None else _bin_index(u, sq_norms, shells)
+            if radii:
+                sq_norms[rows.start + piece.start : rows.start + piece.stop] = sq
+            if shells is not None:
+                index[piece] = _bin_index(u, sq, shells)
+        return index
 
-    with _chunk_results(batch.count, pull) as pulled:
-        list(pulled)
-    return out
+    observed = None if shells is None else np.zeros(_bin_total(e.dim, shells), np.int64)
+    with _chunk_results(count, pull) as pulled:
+        for index in pulled:
+            if index is not None:
+                np.add.at(observed, index, 1)
+    return observed, sq_norms
 
 
 def _uniformity_bins(dim: int, count: int, shells: int) -> int:
@@ -187,13 +212,18 @@ def chi_square_uniformity(
     cell probabilities, so sum (obs - exp)^2 / exp is chi-square with
     shells * 2^dim - 1 degrees of freedom.
     """
-    bins = _uniformity_bins(e.dim, batch.count, shells)
-    expected = batch.count / bins
-    dof = bins - 1
+    _uniformity_bins(e.dim, batch.count, shells)
+    observed = _pull_back_pass(e, batch.count, _batch_points(batch, e), shells)[0]
+    return _chi_square_report(observed, batch.count, alpha)
+
+
+def _chi_square_report(observed: np.ndarray, count: int, alpha: float) -> TestReport:
+    """``chi_square_uniformity``'s report from the bin counts of ``count`` points."""
+    expected = count / len(observed)
+    dof = len(observed) - 1
     critical = wilson_hilferty_critical(dof, alpha)
-    observed = np.bincount(_pull_back(batch, e, shells), minlength=bins)
     statistic = float(((observed - expected) ** 2 / expected).sum())
-    return TestReport("chi_square_uniformity", statistic, dof, critical, alpha, batch.count)
+    return TestReport("chi_square_uniformity", statistic, dof, critical, alpha, count)
 
 
 def chi_square_two_sample(
@@ -209,9 +239,8 @@ def chi_square_two_sample(
     statistic sum (sqrt(Nb/Na) a_i - sqrt(Na/Nb) b_i)^2 / (a_i + b_i); empty
     bins are skipped and each reduces the degrees of freedom by one.
     """
-    bins = _bin_total(e.dim, shells)
-    counts_a = np.bincount(_pull_back(batch_a, e, shells), minlength=bins)
-    counts_b = np.bincount(_pull_back(batch_b, e, shells), minlength=bins)
+    counts_a = _pull_back_pass(e, batch_a.count, _batch_points(batch_a, e), shells)[0]
+    counts_b = _pull_back_pass(e, batch_b.count, _batch_points(batch_b, e), shells)[0]
     na, nb = batch_a.count, batch_b.count
     occupied = (counts_a + counts_b) > 0
     dof = int(occupied.sum()) - 1
@@ -233,11 +262,19 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     against the asymptotic critical value 1.63/sqrt(N) at alpha 0.01 or
     1.95/sqrt(N) at alpha 0.001.
     """
+    _check_ks_count(batch.count)
+    sq_norms = _pull_back_pass(e, batch.count, _batch_points(batch, e), radii=True)[1]
+    return _ks_report(sq_norms, e.dim, alpha)
+
+
+def _ks_report(t: np.ndarray, dim: int, alpha: float) -> TestReport:
+    """``radial_ks``'s report from each point's ||u||^2 in ``t``.
+
+    ``t`` is raised to n/2 and sorted in place, so its memory is reused.
+    """
     scale = _quantile(_KS_SCALE, alpha)
-    n = batch.count
-    _check_ks_count(n)
-    t = _pull_back(batch, e)
-    t **= e.dim / 2.0
+    n = len(t)
+    t **= dim / 2.0
     t.sort()
 
     # The gaps to the empirical CDF i/n, a block at a time, so no O(N) grid is

@@ -13,7 +13,7 @@ import pytest
 from ellipsample import Ellipsoid, RngStream, sampling
 from ellipsample.cli import main
 from ellipsample.sampling import CHUNK_SIZE, _chunk_results, sample_batch
-from ellipsample.validation import _pull_back, chi_square_uniformity, mc_volume, radial_ks
+from ellipsample.validation import _pull_back_pass, chi_square_uniformity, mc_volume, radial_ks
 from helpers import child_env, dense_shape
 from test_golden import CASES
 
@@ -69,9 +69,12 @@ def test_sample_batch_bits_do_not_depend_on_the_thread_count(method, n, count, m
 def test_pull_back_bits_do_not_depend_on_the_thread_count(n, shells, monkeypatch):
     e = dense(n)
     batch = sample_batch(e, 3 * CHUNK_SIZE + 5, 6)
-    reference, results = at_each_worker_count(
-        monkeypatch, lambda: _pull_back(batch, e, shells).tobytes()
-    )
+
+    def pulled() -> bytes:
+        kept = _pull_back_pass(e, batch.count, lambda i, rows: batch.points[rows], shells, True)
+        return b"".join(k.tobytes() for k in kept if k is not None)
+
+    reference, results = at_each_worker_count(monkeypatch, pulled)
     assert all(r == reference for r in results)
 
 
@@ -130,8 +133,9 @@ def test_check_working_set_does_not_grow_with_the_thread_count(monkeypatch, caps
     for workers in (2, 7):
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
         peaks.append(traced_peak(argv, capsys)[0])
-    # A whole 8192 x 64 chunk's temporaries are about 5 MB per thread; a piece's, a few 128 KiB.
-    assert (peaks[1] - peaks[0]) / 5 < 1e6
+    # Each added thread holds one chunk's rows, which it draws into, and a
+    # piece's temporaries, a few 128 KiB; a whole chunk's would be about 5 MB more.
+    assert (peaks[1] - peaks[0]) / 5 < CHUNK_SIZE * 64 * 8 + 1e6
 
 
 def test_box_rejection_working_set_is_a_few_pieces(monkeypatch, capsys):
@@ -151,6 +155,25 @@ def test_results_come_back_in_chunk_order(workers, monkeypatch):
     found = driven(25, lambda i, rows: (i, rows.start, rows.stop), 10)
     assert found == [(0, 0, 10), (1, 10, 20), (2, 20, 25)]
     assert driven(0, lambda i, rows: i) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunks_are_made_as_they_run(workers, monkeypatch):
+    # A pass that stops at its third of 10^6 chunks never held a slice for each.
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
+
+    def fn(i, rows):
+        if i == 2:
+            raise ArithmeticError("chunk 2 failed")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError):
+            driven(10**6, fn, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -267,6 +290,26 @@ def test_sample_output_does_not_depend_on_the_worker_count(fmt, workers, count, 
     chunks = -(-count // CHUNK_SIZE)
     assert len(pools) == 2 * (chunks > 1)
     assert all(pool._max_workers == min(workers, chunks) for pool in pools)
+
+
+@pytest.mark.parametrize("method", ["transform", "reject"])
+def test_check_output_does_not_depend_on_the_worker_count(method, monkeypatch, capsys):
+    # Each thread draws into its own buffer and writes its own rows of the KS
+    # radii; the bin indices come back to one consumer.  More threads than
+    # CPUs, switching every microsecond, must move no byte.
+    argv = ["check", "--dim", "5", "--count", str(3 * CHUNK_SIZE + 5), "--seed", "12",
+            "--tests", "chi2,ks", "--method", method]
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 1)
+    reference = run_main(argv, capsys)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (3, 7):
+            monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
+            assert run_main(argv, capsys) == reference
+    finally:
+        sys.setswitchinterval(interval)
+    assert reference[0] == 0
 
 
 class ChunkFailed(Exception):

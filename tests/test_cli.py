@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from ellipsample import (
     Ellipsoid,
     RngStream,
-    SampleBatch,
+    chi_square_uniformity,
+    radial_ks,
     random_rotation,
     sample_batch,
     unit_ball_volume,
@@ -361,8 +363,9 @@ class TestCheckCommand:
 
         monkeypatch.setattr(Ellipsoid, "pullback", recording)
         argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7", "--tests"]
-        # The identity check pulls back 2n + 1 rows per trial: 100 at n = 2.
-        for tests, pulled_back in (("chi2,ks,identity", 40100), ("ks", 20000), ("identity", 100)):
+        # chi2 and ks share one pull-back of each point; the identity check
+        # pulls back 2n + 1 rows per trial: 100 at n = 2.
+        for tests, pulled_back in (("chi2,ks,identity", 20100), ("ks", 20000), ("identity", 100)):
             rows.clear()
             assert run([*argv, tests], capsys)[0] == 0
             assert sum(rows) == pulled_back
@@ -407,7 +410,7 @@ class TestCheckCommand:
             calls.append(args)
             raise ValueError("drew the batch")
 
-        monkeypatch.setattr(cli, "sample_batch", refuse)
+        monkeypatch.setattr(sampling, "_draw_chunk", refuse)
         code, out, err = run(["check", *flags, "--seed", "1"], capsys)
         assert (code, out, err) == (2, "", f"error: {error}\n")
         assert calls == []
@@ -419,23 +422,88 @@ class TestCheckCommand:
         def refuse(*args, **kwargs):
             raise ValueError("drew the batch")
 
-        monkeypatch.setattr(cli, "sample_batch", refuse)
+        monkeypatch.setattr(sampling, "_draw_chunk", refuse)
         assert run([*argv, "1000000"], capsys) == small
         assert small[0] == 0
 
-    @pytest.mark.parametrize("dim, count, tests", [(64, 65536, "ks"), (10, 100_000, "chi2,ks")])
-    def test_peak_memory_under_twice_the_batch(self, dim, count, tests, capsys):
-        argv = ["check", "--dim", str(dim), "--count", str(count), "--seed", "3", "--tests", tests]
-        batch_bytes = count * dim * 8
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        assert code == 0
-        assert peak < 2 * batch_bytes, peak / batch_bytes
+    # KS keeps 8 B a point (||u||^2, for its one sort) and chi2 only its bin
+    # counts, so doubling --count adds that much, and not the 8 n B of a batch.
+    @pytest.mark.parametrize("dim, tests, per_point", [(64, "ks", 8), (10, "chi2", 0)])
+    def test_peak_memory_is_flat_in_the_count(self, dim, tests, per_point, capsys, monkeypatch):
+        # Both counts run on two threads, each holding one chunk's buffer.
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        peaks = []
+        for count in (65536, 131072):
+            argv = ["check", "--dim", str(dim), "--count", str(count), "--seed", "3", "--tests", tests]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == 0
+        assert peaks[1] - peaks[0] <= per_point * 65536 + 1e6, peaks
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_own_peak_of_a_64d_check_holds_no_batch(self):
+        # Its 250000 x 64 batch alone would take 128 MB.  Streamed, the run
+        # holds the interpreter and numpy (about 32 MB), KS's 2 MB of ||u||^2
+        # and one 4.2 MB chunk buffer per thread: under 64 MB on two threads.
+        tool = Path(__file__).resolve().parent.parent / "tools" / "own_peak.py"
+        argv = [sys.executable, str(tool), "check", "--dim", "64", "--count", "250000",
+                "--tests", "ks", "--seed", "1"]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        fields = result.stdout.split()
+        readings = dict(zip(fields[::2], fields[1::2]))
+        assert (result.returncode, readings["exit"]) == (0, "0"), result.stderr
+        # More usable CPUs run more threads, each with its buffer and a piece's temporaries.
+        threads = min(len(os.sched_getaffinity(0)), math.ceil(250000 / CHUNK_SIZE))
+        assert float(readings["own_peak_mb"]) < 64 + 5.2 * max(0, threads - 2), readings
+
+    # Box rejection stops short of 64-d: the ball fills 1.7e-39 of its box.
+    STREAMED = [
+        (method, n) for method in ("transform", "reject", "biased") for n in (2, 10, 64)
+        if (method, n) != ("reject", 64)
+    ]
+
+    @pytest.mark.parametrize("method, dim", STREAMED)
+    def test_streamed_reports_equal_the_api_on_the_held_batch(self, method, dim, capsys):
+        # Past two chunks, with a short third; at 10-d, 2 shells give 2048 bins.
+        count = 2 * CHUNK_SIZE + 77
+        tests = "chi2,ks" if dim <= 10 else "ks"
+        argv = ["check", "--dim", str(dim), "--count", str(count), "--seed", "11",
+                "--shells", "2", "--alpha", "0.01", "--tests", tests, "--method", method]
+        code, out, _ = run(argv, capsys)
+        e = cli.resolve_ellipsoid(cli.build_parser().parse_args(argv))
+        batch = sample_batch(e, count, 11, _METHOD_BY_FLAG[method])
+        expected = [radial_ks(batch, e, alpha=0.01)]
+        if dim <= 10:
+            expected.insert(0, chi_square_uniformity(batch, e, shells=2, alpha=0.01))
+        assert out == "".join(r.to_json() + "\n" for r in expected)
+        assert code == (0 if all(r.passed for r in expected) else 3)
+
+    def test_check_request_runs_once(self, capsys, monkeypatch):
+        # The request, and with it the rejection rate's volume and box volume,
+        # once per command: check hands the rate to its pass.
+        calls = []
+
+        def count(owner, attr):
+            original = getattr(owner, attr)
+
+            def counted(*args):
+                calls.append(attr)
+                return original(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for owner, attr in ((cli, "_check_request"), (sampling, "_check_request"),
+                            (Ellipsoid, "volume"), (Ellipsoid, "box_volume")):
+            count(owner, attr)
+        argv = ["check", "--dim", "3", "--count", "20000", "--seed", "2", "--method", "reject",
+                "--tests", "chi2,ks"]
+        assert run(argv, capsys)[0] == 0
+        assert calls == ["_check_request", "volume", "box_volume"]
 
 
 class TestVolumeCommand:
@@ -519,13 +587,15 @@ class TestExitCodeDiscipline:
         assert code == 3
 
     def test_point_outside_ellipsoid_is_exit_3(self, capsys, monkeypatch):
-        # a batch point outside the ellipsoid fails certification; it is not a config error
-        def stretched(e, count, seed, method="transform"):
-            batch = sample_batch(e, count, seed, method)
-            points = 1.01 * (batch.points - e.centre) + e.centre
-            return SampleBatch(batch.dim, points, batch.seed, batch.method, batch.ellipsoid_spec)
+        # a drawn point outside the ellipsoid fails certification; it is not a config error
+        draw = sampling._draw_chunk
 
-        monkeypatch.setattr("ellipsample.cli.sample_batch", stretched)
+        def stretched(e, *args):
+            out = draw(e, *args)
+            out[:] = 1.01 * (out - e.centre) + e.centre
+            return out
+
+        monkeypatch.setattr(sampling, "_draw_chunk", stretched)
         code, out, err = run(
             ["check", "--dim", "3", "--count", "5000", "--seed", "1", "--tests", "ks"], capsys
         )

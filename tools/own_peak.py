@@ -16,7 +16,9 @@ from ``wait4``: a thread that blocks, on I/O or on the interpreter lock
 another thread holds, adds one.  The command's standard output is
 discarded (give ``--out`` to keep it); its standard error passes through,
 and its exit code is the tool's, or 128 + N if signal N killed it, as in
-a shell.
+a shell.  The child writes and reads its bytecode under
+``.bench_work/pycache`` in this repository, whatever the caller's
+PYTHONDONTWRITEBYTECODE, so only the first run compiles the package.
 Linux only; standard library only.  Run from anywhere:
 
     python3 tools/own_peak.py sample --dim 2 --count 1000000 --seed 3 --out points.csv
@@ -32,6 +34,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The child's bytecode cache, so no run compiles the package again: a
+# compile costs time, and its transient memory would count in the peak.
+PYCACHE = SRC.parent / ".bench_work" / "pycache"
 
 # The child: report VmHWM at exit, then run the package as ``python -m`` would.
 _CHILD = """
@@ -62,6 +68,8 @@ def run(args: list[str]) -> Run:
     read, write = os.pipe()
     env = dict(os.environ, OWN_PEAK_FD=str(write))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPYCACHEPREFIX"] = str(PYCACHE)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, *args], stdout=subprocess.DEVNULL, env=env, pass_fds=(write,)
