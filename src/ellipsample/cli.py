@@ -44,10 +44,7 @@ from .sampling import (
 )
 # check calls neither chi_square_uniformity nor radial_ks, but bench/spans.py patches
 # both by name on this module, with a KeyError if one is missing, so they stay imported.
-from .validation import (
-    _check_ks_count, _chi_square_report, _ks_report, _pull_back_pass, _uniformity_bins,
-    chi_square_uniformity, mc_volume, proof_identity_check, radial_ks,
-)
+from .validation import certify, chi_square_uniformity, mc_volume, proof_identity_check, radial_ks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -695,29 +692,15 @@ def cmd_check(args) -> int:
     if len(set(selected) & set(_CHECK_NAMES)) < len(selected):
         raise ConfigError(f"--tests entries must be distinct names from {_CHECK_NAMES}: {selected}")
     method = _METHOD_BY_FLAG[args.method]
-    # The batch's and then each test's input rules, checked before anything is drawn.
     rate = _check_request(e, args.count, method)
-    for name in selected:
-        if name == "chi2":
-            _uniformity_bins(e.dim, args.count, args.shells)
-        elif name == "ks":
-            _check_ks_count(args.count)
-    # One pass draws each chunk and pulls it back once for chi2 and ks; the
-    # batch is never held, and an identity-only check draws none.
-    if {"chi2", "ks"} & set(selected):
-        observed, sq_norms = _pull_back_pass(
-            e, args.count, _drawn_chunks(e, args.seed, method, rate),
-            args.shells if "chi2" in selected else None, "ks" in selected,
-        )
-    reports = []
-    for name in selected:
-        if name == "chi2":
-            reports.append(_chi_square_report(observed, args.count, args.alpha))
-        elif name == "ks":
-            reports.append(_ks_report(sq_norms, e.dim, args.alpha))
-        else:
-            rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
-            reports.append(proof_identity_check(e, _IDENTITY_TRIALS, rng))
+    # One pass draws each chunk and pulls it back once for chi2 and ks, after
+    # their input rules; the batch is never held, and an identity-only check draws none.
+    points = _drawn_chunks(e, args.seed, method, rate)
+    pulled = [name for name in selected if name != "identity"]
+    reports = certify(e, args.count, points, pulled, args.shells, args.alpha)
+    if "identity" in selected:
+        rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
+        reports.insert(selected.index("identity"), proof_identity_check(e, _IDENTITY_TRIALS, rng))
     _emit(["".join(r.to_json() + "\n" for r in reports).encode()], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STATISTICAL
 

@@ -11,10 +11,10 @@ Rejection from the bounding box ("ellipsoid_rejection",
 ``_box_rejection_chunk``) is kept as an independent oracle; on the unit
 ball it is rejection from the cube [-1, 1]^n.  It fills a chunk's rows in
 passes of at most one piece, each sized to the rows still empty at the
-expected acceptance rate, and the MAX_DRAWS budget on count / rate is its
-only cost guard.  "biased" (the transform task with radius u instead of
-u^(1/n)) is the negative control that proves the validation suite can
-detect non-uniformity.
+expected acceptance rate.  "biased" (the transform task with radius u
+instead of u^(1/n)) is the negative control that proves the validation
+suite can detect non-uniformity.  Every method has one cost guard, the
+MAX_DRAWS budget on count / rate draws (rate 1.0 but for rejection).
 
 Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
@@ -52,10 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ellipsoid
+from .geometry import Ellipsoid, _sq_norms
 from .linalg import as_rows, check_dim
 
-# The one cost guard of box rejection and volume --mc.  A volume --mc draw takes
+# The one cost guard of every sampler (count / acceptance rate draws, so the count
+# itself for transform and biased) and of volume --mc.  A volume --mc draw takes
 # about 0.3 us at 12-d and 0.8 us at 64-d (wall time of 2e6-draw runs on two
 # Xeon cores), so 10^9 draws take 5 to 15 minutes; a request for more is a slip.
 MAX_DRAWS = 10**9
@@ -205,10 +206,10 @@ def _transform_chunk(
     norms = np.empty(len(out))
     for piece in _pieces(slice(0, len(out)), e.dim):
         out[piece] = rng.normals((piece.stop - piece.start, e.dim))
-        norms[piece] = np.linalg.norm(out[piece], axis=1)
+        norms[piece] = np.sqrt(_sq_norms(out[piece]))
     while (stuck := norms == 0.0).any():
         out[stuck] = rng.normals((int(stuck.sum()), e.dim))
-        norms[stuck] = np.linalg.norm(out[stuck], axis=1)
+        norms[stuck] = np.sqrt(_sq_norms(out[stuck]))
     scale = rng.uniforms(len(out)) ** radius_exponent / norms
     for piece in _pieces(slice(0, len(out)), e.dim):
         e._ball_image(out[piece] * scale[piece, None], out=out[piece])
@@ -267,20 +268,19 @@ def random_rotation(n: int, rng: RngStream) -> np.ndarray:
 def _check_request(e: Ellipsoid, count: int, method: str) -> float:
     """Reject a ``sample_batch`` request before anything is drawn; return its acceptance rate.
 
-    For "ellipsoid_rejection" that is volume / bounding-box volume, and the
-    expected count / rate box draws must stay within MAX_DRAWS; other
-    methods accept every draw, rate 1.0.
+    For "ellipsoid_rejection" that is volume / bounding-box volume; other
+    methods accept every draw, rate 1.0.  Every method's expected count /
+    rate draws must stay within MAX_DRAWS.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method != "ellipsoid_rejection":
-        return 1.0
-    rate = e.volume() / e.box_volume()
+    rate = e.volume() / e.box_volume() if method == "ellipsoid_rejection" else 1.0
     if count > MAX_DRAWS * rate:
         draws = count / rate if rate else float("inf")
-        raise ValueError(f"rejection needs {draws:.3g} draws, over the {MAX_DRAWS} cap")
+        name = "rejection" if method == "ellipsoid_rejection" else method
+        raise ValueError(f"{name} needs {draws:.3g} draws, over the {MAX_DRAWS} cap")
     return rate
 
 

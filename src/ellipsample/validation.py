@@ -7,17 +7,20 @@ hold probability 1/K, and the 2^n sign orthants are equal by symmetry.  The
 radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
-Every test reads its points through one pass, ``_pull_back_pass``: chunk
-by chunk on the threads of ``sampling._chunk_results``, each chunk in
-PIECE_FLOATS pieces, each point is pulled back once, checked against the
-unit ball and kept only as what the tests need.  Chi-square keeps integer
-bin counts; KS keeps ||u||^2, 8 bytes a point, because its statistic needs
-one sort of all of them.  The public tests run the pass over a held batch;
-``check`` runs it once for all its tests over chunks drawn as it goes, so
-it holds no batch.  Pieces are bit-identical to one pull-back of the whole
-batch: ``Ellipsoid.pullback`` multiplies by the cached inverse in the
-fixed-height row blocks that the ``Ellipsoid`` docstring describes, so a
-row's bits do not depend on how many rows come with it.
+``certify`` is the one plan of the pull-back tests, for ``check`` and the
+public ``chi_square_uniformity`` and ``radial_ks`` alike: it checks each
+test's input rule before any point is read, then reads the points through
+one pass, ``_pull_back_pass``.  Chunk by chunk on the threads of
+``sampling._chunk_results``, each chunk in PIECE_FLOATS pieces, each point
+is pulled back once, checked against the unit ball, and its t = ||u||^n
+computed once for every test.  The pass keeps only what the tests need:
+chi-square's integer bin counts, and KS's t, 8 bytes a point, because its
+statistic needs one sort of all of them.  The public tests run it over a
+held batch; ``check`` runs it once for all its tests over chunks drawn as
+it goes, so it holds no batch.  Pieces are bit-identical to one pull-back
+of the whole batch: ``Ellipsoid.pullback`` multiplies by the cached
+inverse in the fixed-height row blocks that the ``Ellipsoid`` docstring
+describes, so a row's bits do not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
@@ -121,19 +124,19 @@ def _bin_total(dim: int, shells: int) -> int:
     return shells * 2**dim
 
 
-def _bin_index(u: np.ndarray, sq_norms: np.ndarray, shells: int) -> np.ndarray:
+def _bin_index(u: np.ndarray, t: np.ndarray, shells: int) -> np.ndarray:
     """Bin of each ball-coordinate row of ``u``: shell * 2^dim + orthant code.
 
-    ``sq_norms`` holds each row's ||u||^2; bit j of the orthant code is set
-    iff u_j < 0.
+    ``t`` holds each row's ||u||^n; bit j of the orthant code is set iff
+    u_j < 0.
     """
     dim = u.shape[1]
-    shell = np.minimum((sq_norms ** (dim / 2.0) * shells).astype(int), shells - 1)
+    shell = np.minimum((t * shells).astype(int), shells - 1)
     return shell * 2**dim + (u < 0.0) @ (1 << np.arange(dim))
 
 
 def _batch_points(batch: SampleBatch, e: Ellipsoid) -> Callable:
-    """``_pull_back_pass``'s points(i, rows) for a held batch: its rows, once its dim is checked."""
+    """``certify``'s points(i, rows) for a held batch: its rows, once its dim is checked."""
     if batch.dim != e.dim:
         raise DimensionMismatch(f"batch dim {batch.dim} != ellipsoid dim {e.dim}")
     return lambda i, rows: batch.points[rows]
@@ -147,12 +150,13 @@ def _pull_back_pass(
     points(i, rows) gives chunk i's points; the chunks run on the threads
     of ``_chunk_results`` and each is pulled back a PIECE_FLOATS piece at a
     time.  A piece whose largest norm exceeds 1 + PULLBACK_SLACK, or is
-    NaN, raises PointOutsideEllipsoid before it is kept.  Returns
-    (observed, sq_norms): with ``shells`` the integer count of each bin,
-    added to chunk by chunk in chunk order, else None; with ``radii`` each
-    point's ||u||^2 in one ``count``-long array, else None.
+    NaN, raises PointOutsideEllipsoid before it is kept.  Each point's
+    t = ||u||^n is computed once, there.  Returns (observed, t): with
+    ``shells`` the integer count of each bin, added to chunk by chunk in
+    chunk order, else None; with ``radii`` every point's t in one
+    ``count``-long array, else None.
     """
-    sq_norms = np.empty(count) if radii else None
+    kept = np.empty(count) if radii else None
 
     def pull(i: int, rows: slice) -> np.ndarray | None:
         chunk = points(i, rows)
@@ -165,10 +169,11 @@ def _pull_back_pass(
                 raise PointOutsideEllipsoid(
                     f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}"
                 )
+            t = sq ** (e.dim / 2.0)
             if radii:
-                sq_norms[rows.start + piece.start : rows.start + piece.stop] = sq
+                kept[rows.start + piece.start : rows.start + piece.stop] = t
             if shells is not None:
-                index[piece] = _bin_index(u, sq, shells)
+                index[piece] = _bin_index(u, t, shells)
         return index
 
     observed = None if shells is None else np.zeros(_bin_total(e.dim, shells), np.int64)
@@ -176,28 +181,42 @@ def _pull_back_pass(
         for index in pulled:
             if index is not None:
                 np.add.at(observed, index, 1)
-    return observed, sq_norms
+    return observed, kept
 
 
-def _uniformity_bins(dim: int, count: int, shells: int) -> int:
-    """``_bin_total`` for ``chi_square_uniformity`` of ``count`` points.
+def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], shells: int = 4,
+            alpha: float = 0.001) -> list[TestReport]:
+    """The reports of the pull-back ``tests`` ("chi2", "ks") on ``count`` points of ``e``, in order.
 
-    Too few points per bin for the chi-square law is InsufficientSamples.
+    points(i, rows) gives chunk i's points, as in ``_pull_back_pass``.
+    Each test's input rule is checked, in the order of ``tests``, before
+    any point is read: chi-square needs 1..62 dimensions, ``shells`` of at
+    least 1 and MIN_EXPECTED_PER_BIN points per bin, KS KS_MIN_SAMPLES
+    points, and both a supported ``alpha``; too few points is
+    InsufficientSamples, any other break (an unknown test name too) a
+    ValueError.  Then one pass pulls each point back once for all of them;
+    an empty ``tests`` reads no point.
     """
-    bins = _bin_total(dim, shells)
-    expected = count / bins
-    if expected < MIN_EXPECTED_PER_BIN:
-        raise InsufficientSamples(
-            f"{count} samples give {expected:.2f} expected per bin; "
-            f"need at least {MIN_EXPECTED_PER_BIN}"
-        )
-    return bins
-
-
-def _check_ks_count(count: int) -> None:
-    """Too few points for the asymptotic KS critical value is InsufficientSamples."""
-    if count < KS_MIN_SAMPLES:
-        raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {count}")
+    for name in tests:
+        if name == "chi2":
+            expected = count / _bin_total(e.dim, shells)
+            if expected < MIN_EXPECTED_PER_BIN:
+                raise InsufficientSamples(
+                    f"{count} samples give {expected:.2f} expected per bin; "
+                    f"need at least {MIN_EXPECTED_PER_BIN}"
+                )
+            _quantile(_Z_UPPER, alpha)
+        elif name == "ks":
+            if count < KS_MIN_SAMPLES:
+                raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {count}")
+            _quantile(_KS_SCALE, alpha)
+        else:
+            raise ValueError(f"tests must be 'chi2' or 'ks', got {name!r}")
+    if not tests:
+        return []
+    observed, t = _pull_back_pass(e, count, points, shells if "chi2" in tests else None, "ks" in tests)
+    return [_chi_square_report(observed, count, alpha) if name == "chi2" else _ks_report(t, alpha)
+            for name in tests]
 
 
 def chi_square_uniformity(
@@ -212,9 +231,7 @@ def chi_square_uniformity(
     cell probabilities, so sum (obs - exp)^2 / exp is chi-square with
     shells * 2^dim - 1 degrees of freedom.
     """
-    _uniformity_bins(e.dim, batch.count, shells)
-    observed = _pull_back_pass(e, batch.count, _batch_points(batch, e), shells)[0]
-    return _chi_square_report(observed, batch.count, alpha)
+    return certify(e, batch.count, _batch_points(batch, e), ["chi2"], shells, alpha)[0]
 
 
 def _chi_square_report(observed: np.ndarray, count: int, alpha: float) -> TestReport:
@@ -262,19 +279,13 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     against the asymptotic critical value 1.63/sqrt(N) at alpha 0.01 or
     1.95/sqrt(N) at alpha 0.001.
     """
-    _check_ks_count(batch.count)
-    sq_norms = _pull_back_pass(e, batch.count, _batch_points(batch, e), radii=True)[1]
-    return _ks_report(sq_norms, e.dim, alpha)
+    return certify(e, batch.count, _batch_points(batch, e), ["ks"], alpha=alpha)[0]
 
 
-def _ks_report(t: np.ndarray, dim: int, alpha: float) -> TestReport:
-    """``radial_ks``'s report from each point's ||u||^2 in ``t``.
-
-    ``t`` is raised to n/2 and sorted in place, so its memory is reused.
-    """
+def _ks_report(t: np.ndarray, alpha: float) -> TestReport:
+    """``radial_ks``'s report from each point's ||u||^n in ``t``, which it sorts in place."""
     scale = _quantile(_KS_SCALE, alpha)
     n = len(t)
-    t **= dim / 2.0
     t.sort()
 
     # The gaps to the empirical CDF i/n, a block at a time, so no O(N) grid is

@@ -26,8 +26,9 @@ from ellipsample import (
     unit_ball_volume,
 )
 from ellipsample import cli, sampling
-from ellipsample.cli import _METHOD_BY_FLAG, main
+from ellipsample.cli import _METHOD_BY_FLAG, build_parser, main, resolve_ellipsoid
 from ellipsample.sampling import CHUNK_SIZE, METHODS
+from ellipsample.validation import certify
 from helpers import child_env, dense_shape_text
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
@@ -397,9 +398,16 @@ class TestCheckCommand:
          "ValueError: count must be at least 1"),
         (["--dim", "64", "--count", "10", "--method", "reject"],
          "ValueError: rejection needs 5.99e+39 draws, over the 1000000000 cap"),
+        (["--dim", "2", "--count", "1000000000000000", "--tests", "chi2"],
+         "ValueError: transform needs 1e+15 draws, over the 1000000000 cap"),
         (["--dim", "2", "--count", "1000", "--tests", "ks,identity,ks"],
          "ConfigError: --tests entries must be distinct names from ('chi2', 'ks', 'identity'): "
          "['ks', 'identity', 'ks']"),
+    ]
+    # The cases that a chi2 or ks input rule rejects, after the request passed.
+    RULE_REJECTED = [
+        (flags, error) for flags, error in REJECTED
+        if error.startswith(("InsufficientSamples", "ValueError: dim", "ValueError: shells"))
     ]
 
     @pytest.mark.parametrize("flags, error", REJECTED, ids=[" ".join(f) for f, _ in REJECTED])
@@ -415,6 +423,18 @@ class TestCheckCommand:
         assert (code, out, err) == (2, "", f"error: {error}\n")
         assert calls == []
 
+    @pytest.mark.parametrize("flags, error", RULE_REJECTED, ids=[" ".join(f) for f, _ in RULE_REJECTED])
+    def test_certify_rejects_as_check_does_without_reading_a_point(self, flags, error):
+        args = build_parser().parse_args(["check", *flags, "--seed", "1"])
+        tests = [name for name in args.tests.split(",") if name != "identity"]
+
+        def refuse(i, rows):
+            raise AssertionError("read a point")
+
+        with pytest.raises(Exception) as raised:
+            certify(resolve_ellipsoid(args), args.count, refuse, tests, args.shells, args.alpha)
+        assert f"{type(raised.value).__name__}: {raised.value}" == error
+
     def test_identity_only_check_draws_no_batch(self, capsys, monkeypatch):
         argv = ["check", "--dim", "64", "--tests", "identity", "--seed", "1", "--count"]
         small = run([*argv, "100"], capsys)
@@ -426,7 +446,7 @@ class TestCheckCommand:
         assert run([*argv, "1000000"], capsys) == small
         assert small[0] == 0
 
-    # KS keeps 8 B a point (||u||^2, for its one sort) and chi2 only its bin
+    # KS keeps 8 B a point (||u||^n, for its one sort) and chi2 only its bin
     # counts, so doubling --count adds that much, and not the 8 n B of a batch.
     @pytest.mark.parametrize("dim, tests, per_point", [(64, "ks", 8), (10, "chi2", 0)])
     def test_peak_memory_is_flat_in_the_count(self, dim, tests, per_point, capsys, monkeypatch):
@@ -448,7 +468,7 @@ class TestCheckCommand:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_own_peak_of_a_64d_check_holds_no_batch(self):
         # Its 250000 x 64 batch alone would take 128 MB.  Streamed, the run
-        # holds the interpreter and numpy (about 32 MB), KS's 2 MB of ||u||^2
+        # holds the interpreter and numpy (about 32 MB), KS's 2 MB of ||u||^n
         # and one 4.2 MB chunk buffer per thread: under 64 MB on two threads.
         tool = Path(__file__).resolve().parent.parent / "tools" / "own_peak.py"
         argv = [sys.executable, str(tool), "check", "--dim", "64", "--count", "250000",

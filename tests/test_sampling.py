@@ -215,7 +215,9 @@ class TestEllipsoidRejection:
         assert _check_request(e, fits, "ellipsoid_rejection") == rate
         with pytest.raises(ValueError):
             _check_request(e, fits + 1, "ellipsoid_rejection")
-        assert _check_request(e, 10**15, "transform") == 1.0
+        # every method draws within the budget, rate 1.0 but for rejection
+        with pytest.raises(ValueError, match="^transform needs 1e\\+15 draws, over the 1000000000 cap$"):
+            _check_request(e, 10**15, "transform")
 
 
 class TestBiasedSampler:

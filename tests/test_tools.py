@@ -1,5 +1,9 @@
-"""The scripts under tools/ run and print the lines their docstrings describe."""
+"""The scripts under tools/ run and print the lines their docstrings describe.
 
+Beside them, a guard that the package keeps no top-level name its code never uses.
+"""
+
+import ast
 import importlib.util
 import math
 import subprocess
@@ -56,3 +60,30 @@ def test_code_lines_counts_every_module():
     counts = [(int(lines), int(code)) for _, lines, code in rows]
     assert all(0 <= code <= lines for lines, code in counts)
     assert total == ["total", str(sum(c[0] for c in counts)), str(sum(c[1] for c in counts))]
+
+
+def test_no_top_level_name_is_dead():
+    # A module's top-level function, class or constant must be referenced by a
+    # name, attribute or import somewhere in src/ outside its own definition
+    # (docstrings and strings do not count); dunders such as __all__ are exempt.
+    defined, used = [], set()
+    for path in sorted((TOOLS.parent / "src" / "ellipsample").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            defined += [(path.name, name) for name in names if not name.startswith("__")]
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    refs.add(node.name)
+            used |= refs - names
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

@@ -25,7 +25,7 @@ from ellipsample import (
     wilson_hilferty_critical,
 )
 from ellipsample.sampling import CHUNK_SIZE, MAX_DRAWS
-from ellipsample.validation import _bin_index, _bin_total
+from ellipsample.validation import _bin_index, _bin_total, certify
 from helpers import rand_ellipsoid
 
 
@@ -41,7 +41,7 @@ def batch_from_pullbacks(e: Ellipsoid, pullbacks: np.ndarray, method="transform"
 
 def bins_of(u: np.ndarray, shells: int) -> np.ndarray:
     """Bin index of each ball-coordinate row of u."""
-    return _bin_index(u, (u * u).sum(axis=1), shells)
+    return _bin_index(u, (u * u).sum(axis=1) ** (u.shape[1] / 2.0), shells)
 
 
 class TestBinPartition:
@@ -58,7 +58,7 @@ class TestBinPartition:
                 radii = ((np.arange(k_shells) + 0.5) / k_shells) ** (1.0 / n)
                 u = np.zeros((k_shells, n))
                 u[:, 0] = radii  # orthant code 0
-                shells = _bin_index(u, radii**2, k_shells) // 2**n
+                shells = _bin_index(u, radii**n, k_shells) // 2**n
                 np.testing.assert_array_equal(shells, np.arange(k_shells))
 
     def test_assign_hand_cases(self):
@@ -337,6 +337,37 @@ class TestChunkedPullBack:
             radial_ks(bad, e)
         with pytest.raises(PointOutsideEllipsoid):
             chi_square_two_sample(good, bad, e)
+
+
+class TestCertify:
+    """One plan for the pull-back tests: rules first, then one pass, reports in the caller's order."""
+
+    @staticmethod
+    def refuse(i, rows):
+        raise AssertionError("read a point")
+
+    @pytest.mark.parametrize("dim", [2, 10])
+    def test_reports_in_order_equal_the_library_tests(self, dim):
+        e = rand_ellipsoid(dim, RngStream(94 + dim))
+        batch = sample_batch(e, 2 * CHUNK_SIZE + 77, 27)
+        ks, chi2 = certify(
+            e, batch.count, lambda i, rows: batch.points[rows], ["ks", "chi2"], shells=2, alpha=0.01
+        )
+        assert ks.as_dict() == radial_ks(batch, e, alpha=0.01).as_dict()
+        assert chi2.as_dict() == chi_square_uniformity(batch, e, shells=2, alpha=0.01).as_dict()
+
+    @pytest.mark.parametrize("tests", [["anderson"], ["identity"], ["ks", "anderson"]])
+    def test_unknown_test_name_rejected_before_any_point(self, tests):
+        with pytest.raises(ValueError, match="tests must be 'chi2' or 'ks'"):
+            certify(ellipse_2x1(), 1000, self.refuse, tests)
+
+    @pytest.mark.parametrize("tests", [["chi2"], ["ks"]])
+    def test_unsupported_alpha_rejected_before_any_point(self, tests):
+        with pytest.raises(ValueError, match="alpha must be one of"):
+            certify(ellipse_2x1(), 1000, self.refuse, tests, alpha=0.5)
+
+    def test_no_test_reads_no_point(self):
+        assert certify(ellipse_2x1(), 1000, self.refuse, []) == []
 
 
 class TestMcVolume:
