@@ -7,17 +7,21 @@ which includes a sampled point outside the ellipsoid.
 A seed is always required; there is no silent time-based seeding, so
 identical command lines produce byte-identical output.
 
-``sample`` formats every float it writes with ``_format_rows``, renders
-its chunks on the threads of ``sampling._chunk_results`` and writes them
-with ``_emit``.  One ``_format_rows`` call renders one block, as ASCII
-bytes, in its thread's ``_Workspace``: arrays sized to that block, made
-again only when the block's shape or literals change (in ``sample``, on a
-thread's first chunk and on the short last one).  Every numpy call of the
-render writes a whole block into them with ``out=``, and a mask of the
-cells' nonzero bytes gathers the text in one allocation of its own size,
-so a steady render allocates only its text, and memory is not handed back
-to the OS and faulted in again chunk after chunk.  Callers keep each block
-to one PIECE_FLOATS piece, which bounds those arrays at any dimension.
+``sample`` and ``check`` make one pass over the request's chunks on the
+threads of ``sampling._chunk_results``: each chunk task draws its rows
+into its thread's buffer (``sampling._drawn_chunks``) and uses them
+before it returns, so no command holds the batch.  ``check`` pulls them
+back; ``sample`` formats every float it writes with ``_format_rows``, one
+PIECE_FLOATS piece at a time, and ``_emit`` writes the chunks' texts in
+chunk order.  One ``_format_rows`` call renders one block, as ASCII
+bytes, in its thread's ``_Workspace``: arrays of one piece's size, viewed
+to each block's shape and made again only when the floats' literals or
+the row width change, or a block outgrows them, so a steady run makes
+them once per thread.  Every numpy call of the render writes a whole
+block into them with ``out=``, and a mask of the cells' nonzero bytes
+gathers the text in one allocation of its own size, so a steady render
+allocates only its text, and memory is not handed back to the OS and
+faulted in again chunk after chunk.
 """
 
 from __future__ import annotations
@@ -31,15 +35,17 @@ import math
 import os
 import sys
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import check_dim, parse_matrix_text
+# sample and check call sample_batch no longer, but bench/spans.py patches it by name on
+# this module, so it stays imported.
 from .sampling import (
-    PIECE_FLOATS, RngStream, SampleBatch, _check_request, _chunk_results, _drawn_chunks,
+    PIECE_FLOATS, RngStream, _check_request, _check_seed, _chunk_results, _drawn_chunks, _pieces,
     sample_batch,
 )
 # check calls neither chi_square_uniformity nor radial_ks, but bench/spans.py patches
@@ -440,33 +446,38 @@ _GROUP_OFFSETS = np.arange(0, 50_000, 10_000)[:, None]
 
 
 class _Workspace(threading.local):
-    """One thread's scratch for ``_format_rows``, sized to the block it rendered last.
+    """One thread's scratch for ``_format_rows``: a piece's arrays, viewed to each block's shape.
 
     ``threading.local`` gives each thread its own attributes.  ``arrays``
-    gives at least 21 rows of 64-bit integers, one entry per float, and
-    ``cells``, the bytes the block is laid out in, ``width`` to a float
-    after one lead cell of the same width, with each float's literal in
-    place.  The mask that compacts the cells takes the integer rows' bytes,
-    which are free once the words are laid out.  A block of the same shape
-    and literals writes into them again; any other gets new arrays of its
-    exact size.
+    gives 21 rows of 64-bit integers, one entry per float, and ``cells``,
+    the bytes the block is laid out in, ``width`` to a float after one
+    lead cell of the same width, with each float's literal in place.  The
+    mask that compacts the cells takes the integer rows' bytes, which are
+    free once the words are laid out.  The arrays hold a whole
+    PIECE_FLOATS piece (more for a larger block), and the cells of a block
+    of fewer rows with the same row width and literals are a prefix of
+    them, so such a block views them again: a chunk's short piece and the
+    short last chunk make none.  Only another row width or other literals,
+    or a block that outgrows them, make new ones.
     """
 
     key = None
 
     def arrays(self, shape: tuple[int, int], lits: list[bytes]) -> tuple:
-        """The integer rows, the floats' cells as rows of 64-bit words, all the cells, and the mask."""
-        if (shape, lits) != self.key:
-            width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
-            floats = shape[0] * shape[1]
-            cells = np.zeros((floats + 1) * width, np.uint8)
-            text = np.array([list(lit.ljust(width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
-            cells[width:].reshape(*shape, width)[..., _TEXT_COL:] = text
-            words = cells[width:].view(np.int64).reshape(-1, width // 8)
-            u = np.empty((max(21, -(-cells.size // (8 * floats))), floats), np.uint64)
-            mask = u.reshape(-1).view(bool)[: cells.size]
-            self.key, self.held = (shape, lits), (u, words, cells, mask)
-        return self.held
+        """The integer rows, the cells, the mask and the width of a float's cell."""
+        floats = shape[0] * shape[1]
+        if (shape[1], lits) != self.key or floats > self.room:
+            room = max(floats, PIECE_FLOATS // shape[1] * shape[1])
+            self.width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
+            self.cells = np.zeros((room + 1) * self.width, np.uint8)
+            text = np.array([list(lit.ljust(self.width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
+            self.cells[self.width :].reshape(-1, shape[1], self.width)[..., _TEXT_COL:] = text
+            self.ints = np.empty(max(21 * room, -(-self.cells.size // 8)), np.uint64)
+            # Set last, so a build that fails is made again by the next call.
+            self.key, self.room = (shape[1], lits), room
+        cells = self.cells[: (floats + 1) * self.width]
+        u = self.ints[: 21 * floats].reshape(21, floats)
+        return u, cells, self.ints.view(bool)[: cells.size], self.width
 
 
 _WORKSPACE = _Workspace()
@@ -495,7 +506,8 @@ def _format_rows(
     comes back as a memoryview, which compares equal to its bytes.
 
     The whole block is rendered at once in the calling thread's workspace,
-    so callers keep it to one PIECE_FLOATS piece.
+    so callers keep it to one PIECE_FLOATS piece, or the workspace grows
+    to the block.
     """
     first, *after = template.split("%r")
     wrap = separator + first
@@ -503,7 +515,8 @@ def _format_rows(
     cut = _TEXT_COL + len(after[-1].encode())
     after[-1] += wrap
     digits, column_ends, classes, divisors, exponents, layouts, *pow10 = _layout_tables()
-    u, words, cells, mask = _WORKSPACE.arrays(block.shape, [lit.encode() for lit in after])
+    u, cells, mask, width = _WORKSPACE.arrays(block.shape, [lit.encode() for lit in after])
+    words = cells[width:].view(np.int64).reshape(-1, width // 8)
     ints = u.view(np.int64)
     np.multiply(block, factor, out=u[0].view(np.float64).reshape(block.shape))
     f, index = _shortest(u, pow10)
@@ -575,38 +588,37 @@ def _format_rows(
     word3 |= last
     # The text is every nonzero byte from the prefix in the lead cell to the
     # last float's literal, less the separator and ``first`` that end it.
-    width = words.shape[1] * 8
     cells[:width] = np.frombuffer((wrap if start else first).encode().ljust(width, b"\0"), np.uint8)
     np.not_equal(cells, 0, out=mask)
     mask[cells.size - width + cut :] = False
     return cells[mask].data
 
 
-def _csv(batch: SampleBatch, e: Ellipsoid) -> tuple:
-    """Head, (row template, separator, factor) and tail of the CSV output."""
-    head = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
-    return head, (",".join(["%r"] * batch.dim) + "\n", "", 1.0), ""
+def _csv(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
+    """Head, (row template, separator, factor) and tail of the CSV of ``count`` points of ``e``."""
+    head = ",".join(f"x{i + 1}" for i in range(e.dim)) + "\n"
+    return head, (",".join(["%r"] * e.dim) + "\n", "", 1.0), ""
 
 
-def _json(batch: SampleBatch, e: Ellipsoid) -> tuple:
+def _json(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
     """The JSON document as head, rows and tail, with the bytes json.dumps gives for it whole.
 
     ``points`` is the document's last key, so its list can be written chunk
     by chunk between the other keys and the closing brackets.
     """
     doc = {
-        "dim": batch.dim,
-        "count": batch.count,
-        "seed": batch.seed,
-        "method": batch.method,
-        "ellipsoid": batch.ellipsoid_spec,
+        "dim": e.dim,
+        "count": count,
+        "seed": seed,
+        "method": method,
+        "ellipsoid": e.spec_dict(),
     }
-    row = "[" + ", ".join(["%r"] * batch.dim) + "]"
+    row = "[" + ", ".join(["%r"] * e.dim) + "]"
     return json.dumps(doc)[:-1] + ', "points": [', (row, ", ", 1.0), "]}\n"
 
 
-def _svg(batch: SampleBatch, e: Ellipsoid) -> tuple:
-    """Head with the outline, rows and tail of the SVG picture."""
+def _svg(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
+    """Head with the outline, rows and tail of the SVG picture of ``count`` points of ``e``."""
     # Data coordinates with y negated so the picture's y axis points up (a
     # factor of -1.0 is IEEE negation); vector-effect keeps the outline one
     # device pixel at any scale.
@@ -669,20 +681,29 @@ def _emit(pieces: Iterable[bytes], out: str | None) -> None:
         writer.detach()
 
 
+def _requested_points(e: Ellipsoid, args) -> Callable:
+    """points(i, rows) of the requested points (``sampling._drawn_chunks``), once the request passes."""
+    method = _METHOD_BY_FLAG[args.method]
+    return _drawn_chunks(e, args.seed, method, _check_request(e, args.count, method))
+
+
 def cmd_sample(args) -> int:
     e = resolve_ellipsoid(args)
     if args.format == "svg" and e.dim != 2:
         raise ConfigError("svg output requires dimension 2")
-    # Sampled before --out is opened, so a failed run leaves the file untouched.
-    batch = sample_batch(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
-    head, layout, tail = _FORMATS[args.format](batch, e)
+    # Every refusal comes before --out is opened, so it leaves the file untouched.
+    points = _requested_points(e, args)
+    head, layout, tail = _FORMATS[args.format](e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
 
-    def render(i: int, rows: slice) -> memoryview:
-        return _format_rows(batch.points[rows], rows.start, *layout)
+    def render(i: int, rows: slice) -> list[memoryview]:
+        chunk = points(i, rows)
+        return [_format_rows(chunk[piece], rows.start + piece.start, *layout)
+                for piece in _pieces(slice(0, len(chunk)), e.dim)]
 
-    # Each rendered chunk is one piece, which bounds the formatter's arrays at any dimension.
-    with _chunk_results(batch.count, render, PIECE_FLOATS // e.dim) as chunks:
-        _emit(itertools.chain([head.encode()], chunks, [tail.encode()]), args.out)
+    # One pass draws and renders each chunk; the texts go out in chunk order, one at a time.
+    with _chunk_results(args.count, render) as chunks:
+        texts = itertools.chain.from_iterable(chunks)
+        _emit(itertools.chain([head.encode()], texts, [tail.encode()]), args.out)
     return EXIT_OK
 
 
@@ -691,11 +712,9 @@ def cmd_check(args) -> int:
     selected = _comma_list(args.tests, "--tests")
     if len(set(selected) & set(_CHECK_NAMES)) < len(selected):
         raise ConfigError(f"--tests entries must be distinct names from {_CHECK_NAMES}: {selected}")
-    method = _METHOD_BY_FLAG[args.method]
-    rate = _check_request(e, args.count, method)
     # One pass draws each chunk and pulls it back once for chi2 and ks, after
     # their input rules; the batch is never held, and an identity-only check draws none.
-    points = _drawn_chunks(e, args.seed, method, rate)
+    points = _requested_points(e, args)
     pulled = [name for name in selected if name != "identity"]
     reports = certify(e, args.count, points, pulled, args.shells, args.alpha)
     if "identity" in selected:
@@ -736,6 +755,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
+        _check_seed(args.seed)
         return args.func(args)
     except (ConfigError, EllipsampleError, ArithmeticError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -20,25 +20,26 @@ Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
 method, count) and a shorter batch is a prefix of a longer one at every
 chunk boundary.  ``_draw_chunk`` is the one branch on the method:
-``sample_batch`` draws each chunk into the batch's own rows, and ``check``
-(``_drawn_chunks``) into a CHUNK_SIZE-row buffer that each thread reuses,
-so it pulls the same points back without ever holding the batch.
+``sample_batch`` draws each chunk into the batch's own rows, and ``cli``'s
+``sample`` and ``check`` (``_drawn_chunks``) into a CHUNK_SIZE-row buffer
+that each thread reuses, so they render or pull back the same points
+without ever holding the batch.
 
 Chunks are independent, so ``_chunk_results`` is the one driver for every
-stage that maps over them: a batch's chunks, the pull-back pass (which
-draws its own chunks in ``check``) and the Monte Carlo volume in
-``validation``, and the text of ``cli``'s ``sample`` all run
-on one thread per usable CPU.  A chunk writes only its own rows and every
-reduction across chunks is an integer sum, so the bytes do not depend on
-the thread count.  Nothing configures it: one usable CPU runs every chunk
-inline, with no pool.
+stage that maps over them: a batch's chunks, the one pass of ``sample``
+(draw and render) and of ``check`` (draw and pull back), and the Monte
+Carlo volume in ``validation`` all run on one thread per usable CPU.  A
+chunk writes only its own rows and every reduction across chunks is an
+integer sum, so the bytes do not depend on the thread count.  Nothing
+configures it: one usable CPU runs every chunk inline, with no pool.
 
 Each task does its numpy work in pieces of at most PIECE_FLOATS floats
 (``_pieces``), so a thread's temporaries are a small multiple of 128 KiB at
-any dimension, and the peak is the output (for ``check``, one chunk's
-rows per thread and KS's 8 bytes a point) plus O(threads x 128 KiB).  A
-stream's variates do not depend on how a read is split, and the affine
-maps work in fixed row blocks, so the pieces move no bits.
+any dimension, and the peak is the output (for ``sample`` and ``check``,
+one chunk's rows per thread, and ``sample``'s texts in flight or KS's 8
+bytes a point) plus O(threads x 128 KiB).  A stream's variates do not
+depend on how a read is split, and the affine maps work in fixed row
+blocks, so the pieces move no bits.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ PIECE_FLOATS = 16384
 METHODS = ("transform", "ellipsoid_rejection", "biased")
 
 
+def _check_seed(seed: int) -> None:
+    """The one seed rule, of ``RngStream`` and of every command: ``seed`` must be in 0..2**64 - 1."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+
+
 class RngStream:
     """Seedable, deterministic variate stream with index-based child derivation.
 
@@ -83,13 +90,11 @@ class RngStream:
     __slots__ = ("seed", "spawn_key", "_gen")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        self.seed = seed
+        self.seed = int(seed)
+        _check_seed(self.seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=self.spawn_key))
+            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key))
         )
 
     def derive(self, child_index: int) -> "RngStream":
@@ -123,9 +128,10 @@ def _chunk_results(count: int, fn: Callable, size: int = CHUNK_SIZE) -> Iterator
     ``fn`` must depend only on i and its own rows, and its numpy work should
     release the interpreter lock and go in PIECE_FLOATS pieces (``_pieces``),
     so each thread's temporaries stay that small.  The chunks run on one
-    thread per usable CPU, at most one per chunk, with at most two chunks
-    per thread in flight, so a slow consumer holds the threads back instead
-    of piling up results.
+    thread per usable CPU, at most one per chunk, and at most two chunks per
+    thread are started beyond those the consumer has taken, so a slow
+    consumer holds the threads back instead of piling up results.  No
+    result is kept once it is handed back.
     On one usable CPU, and for one chunk, they run inline, with no pool.
     Nothing configures it.
 
@@ -149,10 +155,11 @@ def _chunk_results(count: int, fn: Callable, size: int = CHUNK_SIZE) -> Iterator
         pending = list(itertools.islice(submits, 2 * workers))
 
         def in_order() -> Iterator:
+            # No local holds a result across the yield, so each is freed as soon
+            # as its consumer drops it (sample's texts once they are written).
             while pending:
-                result = pending.pop(0).result()
                 pending.extend(itertools.islice(submits, 1))
-                yield result
+                yield pending.pop(0).result()
 
         yield in_order()
     finally:
@@ -299,9 +306,10 @@ def _draw_chunk(e: Ellipsoid, method: str, rate: float, rng: RngStream, out: np.
 def _drawn_chunks(e: Ellipsoid, seed: int, method: str, rate: float) -> Callable:
     """points(i, rows): chunk i of ``sample_batch(e, count, seed, method)``, the batch never held.
 
-    Each thread draws into one CHUNK_SIZE-row buffer of its own, which its
-    next call overwrites, so a ``_chunk_results`` task must be done with
-    its chunk's points when it returns.
+    The one draw of ``cli``'s ``sample`` and ``check``.  Each thread draws
+    into one CHUNK_SIZE-row buffer of its own, which its next call
+    overwrites, so a ``_chunk_results`` task must be done with its chunk's
+    points when it returns.
     """
     root = RngStream(seed)
     local = threading.local()

@@ -189,14 +189,16 @@ def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], shells
     """The reports of the pull-back ``tests`` ("chi2", "ks") on ``count`` points of ``e``, in order.
 
     points(i, rows) gives chunk i's points, as in ``_pull_back_pass``.
-    Each test's input rule is checked, in the order of ``tests``, before
-    any point is read: chi-square needs 1..62 dimensions, ``shells`` of at
-    least 1 and MIN_EXPECTED_PER_BIN points per bin, KS KS_MIN_SAMPLES
-    points, and both a supported ``alpha``; too few points is
-    InsufficientSamples, any other break (an unknown test name too) a
-    ValueError.  Then one pass pulls each point back once for all of them;
-    an empty ``tests`` reads no point.
+    ``shells`` must be at least 1 whatever ``tests`` holds.  Then each
+    test's input rule is checked, in the order of ``tests``, before any
+    point is read: chi-square needs 1..62 dimensions and
+    MIN_EXPECTED_PER_BIN points per bin, KS KS_MIN_SAMPLES points, and both
+    a supported ``alpha``; too few points is InsufficientSamples, any other
+    break (an unknown test name too) a ValueError.  Then one pass pulls
+    each point back once for all of them; an empty ``tests`` reads no point.
     """
+    if shells < 1:
+        raise ValueError("shells must be positive")
     for name in tests:
         if name == "chi2":
             expected = count / _bin_total(e.dim, shells)

@@ -285,10 +285,10 @@ def test_sample_output_does_not_depend_on_the_worker_count(fmt, workers, count, 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     assert run_main(argv, capsys) == reference
     assert reference[0] == 0
-    # One chunk is drawn and rendered inline; more make one pool for each
-    # stage, of at most one thread per chunk.
+    # One chunk is drawn and rendered inline; more make one pool, in which
+    # each chunk is drawn and rendered by one task, of at most one thread per chunk.
     chunks = -(-count // CHUNK_SIZE)
-    assert len(pools) == 2 * (chunks > 1)
+    assert len(pools) == (chunks > 1)
     assert all(pool._max_workers == min(workers, chunks) for pool in pools)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -32,12 +33,23 @@ from ellipsample.validation import certify
 from helpers import child_env, dense_shape_text
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
+OWN_PEAK = Path(__file__).resolve().parent.parent / "tools" / "own_peak.py"
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def own_peak_readings(args: list[str]) -> dict:
+    """``tools/own_peak.py``'s readings of one ``python -m ellipsample`` run, which must exit 0."""
+    result = subprocess.run([sys.executable, str(OWN_PEAK), *args], capture_output=True, text=True,
+                            timeout=120)
+    fields = result.stdout.split()
+    readings = dict(zip(fields[::2], fields[1::2]))
+    assert (result.returncode, readings["exit"]) == (0, "0"), result.stderr
+    return readings
 
 
 class TestSampleCommand:
@@ -114,6 +126,27 @@ class TestSampleCommand:
         for cx, cy in circles:
             assert disc.contains([float(cx), -float(cy)])  # svg y axis is flipped
         assert "<polygon points=" in out  # the outline
+
+    def test_a_multi_chunk_sample_builds_each_threads_workspace_once(self, capsys, monkeypatch):
+        # At 3-d a chunk renders as a full piece and a short one, and the last
+        # chunk is shorter still: each views the arrays its thread made first.
+        arrays = cli._Workspace.arrays
+        made = {}
+
+        def counted(self, shape, lits):
+            found = arrays(self, shape, lits)
+            cells = found[2]
+            owner = cells if cells.base is None else cells.base
+            mine = made.setdefault(threading.get_ident(), [])
+            if not any(owner is seen for seen in mine):
+                mine.append(owner)
+            return found
+
+        monkeypatch.setattr(cli._Workspace, "arrays", counted)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        argv = ["sample", "--dim", "3", "--count", str(5 * CHUNK_SIZE + 5), "--seed", "1"]
+        assert run(argv, capsys)[0] == 0
+        assert made and all(len(mine) == 1 for mine in made.values()), made
 
     def test_svg_requires_dim_2(self, capsys):
         code, _, err = run(
@@ -385,6 +418,10 @@ class TestCheckCommand:
          "ValueError: dim must be in 1..62"),
         (["--dim", "2", "--shells", "0", "--count", "2000000"],
          "ValueError: shells must be positive"),
+        (["--dim", "2", "--shells", "-3", "--count", "1000", "--tests", "ks"],
+         "ValueError: shells must be positive"),
+        (["--dim", "2", "--shells", "-3", "--count", "1000", "--tests", "identity"],
+         "ValueError: shells must be positive"),
         (["--dim", "10", "--count", "1000", "--tests", "chi2"],
          "InsufficientSamples: 1000 samples give 0.24 expected per bin; need at least 5.0"),
         (["--dim", "2", "--count", "50", "--tests", "ks"],
@@ -470,16 +507,19 @@ class TestCheckCommand:
         # Its 250000 x 64 batch alone would take 128 MB.  Streamed, the run
         # holds the interpreter and numpy (about 32 MB), KS's 2 MB of ||u||^n
         # and one 4.2 MB chunk buffer per thread: under 64 MB on two threads.
-        tool = Path(__file__).resolve().parent.parent / "tools" / "own_peak.py"
-        argv = [sys.executable, str(tool), "check", "--dim", "64", "--count", "250000",
-                "--tests", "ks", "--seed", "1"]
-        result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-        fields = result.stdout.split()
-        readings = dict(zip(fields[::2], fields[1::2]))
-        assert (result.returncode, readings["exit"]) == (0, "0"), result.stderr
+        readings = own_peak_readings(["check", "--dim", "64", "--count", "250000", "--tests", "ks",
+                                      "--seed", "1"])
         # More usable CPUs run more threads, each with its buffer and a piece's temporaries.
         threads = min(len(os.sched_getaffinity(0)), math.ceil(250000 / CHUNK_SIZE))
         assert float(readings["own_peak_mb"]) < 64 + 5.2 * max(0, threads - 2), readings
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_own_peak_of_a_sample_is_flat_in_the_count(self):
+        # Each chunk is drawn and rendered by one task and written in chunk
+        # order, so 4e6 points hold what 1e6 do; a held batch would add 48 MB.
+        argv = ["sample", "--dim", "2", "--seed", "1", "--count"]
+        peaks = [float(own_peak_readings([*argv, n])["own_peak_mb"]) for n in ("1000000", "4000000")]
+        assert abs(peaks[1] - peaks[0]) <= 2.0, peaks
 
     # Box rejection stops short of 64-d: the ball fills 1.7e-39 of its box.
     STREAMED = [
@@ -592,6 +632,27 @@ class TestExitCodeDiscipline:
         code = main(["sample", "--dim", "2", "--count", "5"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "command",
+        [["volume", "--dim", "2"], ["volume", "--dim", "2", "--mc", "1000"],
+         ["sample", "--dim", "2"], ["check", "--dim", "2"]],
+        ids=lambda command: " ".join(command),
+    )
+    def test_seed_outside_64_bits_is_exit_2_for_every_command(self, command, seed, capsys):
+        code, out, err = run([*command, "--seed", seed], capsys)
+        assert (code, out, err) == (2, "", "error: ValueError: seed must be an unsigned 64-bit integer\n")
+
+    @pytest.mark.parametrize("seed, code", [("1", 0), ("-1", 2)])
+    def test_volume_never_imports_numpy_random(self, seed, code):
+        # It draws nothing, and the import costs about 10 ms and 6 MB of its start-up.
+        script = ("import sys; from ellipsample.cli import main; "
+                  f"code = main(['volume', '--dim', '2', '--seed', '{seed}']); "
+                  "print(code, 'numpy.random' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                                text=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == f"{code} False", result.stderr
 
     def test_bad_choice_is_exit_2(self, capsys):
         code = main(["sample", "--dim", "2", "--seed", "1", "--format", "png"])
@@ -831,7 +892,9 @@ class TestExitCodeDiscipline:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--dim", "3", "--format", "svg"], ["--dim", "2", "--count", "0"]],
+        [["--dim", "3", "--format", "svg"], ["--dim", "2", "--count", "0"],
+         ["--dim", "2", "--count", "1000000000000000"],
+         ["--dim", "40", "--method", "reject", "--count", "1"]],
         ids=lambda flags: " ".join(flags),
     )
     def test_config_error_leaves_out_file_untouched(self, flags, capsys, tmp_path):

@@ -79,7 +79,7 @@ def test_signed_zeros_and_layout_edges():
 def test_every_format_template_matches_repr(fmt, dim, start):
     e = Ellipsoid.from_spec({"dim": dim, "shape": dense_shape(dim), "centre": np.zeros(dim)})
     batch = sample_batch(e, 5, 3)
-    template, separator, factor = _FORMATS[fmt](batch, e)[1]
+    template, separator, factor = _FORMATS[fmt](e, 5, 3, "transform")[1]
     patterns = finite_bit_patterns(300 * dim, dim)[: 200 * dim].reshape(-1, dim)
     rows = np.concatenate([batch.points, patterns])
     assert _format_rows(rows, start, template, separator, factor) == repr_rows(
@@ -106,7 +106,7 @@ def render_cases() -> list[tuple]:
     for fmt, dim, rows in [("json", 64, 256), ("svg", 2, 300), ("csv", 1, 1000), ("csv", 2, 3),
                            ("csv", 2, PIECE_FLOATS // 2 + 100), ("json", 64, 300)]:
         e = Ellipsoid.from_spec({"dim": dim, "shape": dense_shape(dim), "centre": np.zeros(dim)})
-        layout = _FORMATS[fmt](sample_batch(e, 5, 3), e)[1]
+        layout = _FORMATS[fmt](e, 5, 3, "transform")[1]
         block = finite_bit_patterns(rows * dim * 2, rows + dim)[: rows * dim].reshape(rows, dim)
         cases.append((block, CHUNK_SIZE, *layout))
     return cases
@@ -157,7 +157,7 @@ def test_a_steady_render_allocates_only_its_text(fmt):
     # and a few small objects: no transient at the size of the byte cells.
     e = Ellipsoid.from_spec({"dim": 2, "radii": [2.0, 1.0], "centre": [1.0, -0.5]})
     block = sample_batch(e, 2 * CHUNK_SIZE, 7).points
-    template = _FORMATS[fmt](sample_batch(e, 5, 3), e)[1]
+    template = _FORMATS[fmt](e, 5, 3, "transform")[1]
     _format_rows(block[:CHUNK_SIZE], 0, *template)
     tracemalloc.start()
     try:
