@@ -82,6 +82,17 @@ CASES = {
         0,
         "69363bc641a548300f417cd501f62ed64bf610da55f4041fc1321c329956c43d",
     ),
+    # Reports come in --tests order, identity first or between the pull-back tests.
+    "check-identity-first": (
+        "check --radii 2,1 --count 3000 --seed 4 --tests identity,chi2,ks",
+        0,
+        "b0865662d7c871c84441e74929250b911560eaff1a5183d1434255daf71716e8",
+    ),
+    "check-identity-middle": (
+        "check --dim 3 --count 5000 --seed 6 --tests chi2,identity,ks",
+        0,
+        "bce8202291e3b6a26e1ef5081ec74db64a530b0f30b1265bcba81470c1c64d2e",
+    ),
     # Counts past CHUNK_SIZE (8192) so the rows cross chunk boundaries.
     "sample-csv-chunks": (
         "sample --radii 2,1 --centre 1,-0.5 --count 16389 --seed 4",
