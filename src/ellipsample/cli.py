@@ -9,19 +9,21 @@ identical command lines produce byte-identical output.
 
 ``sample`` and ``check`` make one pass over the request's chunks on the
 threads of ``sampling._chunk_results``: each chunk task draws its rows
-into its thread's buffer (``sampling._drawn_chunks``) and uses them
-before it returns, so no command holds the batch.  ``check`` pulls them
-back; ``sample`` formats every float it writes with ``_format_rows``, one
-PIECE_FLOATS piece at a time, and ``_emit`` writes the chunks' texts in
-chunk order.  One ``_format_rows`` call renders one block, as ASCII
-bytes, in its thread's ``_Workspace``: arrays of one piece's size, viewed
-to each block's shape and made again only when the floats' literals or
-the row width change, or a block outgrows them, so a steady run makes
-them once per thread.  Every numpy call of the render writes a whole
-block into them with ``out=``, and a mask of the cells' nonzero bytes
-gathers the text in one allocation of its own size, so a steady render
-allocates only its text, and memory is not handed back to the OS and
-faulted in again chunk after chunk.
+into its thread's buffer through ``sampling._drawn_chunks``, the one draw
+entry, which checks the request first, and uses them before it returns,
+so no command holds the batch.  ``check`` hands them, with its whole
+``--tests`` list, to ``validation.certify``, which runs every test in
+order and pulls the points back once.  ``sample`` formats every float it
+writes with ``_format_rows``, one PIECE_FLOATS piece at a time, and
+``_emit`` writes the chunks' texts in chunk order.  One ``_format_rows``
+call renders one block, as ASCII bytes, in its thread's ``_Workspace``:
+arrays of one piece's size, viewed to each block's shape and made again
+only when the floats' literals or the row width change, or a block
+outgrows them, so a steady run makes them once per thread.  Every numpy
+call of the render writes a whole block into them with ``out=``, and a
+mask of the cells' nonzero bytes gathers the text in one allocation of
+its own size, so a steady render allocates only its text, and memory is
+not handed back to the OS and faulted in again chunk after chunk.
 """
 
 from __future__ import annotations
@@ -35,22 +37,19 @@ import math
 import os
 import sys
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import EllipsampleError, PointOutsideEllipsoid
 from .geometry import Ellipsoid
 from .linalg import check_dim, parse_matrix_text
-# sample and check call sample_batch no longer, but bench/spans.py patches it by name on
-# this module, so it stays imported.
-from .sampling import (
-    PIECE_FLOATS, RngStream, _check_request, _check_seed, _chunk_results, _drawn_chunks, _pieces,
-    sample_batch,
-)
-# check calls neither chi_square_uniformity nor radial_ks, but bench/spans.py patches
-# both by name on this module, with a KeyError if one is missing, so they stay imported.
-from .validation import certify, chi_square_uniformity, mc_volume, proof_identity_check, radial_ks
+from .sampling import PIECE_FLOATS, RngStream, _check_seed, _chunk_results, _drawn_chunks, _pieces
+from .validation import CHECKS, certify, mc_volume
+# No command calls these, but bench/spans.py patches each by name on this module, with
+# a KeyError if one is missing, so they stay imported.
+from .sampling import sample_batch
+from .validation import chi_square_uniformity, proof_identity_check, radial_ks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -58,10 +57,7 @@ EXIT_CONFIG = 2
 EXIT_STATISTICAL = 3
 
 _METHOD_BY_FLAG = {"transform": "transform", "reject": "ellipsoid_rejection", "biased": "biased"}
-_CHECK_NAMES = ("chi2", "ks", "identity")
-_IDENTITY_TRIALS = 20
-# Child-stream index for the identity check; far above any batch chunk index.
-_IDENTITY_STREAM = 2**31 - 1
+
 
 class ConfigError(Exception):
     """Invalid command-line configuration; maps to exit code 2."""
@@ -122,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--shells", type=int, default=4, metavar="K")
     p_check.add_argument(
         "--tests",
-        default=",".join(_CHECK_NAMES),
+        default=",".join(CHECKS),
         metavar="LIST",
-        help=f"comma list from {','.join(_CHECK_NAMES)} (default all)",
+        help=f"comma list from {','.join(CHECKS)} (default all)",
     )
     p_check.set_defaults(func=cmd_check)
 
@@ -681,19 +677,14 @@ def _emit(pieces: Iterable[bytes], out: str | None) -> None:
         writer.detach()
 
 
-def _requested_points(e: Ellipsoid, args) -> Callable:
-    """points(i, rows) of the requested points (``sampling._drawn_chunks``), once the request passes."""
-    method = _METHOD_BY_FLAG[args.method]
-    return _drawn_chunks(e, args.seed, method, _check_request(e, args.count, method))
-
-
 def cmd_sample(args) -> int:
     e = resolve_ellipsoid(args)
     if args.format == "svg" and e.dim != 2:
         raise ConfigError("svg output requires dimension 2")
     # Every refusal comes before --out is opened, so it leaves the file untouched.
-    points = _requested_points(e, args)
-    head, layout, tail = _FORMATS[args.format](e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
+    method = _METHOD_BY_FLAG[args.method]
+    points = _drawn_chunks(e, args.count, args.seed, method)
+    head, layout, tail = _FORMATS[args.format](e, args.count, args.seed, method)
 
     def render(i: int, rows: slice) -> list[memoryview]:
         chunk = points(i, rows)
@@ -710,16 +701,12 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     e = resolve_ellipsoid(args)
     selected = _comma_list(args.tests, "--tests")
-    if len(set(selected) & set(_CHECK_NAMES)) < len(selected):
-        raise ConfigError(f"--tests entries must be distinct names from {_CHECK_NAMES}: {selected}")
-    # One pass draws each chunk and pulls it back once for chi2 and ks, after
-    # their input rules; the batch is never held, and an identity-only check draws none.
-    points = _requested_points(e, args)
-    pulled = [name for name in selected if name != "identity"]
-    reports = certify(e, args.count, points, pulled, args.shells, args.alpha)
-    if "identity" in selected:
-        rng = RngStream(args.seed).derive(_IDENTITY_STREAM)
-        reports.insert(selected.index("identity"), proof_identity_check(e, _IDENTITY_TRIALS, rng))
+    if len(set(selected) & set(CHECKS)) < len(selected):
+        raise ConfigError(f"--tests entries must be distinct names from {CHECKS}: {selected}")
+    # One pass draws each chunk and pulls it back once for every test that reads
+    # points, after the request and every input rule pass; the batch is never held.
+    points = _drawn_chunks(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
+    reports = certify(e, args.count, points, selected, args.seed, args.shells, args.alpha)
     _emit(["".join(r.to_json() + "\n" for r in reports).encode()], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STATISTICAL
 

@@ -3,7 +3,7 @@
 Every sampler is a ``sample_batch`` method, and each method is one chunk
 task that draws, scales and maps its own rows, a piece at a time.  The
 primary one, "transform" (``_transform_chunk``), draws uniform unit-ball
-points (Gaussian direction, radius u^(1/n)) into the batch's rows and
+points (Gaussian direction, radius u^(1/n)) into a chunk's rows and
 pushes them there through the ellipsoid's affine map, which preserves
 uniformity (``Ellipsoid._ball_image``, in the fixed-height row blocks that
 the ``Ellipsoid`` docstring describes).
@@ -19,11 +19,12 @@ MAX_DRAWS budget on count / rate draws (rate 1.0 but for rejection).
 Batches are generated from fixed-size chunks, each filled from its own
 derived child stream, so a batch is a pure function of (seed, ellipsoid,
 method, count) and a shorter batch is a prefix of a longer one at every
-chunk boundary.  ``_draw_chunk`` is the one branch on the method:
-``sample_batch`` draws each chunk into the batch's own rows, and ``cli``'s
-``sample`` and ``check`` (``_drawn_chunks``) into a CHUNK_SIZE-row buffer
-that each thread reuses, so they render or pull back the same points
-without ever holding the batch.
+chunk boundary.  ``_drawn_chunks`` is the one way points are drawn: it
+checks the request (``_check_request``, the MAX_DRAWS budget) and holds the
+one branch on the method.  It draws each chunk into a CHUNK_SIZE-row buffer
+that each thread reuses; ``sample_batch`` copies the chunk into the batch's
+rows, and ``cli``'s ``sample`` and ``check`` render or pull back the same
+points without ever holding the batch.
 
 Chunks are independent, so ``_chunk_results`` is the one driver for every
 stage that maps over them: a batch's chunks, the one pass of ``sample``
@@ -291,33 +292,29 @@ def _check_request(e: Ellipsoid, count: int, method: str) -> float:
     return rate
 
 
-def _draw_chunk(e: Ellipsoid, method: str, rate: float, rng: RngStream, out: np.ndarray) -> np.ndarray:
-    """Fill the rows of ``out`` with ``method``'s points of ``e`` from ``rng``; returns ``out``.
+def _drawn_chunks(e: Ellipsoid, count: int, seed: int, method: str) -> Callable:
+    """points(i, rows): chunk i of ``count`` of ``method``'s points of ``e`` for ``seed``.
 
-    The one branch on the method, for ``sample_batch`` and ``check`` alike;
-    ``rate`` is ``_check_request``'s acceptance rate.
+    The one way points are drawn, for ``sample_batch`` and ``cli``'s
+    ``sample`` and ``check``: the request is checked here
+    (``_check_request``), before anything is drawn, and ``points`` holds the
+    one branch on the method.  Each thread draws into one CHUNK_SIZE-row
+    buffer of its own, which its next call overwrites, so a
+    ``_chunk_results`` task must be done with its chunk's points when it
+    returns.
     """
-    if method == "ellipsoid_rejection":
-        _box_rejection_chunk(e, rng, rate, out)
-        return out
-    return _transform_chunk(e, rng, 1.0 if method == "biased" else 1.0 / e.dim, out)
-
-
-def _drawn_chunks(e: Ellipsoid, seed: int, method: str, rate: float) -> Callable:
-    """points(i, rows): chunk i of ``sample_batch(e, count, seed, method)``, the batch never held.
-
-    The one draw of ``cli``'s ``sample`` and ``check``.  Each thread draws
-    into one CHUNK_SIZE-row buffer of its own, which its next call
-    overwrites, so a ``_chunk_results`` task must be done with its chunk's
-    points when it returns.
-    """
+    rate = _check_request(e, count, method)
     root = RngStream(seed)
     local = threading.local()
 
     def points(i: int, rows: slice) -> np.ndarray:
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((CHUNK_SIZE, e.dim))
-        return _draw_chunk(e, method, rate, root.derive(i), local.buffer[: rows.stop - rows.start])
+        out = local.buffer[: rows.stop - rows.start]
+        if method == "ellipsoid_rejection":
+            _box_rejection_chunk(e, root.derive(i), rate, out)
+            return out
+        return _transform_chunk(e, root.derive(i), 1.0 if method == "biased" else 1.0 / e.dim, out)
 
     return points
 
@@ -328,21 +325,21 @@ def sample_batch(e: Ellipsoid, count: int, seed: int, method: str = "transform")
     The batch is split into fixed CHUNK_SIZE chunks; chunk i is filled from
     the child stream derive(i) of the root stream for ``seed`` and depends
     on nothing else, so the first k * CHUNK_SIZE points of a larger batch
-    equal the batch of k * CHUNK_SIZE points.  Chunks fill their own rows of
-    one preallocated array, through ``_chunk_results``.
+    equal the batch of k * CHUNK_SIZE points.  Each chunk is drawn by
+    ``_drawn_chunks`` and copied into its own rows of one preallocated array,
+    through ``_chunk_results``.
     """
-    rate = _check_request(e, count, method)
-    root = RngStream(seed)
-    points = np.empty((count, e.dim))
+    points = _drawn_chunks(e, count, seed, method)
+    batch = np.empty((count, e.dim))
 
     def fill(i: int, rows: slice) -> None:
-        _draw_chunk(e, method, rate, root.derive(i), points[rows])
+        batch[rows] = points(i, rows)
 
     with _chunk_results(count, fill) as filled:
         list(filled)
     return SampleBatch(
         dim=e.dim,
-        points=points,
+        points=batch,
         seed=int(seed),
         method=method,
         ellipsoid_spec=e.spec_dict(),

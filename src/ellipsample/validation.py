@@ -7,20 +7,22 @@ hold probability 1/K, and the 2^n sign orthants are equal by symmetry.  The
 radial Kolmogorov-Smirnov test uses the fact that ||u||^n of a uniform ball
 point is Uniform(0, 1).
 
-``certify`` is the one plan of the pull-back tests, for ``check`` and the
-public ``chi_square_uniformity`` and ``radial_ks`` alike: it checks each
-test's input rule before any point is read, then reads the points through
-one pass, ``_pull_back_pass``.  Chunk by chunk on the threads of
-``sampling._chunk_results``, each chunk in PIECE_FLOATS pieces, each point
-is pulled back once, checked against the unit ball, and its t = ||u||^n
-computed once for every test.  The pass keeps only what the tests need:
-chi-square's integer bin counts, and KS's t, 8 bytes a point, because its
-statistic needs one sort of all of them.  The public tests run it over a
-held batch; ``check`` runs it once for all its tests over chunks drawn as
-it goes, so it holds no batch.  Pieces are bit-identical to one pull-back
-of the whole batch: ``Ellipsoid.pullback`` multiplies by the cached
-inverse in the fixed-height row blocks that the ``Ellipsoid`` docstring
-describes, so a row's bits do not depend on how many rows come with it.
+``certify`` is the one plan of every ``check`` test (CHECKS: "chi2", "ks"
+and "identity"), and of the public ``chi_square_uniformity`` and
+``radial_ks``: it checks each test's input rule before any point is read,
+runs the tests in the order given and reads the points through one pass,
+``_pull_back_pass``, which the identity check does not use.  Chunk by
+chunk on the threads of ``sampling._chunk_results``, each chunk in
+PIECE_FLOATS pieces, each point is pulled back once, checked against the
+unit ball, and its t = ||u||^n computed once for every test.  The pass
+keeps only what the tests need: chi-square's integer bin counts, and
+KS's t, 8 bytes a point, because its statistic needs one sort of all of
+them.  The public tests run it over a held batch; ``check`` runs it once
+for all its tests over chunks drawn as it goes, so it holds no batch.
+Pieces are bit-identical to one pull-back of the whole batch:
+``Ellipsoid.pullback`` multiplies by the cached inverse in the
+fixed-height row blocks that the ``Ellipsoid`` docstring describes, so a
+row's bits do not depend on how many rows come with it.
 
 Chi-square critical values come from the Wilson-Hilferty cube-root
 approximation (no quantile tables); its error is negligible at the degrees
@@ -58,6 +60,12 @@ PULLBACK_SLACK = 1e-9
 
 _MC_MIN_COUNT = 10_000
 _MC_CHUNK = 262_144
+
+# The tests ``certify`` runs, in ``check``'s default order.
+CHECKS = ("chi2", "ks", "identity")
+_IDENTITY_TRIALS = 20
+# Child-stream index for the identity check; far above any batch chunk index.
+_IDENTITY_STREAM = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,7 @@ def _pull_back_pass(
     t = ||u||^n is computed once, there.  Returns (observed, t): with
     ``shells`` the integer count of each bin, added to chunk by chunk in
     chunk order, else None; with ``radii`` every point's t in one
-    ``count``-long array, else None.
+    ``count``-long array, else None.  With neither, no point is read.
     """
     kept = np.empty(count) if radii else None
 
@@ -177,16 +185,16 @@ def _pull_back_pass(
         return index
 
     observed = None if shells is None else np.zeros(_bin_total(e.dim, shells), np.int64)
-    with _chunk_results(count, pull) as pulled:
+    with _chunk_results(count if shells is not None or radii else 0, pull) as pulled:
         for index in pulled:
             if index is not None:
                 np.add.at(observed, index, 1)
     return observed, kept
 
 
-def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], shells: int = 4,
-            alpha: float = 0.001) -> list[TestReport]:
-    """The reports of the pull-back ``tests`` ("chi2", "ks") on ``count`` points of ``e``, in order.
+def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], seed: int,
+            shells: int = 4, alpha: float = 0.001) -> list[TestReport]:
+    """The reports of ``tests`` (names from CHECKS) on ``count`` points of ``e``, in order.
 
     points(i, rows) gives chunk i's points, as in ``_pull_back_pass``.
     ``shells`` must be at least 1 whatever ``tests`` holds.  Then each
@@ -195,7 +203,10 @@ def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], shells
     MIN_EXPECTED_PER_BIN points per bin, KS KS_MIN_SAMPLES points, and both
     a supported ``alpha``; too few points is InsufficientSamples, any other
     break (an unknown test name too) a ValueError.  Then one pass pulls
-    each point back once for all of them; an empty ``tests`` reads no point.
+    each point back once for chi-square and KS.  "identity" reads no point:
+    it is ``proof_identity_check`` with _IDENTITY_TRIALS trials from the
+    child stream _IDENTITY_STREAM of ``seed``, so its report is
+    deterministic, with alpha 0.0.
     """
     if shells < 1:
         raise ValueError("shells must be positive")
@@ -212,13 +223,16 @@ def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], shells
             if count < KS_MIN_SAMPLES:
                 raise InsufficientSamples(f"KS needs at least {KS_MIN_SAMPLES} samples, got {count}")
             _quantile(_KS_SCALE, alpha)
-        else:
-            raise ValueError(f"tests must be 'chi2' or 'ks', got {name!r}")
-    if not tests:
-        return []
+        elif name != "identity":
+            raise ValueError(f"tests must be 'chi2', 'ks' or 'identity', got {name!r}")
     observed, t = _pull_back_pass(e, count, points, shells if "chi2" in tests else None, "ks" in tests)
-    return [_chi_square_report(observed, count, alpha) if name == "chi2" else _ks_report(t, alpha)
-            for name in tests]
+
+    def report(name: str) -> TestReport:
+        if name == "identity":
+            return proof_identity_check(e, _IDENTITY_TRIALS, RngStream(seed).derive(_IDENTITY_STREAM))
+        return _chi_square_report(observed, count, alpha) if name == "chi2" else _ks_report(t, alpha)
+
+    return [report(name) for name in tests]
 
 
 def chi_square_uniformity(
@@ -233,7 +247,7 @@ def chi_square_uniformity(
     cell probabilities, so sum (obs - exp)^2 / exp is chi-square with
     shells * 2^dim - 1 degrees of freedom.
     """
-    return certify(e, batch.count, _batch_points(batch, e), ["chi2"], shells, alpha)[0]
+    return certify(e, batch.count, _batch_points(batch, e), ["chi2"], batch.seed, shells, alpha)[0]
 
 
 def _chi_square_report(observed: np.ndarray, count: int, alpha: float) -> TestReport:
@@ -281,7 +295,7 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     against the asymptotic critical value 1.63/sqrt(N) at alpha 0.01 or
     1.95/sqrt(N) at alpha 0.001.
     """
-    return certify(e, batch.count, _batch_points(batch, e), ["ks"], alpha=alpha)[0]
+    return certify(e, batch.count, _batch_points(batch, e), ["ks"], batch.seed, alpha=alpha)[0]
 
 
 def _ks_report(t: np.ndarray, alpha: float) -> TestReport:

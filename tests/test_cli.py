@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -455,7 +456,8 @@ class TestCheckCommand:
             calls.append(args)
             raise ValueError("drew the batch")
 
-        monkeypatch.setattr(sampling, "_draw_chunk", refuse)
+        monkeypatch.setattr(sampling, "_transform_chunk", refuse)
+        monkeypatch.setattr(sampling, "_box_rejection_chunk", refuse)
         code, out, err = run(["check", *flags, "--seed", "1"], capsys)
         assert (code, out, err) == (2, "", f"error: {error}\n")
         assert calls == []
@@ -469,7 +471,7 @@ class TestCheckCommand:
             raise AssertionError("read a point")
 
         with pytest.raises(Exception) as raised:
-            certify(resolve_ellipsoid(args), args.count, refuse, tests, args.shells, args.alpha)
+            certify(resolve_ellipsoid(args), args.count, refuse, tests, args.seed, args.shells, args.alpha)
         assert f"{type(raised.value).__name__}: {raised.value}" == error
 
     def test_identity_only_check_draws_no_batch(self, capsys, monkeypatch):
@@ -479,7 +481,8 @@ class TestCheckCommand:
         def refuse(*args, **kwargs):
             raise ValueError("drew the batch")
 
-        monkeypatch.setattr(sampling, "_draw_chunk", refuse)
+        monkeypatch.setattr(sampling, "_transform_chunk", refuse)
+        monkeypatch.setattr(sampling, "_box_rejection_chunk", refuse)
         assert run([*argv, "1000000"], capsys) == small
         assert small[0] == 0
 
@@ -557,8 +560,8 @@ class TestCheckCommand:
 
             monkeypatch.setattr(owner, attr, counted)
 
-        for owner, attr in ((cli, "_check_request"), (sampling, "_check_request"),
-                            (Ellipsoid, "volume"), (Ellipsoid, "box_volume")):
+        for owner, attr in ((sampling, "_check_request"), (Ellipsoid, "volume"),
+                            (Ellipsoid, "box_volume")):
             count(owner, attr)
         argv = ["check", "--dim", "3", "--count", "20000", "--seed", "2", "--method", "reject",
                 "--tests", "chi2,ks"]
@@ -669,14 +672,14 @@ class TestExitCodeDiscipline:
 
     def test_point_outside_ellipsoid_is_exit_3(self, capsys, monkeypatch):
         # a drawn point outside the ellipsoid fails certification; it is not a config error
-        draw = sampling._draw_chunk
+        draw = sampling._transform_chunk
 
         def stretched(e, *args):
             out = draw(e, *args)
             out[:] = 1.01 * (out - e.centre) + e.centre
             return out
 
-        monkeypatch.setattr(sampling, "_draw_chunk", stretched)
+        monkeypatch.setattr(sampling, "_transform_chunk", stretched)
         code, out, err = run(
             ["check", "--dim", "3", "--count", "5000", "--seed", "1", "--tests", "ks"], capsys
         )
@@ -921,6 +924,77 @@ class TestExitCodeDiscipline:
         err = capsys.readouterr().err
         assert code == 2
         assert "unrecognized arguments" in err
+
+    # Inputs of a seeded guard over random command lines: (valid, malformed) values.
+    FILES = {
+        "spec": (['{"dim": 2, "radii": [2, 1]}',
+                  '{"dim": 3, "quadratic": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "centre": [1, 0, 0]}'],
+                 ["{", "[]", '{"dim": 2}', '{"dim": "2", "radii": [1, 1]}',
+                  '{"dim": 2, "radii": [1, 1], "foci": 5}']),
+        "shape": (["1 0.2\n0 2\n", "2 0 0\n0 1 0\n0 0 3\n"], ["1 1\n1 1\n", "1 2\n3\n", "", "a b\nc d\n"]),
+        "quadratic": (["4 1\n1 3\n", "1 0.5\n0.5 1\n"], ["1 2\n2 1\n", "1 0.5\n0 1\n", "1e300 0\n0 1e-300\n"]),
+        "rotation": (["0.6 -0.8\n0.8 0.6\n"], ["1 1\n0 1\n", "1 0 0\n0 1 0\n0 0 1\n"]),
+        "foci": (["[[0, 0], [1, 1]]", "[[0, 0, 0], [1, 1, 1]]"], ["[[0, 0]]", "5", "not json"]),
+    }
+    VALUES = {
+        "dim": (["1", "2", "3", "5", "64"], ["-1", "0", "65", "x"]),
+        "radii": (["2,1", "1,1,1", "3", "1e154,1e154", "1e-200,1e-200", " 2 , 1 "],
+                  ["2,,1", "a,b", "0,1", "-1,2", "nan,1", "1e308,1"]),
+        "centre": (["1,0", "0,0,0", "1"], ["x", "1,,0", "1e308,0", "nan,0", "inf,0"]),
+        "seed": (["0", "1", "7", str(2**64 - 1)], ["-1", str(2**64), "x"]),
+        "count": (["1", "5", "100", "2000", "9000"], ["0", "-3"]),
+        "method": (["transform", "reject", "biased"], ["bogus"]),
+        "format": (["csv", "json", "svg"], ["png"]),
+        "tests": (["chi2", "ks", "identity", "chi2,ks", "ks,identity", "identity,chi2,ks"],
+                  ["", "ks,ks", "anderson"]),
+        "shells": (["1", "4"], ["0", "-3"]),
+        "alpha": (["0.01", "0.001"], ["0.5"]),
+        "mc": (["10000", "20000"], ["9999", "-1", str(10**16)]),
+    }
+    FLAGS = {"sample": ("count", "method", "format"), "check": ("count", "method", "tests", "shells", "alpha"),
+             "volume": ("mc",)}
+
+    def random_argv(self, rng, files: dict, out_dir: Path) -> list[str]:
+        def pick(pools):
+            return rng.choice(pools[0] if rng.random() < 0.85 else pools[1])
+
+        command = rng.choice(sorted(self.FLAGS))
+        argv = [command]
+        sources = ["dim", "radii", "spec", "shape", "quadratic"]
+        for source in rng.sample(sources, rng.choice([0, 1, 1, 1, 1, 1, 1, 1, 2])):
+            argv.append(f"--{source}={pick(files[source] if source in files else self.VALUES[source])}")
+        for extra in ("rotation", "foci"):
+            if rng.random() < 0.1:
+                argv.append(f"--{extra}={pick(files[extra])}")
+        if rng.random() < 0.2:
+            argv.append(f"--centre={pick(self.VALUES['centre'])}")
+        for flag in self.FLAGS[command]:
+            if rng.random() < 0.6:
+                argv.append(f"--{flag}={pick(self.VALUES[flag])}")
+        if rng.random() < 0.1:
+            argv.append(f"--out={rng.choice([out_dir / 'out.txt', out_dir / 'missing' / 'out.txt'])}")
+        if rng.random() < 0.97:
+            argv.append(f"--seed={pick(self.VALUES['seed'])}")
+        return argv
+
+    def test_random_command_lines_end_in_a_documented_exit_code(self, capsys, tmp_path):
+        # A guard: every case below passes; a new traceback, warning (an error
+        # under pytest's settings) or stray line on stderr fails it.
+        files = {}
+        for kind, pools in self.FILES.items():
+            files[kind] = ([], [])
+            for paths, texts, tag in zip(files[kind], pools, ("valid", "malformed")):
+                for i, text in enumerate(texts):
+                    path = tmp_path / f"{kind}-{tag}{i}"
+                    path.write_text(text)
+                    paths.append(str(path))
+        rng = random.Random(20261020)
+        for _ in range(1000):
+            argv = self.random_argv(rng, files, tmp_path)
+            code, out, err = run(argv, capsys)
+            assert code in (0, 1, 2, 3), argv
+            assert err.count("error:") <= 1, (argv, err)
+            assert code != 0 or err == "", (argv, err)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The scripts under tools/ run and print the lines their docstrings describe.
 
-Beside them, a guard that the package keeps no top-level name its code never uses.
+Beside them, guards that the package keeps no top-level name its code never
+uses and imports no name a module never uses.
 """
 
 import ast
@@ -87,3 +88,35 @@ def test_no_top_level_name_is_dead():
                     refs.add(node.name)
             used |= refs - names
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def cli_names_the_bench_patches() -> set[str]:
+    """The keys of ``CLI_ENTRY_POINTS`` in bench/spans.py: names its tracer patches on ``cli``."""
+    tree = ast.parse((TOOLS.parent / "bench" / "spans.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["CLI_ENTRY_POINTS"]:
+            return set(ast.literal_eval(stmt.value))
+    raise AssertionError("bench/spans.py defines no CLI_ENTRY_POINTS")
+
+
+def test_no_import_is_unused():
+    # Each name a module imports must be read in it as a name, or listed in its
+    # __all__.  The one exception is the names the bench tracer patches on cli,
+    # which cli must hold whether or not a command calls them.
+    patched = cli_names_the_bench_patches()
+    unused = []
+    for path in sorted((TOOLS.parent / "src" / "ellipsample").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                used |= set(ast.literal_eval(node.value))
+        if path.name == "cli.py":
+            assert patched <= imported | {stmt.name for stmt in tree.body if hasattr(stmt, "name")}
+            used |= patched
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

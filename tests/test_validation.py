@@ -351,23 +351,49 @@ class TestCertify:
         e = rand_ellipsoid(dim, RngStream(94 + dim))
         batch = sample_batch(e, 2 * CHUNK_SIZE + 77, 27)
         ks, chi2 = certify(
-            e, batch.count, lambda i, rows: batch.points[rows], ["ks", "chi2"], shells=2, alpha=0.01
+            e, batch.count, lambda i, rows: batch.points[rows], ["ks", "chi2"], 27, shells=2, alpha=0.01
         )
         assert ks.as_dict() == radial_ks(batch, e, alpha=0.01).as_dict()
         assert chi2.as_dict() == chi_square_uniformity(batch, e, shells=2, alpha=0.01).as_dict()
 
-    @pytest.mark.parametrize("tests", [["anderson"], ["identity"], ["ks", "anderson"]])
+    @pytest.mark.parametrize("tests", [["anderson"], ["ks", "anderson"]])
     def test_unknown_test_name_rejected_before_any_point(self, tests):
-        with pytest.raises(ValueError, match="tests must be 'chi2' or 'ks'"):
-            certify(ellipse_2x1(), 1000, self.refuse, tests)
+        with pytest.raises(ValueError, match="tests must be 'chi2', 'ks' or 'identity'"):
+            certify(ellipse_2x1(), 1000, self.refuse, tests, 1)
 
     @pytest.mark.parametrize("tests", [["chi2"], ["ks"]])
     def test_unsupported_alpha_rejected_before_any_point(self, tests):
         with pytest.raises(ValueError, match="alpha must be one of"):
-            certify(ellipse_2x1(), 1000, self.refuse, tests, alpha=0.5)
+            certify(ellipse_2x1(), 1000, self.refuse, tests, 1, alpha=0.5)
 
     def test_no_test_reads_no_point(self):
-        assert certify(ellipse_2x1(), 1000, self.refuse, []) == []
+        assert certify(ellipse_2x1(), 1000, self.refuse, [], 1) == []
+
+    @staticmethod
+    def binomial_bounds(n: int, p: float, tail: float) -> tuple[int, int]:
+        """The shortest [lo, hi] with at most ``tail`` of Binomial(n, p) below lo and at most above hi."""
+        pmf = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+        lo = next(k for k in range(n + 1) if sum(pmf[: k + 1]) > tail)
+        hi = next(k for k in range(n + 1) if sum(pmf[k + 1 :]) <= tail)
+        return lo, hi
+
+    # Size, not only power: under the null each test must reject about alpha of
+    # the time.  KS runs on the asymptotic Kolmogorov quantile, so 200 points at
+    # 10-d check its small-N size too (chi2 has too few points per bin there).
+    @pytest.mark.parametrize("dim, count, tests", [(2, 1000, ["chi2", "ks"]),
+                                                   (3, 1000, ["chi2", "ks"]), (10, 200, ["ks"])])
+    def test_rejections_at_alpha_001_are_binomial(self, dim, count, tests):
+        trials, alpha = 1000, 0.01
+        lo, hi = self.binomial_bounds(trials, alpha, 1e-4)
+        assert (lo, hi) == (1, 24)
+        e = rand_ellipsoid(dim, RngStream(310 + dim))
+        rejections = dict.fromkeys(tests, 0)
+        for seed in range(trials):
+            batch = sample_batch(e, count, seed)
+            reports = certify(e, count, lambda i, rows: batch.points[rows], tests, seed, alpha=alpha)
+            for name, report in zip(tests, reports):
+                rejections[name] += not report.passed
+        assert all(lo <= n <= hi for n in rejections.values()), rejections
 
 
 class TestMcVolume:
