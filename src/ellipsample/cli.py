@@ -13,17 +13,17 @@ into its thread's buffer through ``sampling._drawn_chunks``, the one draw
 entry, which checks the request first, and uses them before it returns,
 so no command holds the batch.  ``check`` hands them, with its whole
 ``--tests`` list, to ``validation.certify``, which runs every test in
-order and pulls the points back once.  ``sample`` formats every float it
-writes with ``_format_rows``, one PIECE_FLOATS piece at a time, and
-``_emit`` writes the chunks' texts in chunk order.  One ``_format_rows``
-call renders one block, as ASCII bytes, in its thread's ``_Workspace``:
-arrays of one piece's size, viewed to each block's shape and made again
-only when the floats' literals or the row width change, or a block
-outgrows them, so a steady run makes them once per thread.  Every numpy
-call of the render writes a whole block into them with ``out=``, and a
-mask of the cells' nonzero bytes gathers the text in one allocation of
-its own size, so a steady render allocates only its text, and memory is
-not handed back to the OS and faulted in again chunk after chunk.
+order and pulls the points back once.  ``sample`` makes one
+``_Workspace`` from its format's row template, and each chunk task
+renders its rows with it, one PIECE_FLOATS piece at a time, as ASCII
+bytes; ``_emit`` writes the chunks' texts in chunk order.  Each thread
+that renders makes the workspace's one-piece arrays on its first piece
+and views them for every piece after, so a run makes them once per
+rendering thread and nothing outlives the command.  Every numpy call of
+the render writes a whole piece into them with ``out=``, and a mask of
+the cells' nonzero bytes gathers the text in one allocation of its own
+size, so a steady render allocates only its text, and memory is not
+handed back to the OS and faulted in again chunk after chunk.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ def resolve_ellipsoid(args) -> Ellipsoid:
 # as 7.9e-323, and subnormals take no C_TINY case (Java's 4.9E-324 is repr's
 # 5e-324).
 #
-# Every numpy call below writes a whole block into a thread's workspace
-# with ``out=`` (or an in-place operator), so rendering a block allocates
+# Every numpy call below writes a whole piece into its thread's arrays
+# with ``out=`` (or an in-place operator), so rendering a piece allocates
 # nothing but its text.  Each take is the ndarray method, which skips
 # np.take's Python frames, and passes mode="clip", as the default mode
 # copies ``out`` before writing it; every index is in range.  The
@@ -379,7 +379,7 @@ _DECPT_MIN, _DECPT_MAX = -323, 309
 
 @functools.cache
 def _layout_tables() -> tuple[np.ndarray, ...]:
-    """The read-only tables ``_format_rows`` renders a float with, built on the first call.
+    """The read-only tables ``_Workspace`` renders a float with, built on the first call.
 
     Only ``sample`` renders, so ``check`` and ``volume`` never build them.
 
@@ -441,153 +441,152 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
 _GROUP_OFFSETS = np.arange(0, 50_000, 10_000)[:, None]
 
 
-class _Workspace(threading.local):
-    """One thread's scratch for ``_format_rows``: a piece's arrays, viewed to each block's shape.
+class _Workspace:
+    """One ``sample`` pass's render of rows of floats into a row template, as ASCII.
 
-    ``threading.local`` gives each thread its own attributes.  ``arrays``
-    gives 21 rows of 64-bit integers, one entry per float, and ``cells``,
-    the bytes the block is laid out in, ``width`` to a float after one
-    lead cell of the same width, with each float's literal in place.  The
-    mask that compacts the cells takes the integer rows' bytes, which are
-    free once the words are laid out.  The arrays hold a whole
-    PIECE_FLOATS piece (more for a larger block), and the cells of a block
-    of fewer rows with the same row width and literals are a prefix of
-    them, so such a block views them again: a chunk's short piece and the
-    short last chunk make none.  Only another row width or other literals,
-    or a block that outgrows them, make new ones.
+    ``_Workspace(template, separator, factor)`` parses the template once:
+    ``template`` has one ``%r`` per coordinate, and each row, times
+    ``factor``, is written in it, the rows joined by ``separator``.  Each
+    float, which must be finite, is written as its repr: the shortest
+    round-tripping text, which is also what json.dumps writes.
+
+    Each thread that renders makes its own arrays for one PIECE_FLOATS
+    piece on its first ``render`` (``_arrays``), and every piece after that
+    views them again, so a thread that never renders makes none.  The
+    arrays are 21 rows of 64-bit integers, one entry per float, and
+    ``cells``, the bytes a piece is laid out in, ``width`` to a float after
+    one lead cell of the same width, with each float's literal in place.
+    The mask that compacts the cells takes the integer rows' bytes, which
+    are free once the words are laid out.  A piece of fewer rows views a
+    prefix of them.
     """
 
-    key = None
+    def __init__(self, template: str, separator: str, factor: float | tuple[float, ...]):
+        first, *lits = template.encode().split(b"%r")
+        self.first, self.wrap, self.factor = first, separator.encode() + first, factor
+        # The column of the last float's cell at which its ``wrap`` begins.
+        self.cut = _TEXT_COL + len(lits[-1])
+        lits[-1] += self.wrap
+        self.width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
+        self.text = np.array([list(lit.ljust(self.width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
+        self.threads = threading.local()
 
-    def arrays(self, shape: tuple[int, int], lits: list[bytes]) -> tuple:
-        """The integer rows, the cells, the mask and the width of a float's cell."""
-        floats = shape[0] * shape[1]
-        if (shape[1], lits) != self.key or floats > self.room:
-            room = max(floats, PIECE_FLOATS // shape[1] * shape[1])
-            self.width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
-            self.cells = np.zeros((room + 1) * self.width, np.uint8)
-            text = np.array([list(lit.ljust(self.width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
-            self.cells[self.width :].reshape(-1, shape[1], self.width)[..., _TEXT_COL:] = text
-            self.ints = np.empty(max(21 * room, -(-self.cells.size // 8)), np.uint64)
-            # Set last, so a build that fails is made again by the next call.
-            self.key, self.room = (shape[1], lits), room
-        cells = self.cells[: (floats + 1) * self.width]
-        u = self.ints[: 21 * floats].reshape(21, floats)
-        return u, cells, self.ints.view(bool)[: cells.size], self.width
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The calling thread's integer rows and cells for one piece, made on its first call."""
+        arrays = getattr(self.threads, "arrays", None)
+        if arrays is None:
+            room = PIECE_FLOATS // len(self.text) * len(self.text)
+            cells = np.zeros((room + 1) * self.width, np.uint8)
+            cells[self.width :].reshape(-1, len(self.text), self.width)[..., _TEXT_COL:] = self.text
+            arrays = self.threads.arrays = np.empty(max(21 * room, -(-cells.size // 8)), np.uint64), cells
+        return arrays
 
+    def render(self, block: np.ndarray, start: int) -> list[memoryview]:
+        """The texts of ``block``'s rows, rendered one PIECE_FLOATS piece at a time.
 
-_WORKSPACE = _Workspace()
+        Joined, the texts are the rows in the template.  ``start`` is the
+        index of the block's first row, and a block after the first
+        (``start`` > 0) begins with the separator.
+        """
+        pieces = _pieces(slice(0, len(block)), block.shape[1])
+        return [self._piece(block[rows], start + rows.start) for rows in pieces]
 
+    def _piece(self, block: np.ndarray, start: int) -> memoryview:
+        """The text of one piece's rows, rendered at once in the calling thread's arrays.
 
-def _format_rows(
-    block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
-) -> memoryview:
-    """Each row of ``block`` times ``factor`` in ``template``, joined by ``separator``, as ASCII.
+        Each float fills a row of byte columns (see ``_DIGIT_COL``).  The 17
+        digits d0 d1 ... d16 of |x| = 0.d0d1...d16 x 10^decpt get a zero
+        inserted where the point goes (in front if nowhere), and their
+        values, four at a time from the ``digits`` table, are or'ed with a
+        ``layout`` row, picked by the layout class of decpt, the column after
+        the last nonzero digit and the sign, and with decpt's exponent bytes.
+        Columns a float does not use hold 0.  A lead cell holds the text's
+        prefix, and a mask of the nonzero bytes, cleared over the ``wrap``
+        that ends the last float's literal, gathers the text in one
+        allocation of its own size.  Both numpy calls release the interpreter
+        lock while they run.  The text comes back as a memoryview, which
+        compares equal to its bytes.
+        """
+        width, (scratch, cells) = self.width, self._arrays()
+        cells = cells[: (block.size + 1) * width]
+        u, mask = scratch[: 21 * block.size].reshape(21, -1), scratch.view(bool)[: cells.size]
+        digits, column_ends, classes, divisors, exponents, layouts, *pow10 = _layout_tables()
+        words = cells[width:].view(np.int64).reshape(-1, width // 8)
+        ints = u.view(np.int64)
+        np.multiply(block, self.factor, out=u[0].view(np.float64).reshape(block.shape))
+        f, index = _shortest(u, pow10)
+        f = f.view(np.int64)
+        t, p = ints[1], ints[2]
+        # t = the length of f less one, from the bit length of max(f, 1) (so -1
+        # for a zero): floor(bit length x 1233 / 2^12) is the length or one less.
+        np.maximum(f, 1, out=t)
+        np.copyto(p.view(np.float64), t)
+        np.right_shift(p, 52, out=t)
+        t *= 1233
+        t -= 1022 * 1233
+        t >>= 12
+        _POW10.take(t, out=p, mode="clip")
+        np.subtract(f, p, out=p)
+        p >>= 63
+        t += p
+        # k becomes the tables' index of decpt = k + the length of f.
+        index += t
+        index += 1 - _DECPT_MIN
+        np.subtract(16, t, out=t)
+        _POW10.take(t, out=p, mode="clip")
+        f *= p
+        # f = d0d1...d16; with the zero inserted j digits from the end, f + 9 10^j (f // 10^j).
+        divisors.take(index, out=p, mode="clip")
+        np.floor_divide(f, p, out=t)
+        t *= p
+        t *= 9
+        f += t
+        # The 18 digit columns in groups of 4, 4, 4, 4 and the last 2.
+        groups, values, ends = ints[4:9], ints[11:16], ints[16:21]
+        top, low = t, p
+        np.floor_divide(f, 10**10, out=top)
+        np.multiply(top, 10**10, out=low)
+        np.subtract(f, low, out=low)
+        np.floor_divide(low, 100, out=f)
+        np.multiply(f, 100, out=groups[4])
+        np.subtract(low, groups[4], out=groups[4])
+        for i, half in ((0, top), (2, f)):
+            np.floor_divide(half, 10**4, out=groups[i])
+            np.multiply(groups[i], 10**4, out=groups[i + 1])
+            np.subtract(half, groups[i + 1], out=groups[i + 1])
+        digits.take(groups, out=values, mode="clip")
+        groups += _GROUP_OFFSETS
+        column_ends.take(groups, out=ends, mode="clip")
+        end = ints[9]
+        np.maximum.reduce(ends, axis=0, out=end)
+        key, sign, layout = t, p, ints[4:8].reshape(-1, 4)
+        classes.take(index, out=key, mode="clip")
+        end <<= 1
+        key += end
+        np.right_shift(u[0], 63, out=sign.view(np.uint64))
+        key += sign
+        layouts.take(key, axis=0, out=layout, mode="clip")
 
-    ``template`` has one ``%r`` per coordinate, and each float, which must be
-    finite, is written as its repr: the shortest round-tripping text, which
-    is also what json.dumps writes.  A chunk after the first (``start`` > 0)
-    begins with the separator.
-
-    Each float fills a row of byte columns (see ``_DIGIT_COL``).  The 17
-    digits d0 d1 ... d16 of |x| = 0.d0d1...d16 x 10^decpt get a zero
-    inserted where the point goes (in front if nowhere), and their values,
-    four at a time from the ``digits`` table, are or'ed with a ``layout``
-    row, picked by the layout class of decpt, the column after the last
-    nonzero digit and the sign, and with decpt's exponent bytes.  Columns a
-    float does not use hold 0.  A lead cell holds the text's prefix, and a
-    mask of the nonzero bytes, cleared over the ``wrap`` that ends the last
-    float's literal, gathers the text in one allocation of its own size.
-    Both numpy calls release the interpreter lock while they run.  The text
-    comes back as a memoryview, which compares equal to its bytes.
-
-    The whole block is rendered at once in the calling thread's workspace,
-    so callers keep it to one PIECE_FLOATS piece, or the workspace grows
-    to the block.
-    """
-    first, *after = template.split("%r")
-    wrap = separator + first
-    # The column of the last float's cell at which its ``wrap`` begins.
-    cut = _TEXT_COL + len(after[-1].encode())
-    after[-1] += wrap
-    digits, column_ends, classes, divisors, exponents, layouts, *pow10 = _layout_tables()
-    u, cells, mask, width = _WORKSPACE.arrays(block.shape, [lit.encode() for lit in after])
-    words = cells[width:].view(np.int64).reshape(-1, width // 8)
-    ints = u.view(np.int64)
-    np.multiply(block, factor, out=u[0].view(np.float64).reshape(block.shape))
-    f, index = _shortest(u, pow10)
-    f = f.view(np.int64)
-    t, p = ints[1], ints[2]
-    # t = the length of f less one, from the bit length of max(f, 1) (so -1
-    # for a zero): floor(bit length x 1233 / 2^12) is the length or one less.
-    np.maximum(f, 1, out=t)
-    np.copyto(p.view(np.float64), t)
-    np.right_shift(p, 52, out=t)
-    t *= 1233
-    t -= 1022 * 1233
-    t >>= 12
-    _POW10.take(t, out=p, mode="clip")
-    np.subtract(f, p, out=p)
-    p >>= 63
-    t += p
-    # k becomes the tables' index of decpt = k + the length of f.
-    index += t
-    index += 1 - _DECPT_MIN
-    np.subtract(16, t, out=t)
-    _POW10.take(t, out=p, mode="clip")
-    f *= p
-    # f = d0d1...d16; with the zero inserted j digits from the end, f + 9 10^j (f // 10^j).
-    divisors.take(index, out=p, mode="clip")
-    np.floor_divide(f, p, out=t)
-    t *= p
-    t *= 9
-    f += t
-    # The 18 digit columns in groups of 4, 4, 4, 4 and the last 2.
-    groups, values, ends = ints[4:9], ints[11:16], ints[16:21]
-    top, low = t, p
-    np.floor_divide(f, 10**10, out=top)
-    np.multiply(top, 10**10, out=low)
-    np.subtract(f, low, out=low)
-    np.floor_divide(low, 100, out=f)
-    np.multiply(f, 100, out=groups[4])
-    np.subtract(low, groups[4], out=groups[4])
-    for i, half in ((0, top), (2, f)):
-        np.floor_divide(half, 10**4, out=groups[i])
-        np.multiply(groups[i], 10**4, out=groups[i + 1])
-        np.subtract(half, groups[i + 1], out=groups[i + 1])
-    digits.take(groups, out=values, mode="clip")
-    groups += _GROUP_OFFSETS
-    column_ends.take(groups, out=ends, mode="clip")
-    end = ints[9]
-    np.maximum.reduce(ends, axis=0, out=end)
-    key, sign, layout = t, p, ints[4:8].reshape(-1, 4)
-    classes.take(index, out=key, mode="clip")
-    end <<= 1
-    key += end
-    np.right_shift(u[0], 63, out=sign.view(np.uint64))
-    key += sign
-    layouts.take(key, axis=0, out=layout, mode="clip")
-
-    np.copyto(words[:, 0], layout[:, 0])
-    for word, (a, b) in ((1, values[0:2]), (2, values[2:4])):
-        b <<= 32
-        a |= b
-        np.bitwise_or(a, layout[:, word], out=words[:, word])
-    # Word 3: the last two digits, the exponent and the literal's first
-    # byte, which stays from ``arrays``.
-    last, word3 = values[4], words[:, 3]
-    last >>= 16
-    exponents.take(index, out=p, mode="clip")
-    last |= p
-    last |= layout[:, 3]
-    word3 &= 0x7F << 56
-    word3 |= last
-    # The text is every nonzero byte from the prefix in the lead cell to the
-    # last float's literal, less the separator and ``first`` that end it.
-    cells[:width] = np.frombuffer((wrap if start else first).encode().ljust(width, b"\0"), np.uint8)
-    np.not_equal(cells, 0, out=mask)
-    mask[cells.size - width + cut :] = False
-    return cells[mask].data
+        np.copyto(words[:, 0], layout[:, 0])
+        for word, (a, b) in ((1, values[0:2]), (2, values[2:4])):
+            b <<= 32
+            a |= b
+            np.bitwise_or(a, layout[:, word], out=words[:, word])
+        # Word 3: the last two digits, the exponent and the literal's first
+        # byte, which stays from ``_arrays``.
+        last, word3 = values[4], words[:, 3]
+        last >>= 16
+        exponents.take(index, out=p, mode="clip")
+        last |= p
+        last |= layout[:, 3]
+        word3 &= 0x7F << 56
+        word3 |= last
+        # The text is every nonzero byte from the prefix in the lead cell to the
+        # last float's literal, less the separator and ``first`` that end it.
+        cells[:width] = np.frombuffer((self.wrap if start else self.first).ljust(width, b"\0"), np.uint8)
+        np.not_equal(cells, 0, out=mask)
+        mask[cells.size - width + self.cut :] = False
+        return cells[mask].data
 
 
 def _csv(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
@@ -615,10 +614,9 @@ def _json(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
 
 def _svg(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
     """Head with the outline, rows and tail of the SVG picture of ``count`` points of ``e``."""
-    # Data coordinates with y negated so the picture's y axis points up (a
-    # factor of -1.0 is IEEE negation); vector-effect keeps the outline one
-    # device pixel at any scale.
-    flip = (1.0, -1.0)
+    # Data coordinates with y negated so the picture's y axis points up (the
+    # points' factor of -1.0 is the IEEE negation the outline's -y is);
+    # vector-effect keeps the outline one device pixel at any scale.
     half = 1.08 * e.bounding_halfwidths()
     hx, hy = float(half[0]), float(half[1])
     cx, cy = float(e.centre[0]), float(e.centre[1])
@@ -630,11 +628,11 @@ def _svg(e: Ellipsoid, count: int, seed: int, method: str) -> tuple:
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{view[0]!r} {view[1]!r} {view[2]!r} {view[3]!r}">\n'
-        f'<polygon points="{str(_format_rows(ring, 0, "%r,%r", " ", flip), "ascii")}" fill="none" '
+        f'<polygon points="{" ".join(f"{x!r},{-y!r}" for x, y in ring.tolist())}" fill="none" '
         'stroke="black" stroke-width="1" vector-effect="non-scaling-stroke"/>\n'
     )
     circle = '<circle cx="%r" cy="%r" r="' + repr(dot) + '"/>\n'
-    return head, (circle, "", flip), "</svg>\n"
+    return head, (circle, "", (1.0, -1.0)), "</svg>\n"
 
 
 _FORMATS = {"csv": _csv, "json": _json, "svg": _svg}
@@ -686,13 +684,9 @@ def cmd_sample(args) -> int:
     points = _drawn_chunks(e, args.count, args.seed, method)
     head, layout, tail = _FORMATS[args.format](e, args.count, args.seed, method)
 
-    def render(i: int, rows: slice) -> list[memoryview]:
-        chunk = points(i, rows)
-        return [_format_rows(chunk[piece], rows.start + piece.start, *layout)
-                for piece in _pieces(slice(0, len(chunk)), e.dim)]
-
+    render = _Workspace(*layout).render
     # One pass draws and renders each chunk; the texts go out in chunk order, one at a time.
-    with _chunk_results(args.count, render) as chunks:
+    with _chunk_results(args.count, lambda i, rows: render(points(i, rows), rows.start)) as chunks:
         texts = itertools.chain.from_iterable(chunks)
         _emit(itertools.chain([head.encode()], texts, [tail.encode()]), args.out)
     return EXIT_OK

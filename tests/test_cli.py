@@ -131,19 +131,17 @@ class TestSampleCommand:
     def test_a_multi_chunk_sample_builds_each_threads_workspace_once(self, capsys, monkeypatch):
         # At 3-d a chunk renders as a full piece and a short one, and the last
         # chunk is shorter still: each views the arrays its thread made first.
-        arrays = cli._Workspace.arrays
+        arrays = cli._Workspace._arrays
         made = {}
 
-        def counted(self, shape, lits):
-            found = arrays(self, shape, lits)
-            cells = found[2]
-            owner = cells if cells.base is None else cells.base
+        def counted(self):
+            found = arrays(self)
             mine = made.setdefault(threading.get_ident(), [])
-            if not any(owner is seen for seen in mine):
-                mine.append(owner)
+            if not any(found[1] is seen for seen in mine):
+                mine.append(found[1])
             return found
 
-        monkeypatch.setattr(cli._Workspace, "arrays", counted)
+        monkeypatch.setattr(cli._Workspace, "_arrays", counted)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
         argv = ["sample", "--dim", "3", "--count", str(5 * CHUNK_SIZE + 5), "--seed", "1"]
         assert run(argv, capsys)[0] == 0

@@ -1,5 +1,10 @@
-"""``cli._format_rows`` writes every float as its repr, compared with ``%r`` itself."""
+"""``cli._Workspace.render`` writes every float as its repr, compared with ``%r`` itself.
 
+``format_rows`` renders through one workspace per layout, as one ``sample``
+pass does, and joins the pieces' texts.
+"""
+
+import functools
 import sys
 import threading
 import tracemalloc
@@ -8,11 +13,22 @@ import numpy as np
 import pytest
 
 from ellipsample import Ellipsoid, cli, sample_batch
-from ellipsample.cli import _FORMATS, _format_rows, main
+from ellipsample.cli import _FORMATS, _Workspace, main
 from ellipsample.sampling import CHUNK_SIZE, PIECE_FLOATS
 from helpers import dense_shape, repr_rows
 
 LINE = ("%r\n", "", 1.0)
+
+
+@functools.cache
+def workspace(template: str, separator: str, factor: float | tuple[float, ...]) -> _Workspace:
+    """One workspace per layout, shared by every test and thread, as a pass shares its own."""
+    return _Workspace(template, separator, factor)
+
+
+def format_rows(block: np.ndarray, start: int, *layout) -> bytes:
+    """The text ``sample`` writes for ``block`` in ``layout``: its pieces' texts, joined."""
+    return b"".join(workspace(*layout).render(block, start))
 
 
 def finite_bit_patterns(count: int, seed: int) -> np.ndarray:
@@ -26,7 +42,7 @@ def assert_lines_match(x: np.ndarray) -> None:
     """One float per line, formatted and through ``%r``, in blocks that bound the memory."""
     for start in range(0, x.size, 2**14):
         rows = x[start : start + 2**14, None]
-        found, expected = _format_rows(rows, 0, *LINE), repr_rows(rows, 0, *LINE)
+        found, expected = format_rows(rows, 0, *LINE), repr_rows(rows, 0, *LINE)
         if found != expected:
             bad = [(a, b) for a, b in zip(bytes(found).split(), expected.split()) if a != b]
             pytest.fail(f"{len(bad)} floats differ from repr, first {bad[:5]}")
@@ -58,14 +74,14 @@ def test_edge_corpus_matches_repr():
     # positive text, which costs less than repr of a subnormal.
     for start in range(0, x.size, 2**14):
         rows = x[start : start + 2**14, None]
-        positive = bytes(_format_rows(rows, 0, *LINE)).split()
-        assert bytes(_format_rows(-rows, 0, *LINE)).split() == [b"-" + text for text in positive]
+        positive = bytes(format_rows(rows, 0, *LINE)).split()
+        assert bytes(format_rows(-rows, 0, *LINE)).split() == [b"-" + text for text in positive]
 
 
 def test_signed_zeros_and_layout_edges():
     x = np.array([[0.0, -0.0, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324,
                    -1.5e-05, 123.0, 0.5, 1e22, -2.5e-308]])
-    assert _format_rows(x, 0, ",".join(["%r"] * 12), "", 1.0) == (
+    assert format_rows(x, 0, ",".join(["%r"] * 12), "", 1.0) == (
         b"0.0,-0.0,0.0001,9.999999999999999e-05,1e+16,9999999999999998.0,5e-324,"
         b"-1.5e-05,123.0,0.5,1e+22,-2.5e-308"
     )
@@ -82,9 +98,19 @@ def test_every_format_template_matches_repr(fmt, dim, start):
     template, separator, factor = _FORMATS[fmt](e, 5, 3, "transform")[1]
     patterns = finite_bit_patterns(300 * dim, dim)[: 200 * dim].reshape(-1, dim)
     rows = np.concatenate([batch.points, patterns])
-    assert _format_rows(rows, start, template, separator, factor) == repr_rows(
+    assert format_rows(rows, start, template, separator, factor) == repr_rows(
         rows, start, template, separator, factor
     )
+
+
+class ReprWorkspace:
+    """``_Workspace`` with every block rendered by ``%r`` as one text."""
+
+    def __init__(self, *layout):
+        self.layout = layout
+
+    def render(self, block: np.ndarray, start: int) -> list[bytes]:
+        return [repr_rows(block, start, *self.layout)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -95,13 +121,13 @@ def test_sample_bytes_equal_the_repr_rendering(fmt, monkeypatch, capsys):
             "6", "--format", fmt]
     assert main(argv) == 0
     found = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_format_rows", repr_rows)
+    monkeypatch.setattr(cli, "_Workspace", ReprWorkspace)
     assert main(argv) == 0
     assert found == capsys.readouterr().out
 
 
 def render_cases() -> list[tuple]:
-    """_format_rows arguments across templates, dimensions and sizes, from a full piece to past one."""
+    """``format_rows`` arguments across templates, dimensions and sizes, from a full piece to past one."""
     cases = []
     for fmt, dim, rows in [("json", 64, 256), ("svg", 2, 300), ("csv", 1, 1000), ("csv", 2, 3),
                            ("csv", 2, PIECE_FLOATS // 2 + 100), ("json", 64, 300)]:
@@ -113,10 +139,10 @@ def render_cases() -> list[tuple]:
 
 
 def test_threads_rendering_at_once_match_one_thread():
-    # Each thread renders every case, starting at a different one, so the
-    # workspaces see the templates in different orders.
+    # Four threads share each layout's workspace, as a pass's threads do; each
+    # renders every case, starting at a different one, in arrays of its own.
     cases = render_cases()
-    serial = [_format_rows(*case) for case in cases]
+    serial = [format_rows(*case) for case in cases]
     found = {}
     barrier = threading.Barrier(4)
 
@@ -124,7 +150,7 @@ def test_threads_rendering_at_once_match_one_thread():
         barrier.wait()
         for i in range(len(cases)):
             j = (i + t) % len(cases)
-            found[t, j] = _format_rows(*cases[j])
+            found[t, j] = format_rows(*cases[j])
 
     threads = [threading.Thread(target=render, args=(t,)) for t in range(4)]
     interval = sys.getswitchinterval()
@@ -141,10 +167,11 @@ def test_threads_rendering_at_once_match_one_thread():
 
 
 def test_one_thread_leaks_no_bytes_from_a_longer_call():
-    # Longest literals first (64-d JSON, SVG), then shorter rows, a short
-    # final chunk and a block past PIECE_FLOATS, all in one fresh thread.
+    # In one fresh thread, each 64-d JSON and 2-d CSV block renders a piece
+    # shorter than one it rendered before: 44 rows after 256 and 100 after
+    # 8192, each a prefix of the cells the longer one wrote.
     found = []
-    thread = threading.Thread(target=lambda: found.extend(_format_rows(*c) for c in render_cases()))
+    thread = threading.Thread(target=lambda: found.extend(format_rows(*c) for c in render_cases()))
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
@@ -153,16 +180,16 @@ def test_one_thread_leaks_no_bytes_from_a_longer_call():
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
 def test_a_steady_render_allocates_only_its_text(fmt):
-    # Once a warm-up call has made the workspace, a call allocates its text
-    # and a few small objects: no transient at the size of the byte cells.
+    # Once a warm-up call has made this thread's arrays, a call allocates its
+    # text and a few small objects: no transient at the size of the byte cells.
     e = Ellipsoid.from_spec({"dim": 2, "radii": [2.0, 1.0], "centre": [1.0, -0.5]})
     block = sample_batch(e, 2 * CHUNK_SIZE, 7).points
-    template = _FORMATS[fmt](e, 5, 3, "transform")[1]
-    _format_rows(block[:CHUNK_SIZE], 0, *template)
+    render = workspace(*_FORMATS[fmt](e, 5, 3, "transform")[1]).render
+    render(block[:CHUNK_SIZE], 0)
     tracemalloc.start()
     try:
-        text = _format_rows(block[CHUNK_SIZE:], CHUNK_SIZE, *template)
+        texts = render(block[CHUNK_SIZE:], CHUNK_SIZE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * len(text) + 32 * 1024
+    assert peak <= 1.1 * sum(map(len, texts)) + 32 * 1024

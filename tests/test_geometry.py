@@ -240,6 +240,8 @@ class TestTransforms:
             e.inverse([1.0])
         with pytest.raises(DimensionMismatch):
             e.pullback(np.zeros((5, 3)))
+        with pytest.raises(DimensionMismatch, match="rotation is 3x3 but there are 2 radii"):
+            Ellipsoid.from_radii_rotation([2.0, 1.0], np.eye(3), np.zeros(2))
 
     def test_round_trip(self):
         rng = RngStream(33)

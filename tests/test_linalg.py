@@ -13,6 +13,7 @@ from ellipsample import (
 )
 from ellipsample.cli import build_parser, resolve_ellipsoid
 from ellipsample.errors import (
+    DimensionMismatch,
     DimensionOutOfRange,
     NotPositiveDefinite,
     NotSymmetric,
@@ -109,9 +110,21 @@ class TestSolveUpper:
             x = solve_upper(r.T, np.linalg.solve(r, b))
             np.testing.assert_allclose(m @ x, b, atol=1e-9 * np.linalg.norm(b))
 
-    def test_nontriangular_rejected(self):
-        with pytest.raises(ValueError):
-            solve_upper([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0])
+    @pytest.mark.parametrize(
+        "upper, b, error, match",
+        [
+            ([[1.0, 0.0], [0.5, 1.0]], [1.0, 1.0], ValueError, "strict lower triangle"),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0], ValueError, "expected a square matrix"),
+            ([[1.0, 0.0], [0.0, math.inf]], [1.0, 1.0], ValueError, "matrix entries must be finite"),
+            ([[1.0, 2.0], [0.0, 0.0]], [1.0, 1.0], ValueError, "diagonal entries must be nonzero"),
+            (np.eye(2), [[1.0], [1.0]], ValueError, "expected a 1-D vector"),
+            (np.eye(2), [1.0, 1.0, 1.0], DimensionMismatch, "vector has length 3"),
+        ],
+        ids=["nontriangular", "not square", "not finite", "zero diagonal", "2-d rhs", "rhs length"],
+    )
+    def test_malformed_system_rejected(self, upper, b, error, match):
+        with pytest.raises(error, match=match):
+            solve_upper(upper, b)
 
 
 class TestIsRotation:

@@ -1,12 +1,14 @@
 """The scripts under tools/ run and print the lines their docstrings describe.
 
 Beside them, guards that the package keeps no top-level name its code never
-uses and imports no name a module never uses.
+uses, imports no name a module never uses and keeps no thread-local state
+at module level.
 """
 
 import ast
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +55,20 @@ def test_own_peak_exits_128_plus_the_signal_that_killed_the_command(monkeypatch,
     assert capsys.readouterr().out.split()[-2:] == ["exit", "-9"]
 
 
+def test_line_hits_lists_the_statements_a_selection_never_runs():
+    # pytest's own report comes first; then one module:line: text per statement, and the total.
+    lines = run_tool("line_hits.py", str(TOOLS.parent / "tests" / "test_linalg.py"), "-q",
+                     "-p", "no:cacheprovider").splitlines()
+    modules = {Path(p).name for p in (TOOLS.parent / "src" / "ellipsample").glob("*.py")}
+    found = [re.fullmatch(r"(\w+\.py):(\d+): (\S.*)", line) for line in lines]
+    found = [match.groups() for match in found if match]
+    assert found and {module for module, _, _ in found} <= modules
+    assert not any(text.startswith(('"""', "#")) for _, _, text in found)
+    words = lines[-1].split()
+    assert words[0] == "total" and words[2] == "of" and words[4:] == ["statements", "never", "ran"]
+    assert int(words[1]) == len(found) < int(words[3])
+
+
 def test_code_lines_counts_every_module():
     header, *rows, total = [line.split() for line in run_tool("code_lines.py").splitlines()]
     assert header == ["module", "lines", "code"]
@@ -88,6 +104,26 @@ def test_no_top_level_name_is_dead():
                     refs.add(node.name)
             used |= refs - names
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def test_no_module_level_thread_local_state():
+    # State a pass needs belongs to an object the pass makes: a thread-local
+    # made at import outlives every call and is shared by every caller.  So
+    # no top-level assignment may call threading.local, or a src/ class
+    # derived from it.
+    modules = sorted((TOOLS.parent / "src" / "ellipsample").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in modules]
+    classes = {stmt.name: {ast.unparse(base) for base in stmt.bases}
+               for tree in trees for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    local = {"threading.local", "local"}
+    while derived := {name for name, bases in classes.items() if bases & local} - local:
+        local |= derived
+
+    def makes_one(value: ast.expr) -> bool:
+        return any(isinstance(node, ast.Call) and ast.unparse(node.func) in local for node in ast.walk(value))
+
+    assigned = [stmt for tree in trees for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
+    assert [ast.unparse(stmt) for stmt in assigned if stmt.value and makes_one(stmt.value)] == []
 
 
 def cli_names_the_bench_patches() -> set[str]:
