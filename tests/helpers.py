@@ -59,7 +59,7 @@ def dense_shape_text(n: int) -> str:
 def repr_rows(
     block: np.ndarray, start: int, template: str, separator: str, factor: float | tuple[float, ...]
 ) -> bytes:
-    """The reference for ``cli._Workspace.render``: the same ASCII text through Python's ``%r``.
+    """The reference for ``formats._Workspace.render``: the same ASCII text through Python's ``%r``.
 
     ``%r`` of a Python float is its repr, so each float is written exactly as
     repr writes it; a chunk after the first (``start`` > 0) begins with the

@@ -340,21 +340,23 @@ from ellipsample.cli import main
 code = main(sys.argv[1:])
 pools = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
 sys.stderr.write(f"pool modules: {pools}\\n")
+sys.stderr.write(f"formats: {'ellipsample.formats' in sys.modules}\\n")
 raise SystemExit(code)
 """
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, renders",
     [
-        "volume --radii 2,1 --seed 1 --mc 20000",
-        "check --radii 2,1 --count 20000 --seed 7",
-        f"sample --radii 2,1 --count {CHUNK_SIZE} --seed 7 --format json",
-        f"sample --radii 2,1 --count {3 * CHUNK_SIZE + 5} --seed 7",
+        ("volume --radii 2,1 --seed 1 --mc 20000", False),
+        ("check --radii 2,1 --count 20000 --seed 7", False),
+        (f"sample --radii 2,1 --count {CHUNK_SIZE} --seed 7 --format json", True),
+        (f"sample --radii 2,1 --count {3 * CHUNK_SIZE + 5} --seed 7", True),
     ],
     ids=["volume", "check", "sample-one-chunk", "sample-chunks"],
 )
-def test_runs_that_fork_no_pool_do_not_import_it(argv):
+def test_runs_that_fork_no_pool_do_not_import_it(argv, renders):
+    # Nor does a run that renders no text load the render (formats).
     run = subprocess.run(
         [sys.executable, "-c", _IMPORTS_CHILD, *argv.split()],
         capture_output=True,
@@ -362,7 +364,7 @@ def test_runs_that_fork_no_pool_do_not_import_it(argv):
         timeout=120,
     )
     assert run.returncode == 0
-    assert run.stderr == b"pool modules: []\n"
+    assert run.stderr == f"pool modules: []\nformats: {renders}\n".encode()
 
 
 # Runs one CLI command in a child; with CPU set, pinned to that CPU before the

@@ -27,7 +27,7 @@ from ellipsample import (
     sample_batch,
     unit_ball_volume,
 )
-from ellipsample import cli, sampling
+from ellipsample import cli, formats, sampling
 from ellipsample.cli import _METHOD_BY_FLAG, build_parser, main, resolve_ellipsoid
 from ellipsample.sampling import CHUNK_SIZE, METHODS
 from ellipsample.validation import certify
@@ -131,7 +131,7 @@ class TestSampleCommand:
     def test_a_multi_chunk_sample_builds_each_threads_workspace_once(self, capsys, monkeypatch):
         # At 3-d a chunk renders as a full piece and a short one, and the last
         # chunk is shorter still: each views the arrays its thread made first.
-        arrays = cli._Workspace._arrays
+        arrays = formats._Workspace._arrays
         made = {}
 
         def counted(self):
@@ -141,7 +141,7 @@ class TestSampleCommand:
                 mine.append(found[1])
             return found
 
-        monkeypatch.setattr(cli._Workspace, "_arrays", counted)
+        monkeypatch.setattr(formats._Workspace, "_arrays", counted)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
         argv = ["sample", "--dim", "3", "--count", str(5 * CHUNK_SIZE + 5), "--seed", "1"]
         assert run(argv, capsys)[0] == 0
@@ -190,6 +190,9 @@ class TestSampleCommand:
 
     def test_every_sampling_method_has_a_flag(self):
         assert set(METHODS) <= set(_METHOD_BY_FLAG.values())
+        # --format's names are written out, as argparse needs them before formats is imported.
+        sample = build_parser()._subparsers._group_actions[0].choices["sample"]
+        assert [list(a.choices) for a in sample._actions if a.dest == "format"] == [sorted(formats._FORMATS)]
 
 
 class TestEllipsoidResolution:

@@ -1,4 +1,4 @@
-"""``cli._Workspace.render`` writes every float as its repr, compared with ``%r`` itself.
+"""``formats._Workspace.render`` writes every float as its repr, compared with ``%r`` itself.
 
 ``format_rows`` renders through one workspace per layout, as one ``sample``
 pass does, and joins the pieces' texts.
@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellipsample import Ellipsoid, cli, sample_batch
-from ellipsample.cli import _FORMATS, _Workspace, main
+from ellipsample import Ellipsoid, formats, sample_batch
+from ellipsample.cli import main
+from ellipsample.formats import _FORMATS, _Workspace
 from ellipsample.sampling import CHUNK_SIZE, PIECE_FLOATS
 from helpers import dense_shape, repr_rows
 
@@ -78,6 +79,12 @@ def test_edge_corpus_matches_repr():
         assert bytes(format_rows(-rows, 0, *LINE)).split() == [b"-" + text for text in positive]
 
 
+def test_every_table_is_read_only():
+    # The threads of a sample pass render with the same module tables.
+    tables = [value for value in vars(formats).values() if isinstance(value, np.ndarray)]
+    assert len(tables) == 10 and not any(table.flags.writeable for table in tables)
+
+
 def test_signed_zeros_and_layout_edges():
     x = np.array([[0.0, -0.0, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324,
                    -1.5e-05, 123.0, 0.5, 1e22, -2.5e-308]])
@@ -121,7 +128,7 @@ def test_sample_bytes_equal_the_repr_rendering(fmt, monkeypatch, capsys):
             "6", "--format", fmt]
     assert main(argv) == 0
     found = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_Workspace", ReprWorkspace)
+    monkeypatch.setattr(formats, "_Workspace", ReprWorkspace)
     assert main(argv) == 0
     assert found == capsys.readouterr().out
 

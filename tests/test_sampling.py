@@ -78,6 +78,9 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(1).derive(-1)
 
+    def test_repr_names_seed_and_spawn_key(self):
+        assert repr(RngStream(5).derive(3)) == "RngStream(seed=5, spawn_key=(3,))"
+
 
 class TestSampleUnitBall:
     def test_deterministic(self):
@@ -254,6 +257,14 @@ class TestSampleBatch:
     def test_seed_sensitivity(self):
         e = ellipse_2x1_at_1_0()
         assert not np.array_equal(sample_batch(e, 100, 7).points, sample_batch(e, 100, 8).points)
+
+    @pytest.mark.parametrize("reported, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity_is_the_cpu_count(self, reported, usable, monkeypatch):
+        # Where the OS reports no affinity set (macOS, Windows), os.cpu_count
+        # decides, and one CPU is assumed if it cannot tell.
+        monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: reported)
+        assert sampling._usable_cpus() == usable
 
     def test_chunk_layout_prefix(self):
         # chunk i depends only on (seed, i): a shorter batch is a prefix at chunk boundaries

@@ -1,8 +1,9 @@
 """The scripts under tools/ run and print the lines their docstrings describe.
 
 Beside them, guards that the package keeps no top-level name its code never
-uses, imports no name a module never uses and keeps no thread-local state
-at module level.
+uses, imports no name a module never uses, keeps no thread-local state
+at module level, and that ``cli`` imports neither numpy nor ``formats``
+when it loads.
 """
 
 import ast
@@ -124,6 +125,26 @@ def test_no_module_level_thread_local_state():
 
     assigned = [stmt for tree in trees for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
     assert [ast.unparse(stmt) for stmt in assigned if stmt.value and makes_one(stmt.value)] == []
+
+
+def test_cli_loads_neither_numpy_nor_the_render_on_import():
+    # cli is the command line: the layers do the numpy work, and only sample
+    # imports formats, when it runs, so check and volume never load the render.
+    def outside_functions(node: ast.AST):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from outside_functions(child)
+
+    tree = ast.parse((TOOLS.parent / "src" / "ellipsample" / "cli.py").read_text())
+    names = set()
+    for node in outside_functions(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or "", *(alias.name for alias in node.names)}
+    assert "sampling" in names
+    assert {part for name in names for part in name.split(".")} & {"numpy", "formats"} == set()
 
 
 def cli_names_the_bench_patches() -> set[str]:

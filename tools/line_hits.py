@@ -7,9 +7,9 @@ lies under src/ellipsample.  Then prints each statement in a function body
 that never ran, as ``module:line: text`` (the text is the statement's first
 line), and a total, for example:
 
-    cli.py:659: raise OSError("standard output is closed")
+    cli.py:199: raise OSError("standard output is closed")
     ...
-    total 6 of 802 statements never ran
+    total 4 of 802 statements never ran
 
 Docstrings and statements that compile to nothing (``global``, a bare
 string) are not counted.  A compound statement ran if its header or its
