@@ -9,15 +9,15 @@ identical command lines produce byte-identical output.
 
 ``sample`` and ``check`` make one pass over the request's chunks on the
 threads of ``sampling._chunk_results``: each chunk task draws its rows
-into its thread's buffer through ``sampling._drawn_chunks``, the one draw
-entry, which checks the request first, and uses them before it returns,
-so no command holds the batch.  ``check`` hands them, with its whole
-``--tests`` list, to ``validation.certify``, which runs every test in
-order and pulls the points back once.  ``sample`` renders each chunk's
-rows as the ASCII text of its format with ``formats._Workspace``, and
-``_emit`` writes the chunks' texts in chunk order.  Only ``sample``
-imports ``formats``, when it runs, so ``check`` and ``volume`` never
-load the render.
+into an array of its own through ``sampling._drawn_chunks``, the one draw
+entry, which checks the request first, and drops them once it has used
+them, so no command holds the batch.  ``check`` hands them, with its
+whole ``--tests`` list, to ``validation.certify``, which runs every test
+in order and pulls the points back once.  ``sample`` renders each chunk's
+rows as the ASCII text of its format with ``formats._Workspace``, in
+arrays the task makes for it, and ``_emit`` writes the chunks' texts in
+chunk order.  Only ``sample`` imports ``formats``, when it runs, so
+``check`` and ``volume`` never load the render.
 """
 
 from __future__ import annotations

@@ -4,14 +4,12 @@ Only ``cli.cmd_sample`` imports this module, when it runs, so ``check`` and
 ``volume`` never build its tables.  ``_FORMATS`` gives each ``--format``
 its head, row template and tail, and ``sample`` makes one ``_Workspace``
 from the row template; each chunk task renders its rows with it, one
-PIECE_FLOATS piece at a time, as ASCII bytes.  Each thread that renders
-makes the workspace's one-piece arrays on its first piece and views them
-for every piece after, so a run makes them once per rendering thread and
-nothing outlives the command.  Every numpy call of the render writes a
-whole piece into them with ``out=``, and a mask of the cells' nonzero
-bytes gathers the text in one allocation of its own size, so a steady
-render allocates only its text, and memory is not handed back to the OS
-and faulted in again chunk after chunk.
+PIECE_FLOATS piece at a time, as ASCII bytes.  Each ``render`` call, one
+per chunk, makes its own one-piece arrays and renders every piece of its
+chunk in them, so the task owns them and nothing outlives it but its
+texts.  Every numpy call of the render writes a whole piece into them
+with ``out=``, and a mask of the cells' nonzero bytes gathers each piece's
+text in one allocation of its own size.
 
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020)
 finds, with fixed-width integer arithmetic, the shortest decimals inside a
@@ -33,12 +31,11 @@ threads share them.
 from __future__ import annotations
 
 import json
-import threading
 
 import numpy as np
 
 from .geometry import Ellipsoid
-from .sampling import PIECE_FLOATS, _pieces
+from .sampling import _pieces
 
 _K_MIN = -324
 _M32 = 0xFFFFFFFF
@@ -280,10 +277,10 @@ class _Workspace:
     float, which must be finite, is written as its repr: the shortest
     round-tripping text, which is also what json.dumps writes.
 
-    Each thread that renders makes its own arrays for one PIECE_FLOATS
-    piece on its first ``render`` (``_arrays``), and every piece after that
-    views them again, so a thread that never renders makes none.  The
-    arrays are 21 rows of 64-bit integers, one entry per float, and
+    Each ``render`` call makes its own arrays for one piece (``_arrays``)
+    and renders each of its pieces in them, so threads rendering at once
+    share only the parsed template and the module tables, all read-only.
+    The arrays are 21 rows of 64-bit integers, one entry per float, and
     ``cells``, the bytes a piece is laid out in, ``width`` to a float after
     one lead cell of the same width, with each float's literal in place.
     The mask that compacts the cells takes the integer rows' bytes, which
@@ -299,30 +296,29 @@ class _Workspace:
         lits[-1] += self.wrap
         self.width = -(-(_TEXT_COL + max(map(len, lits))) // 8) * 8
         self.text = np.array([list(lit.ljust(self.width - _TEXT_COL, b"\0")) for lit in lits], np.uint8)
-        self.threads = threading.local()
+        self.text.flags.writeable = False
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The calling thread's integer rows and cells for one piece, made on its first call."""
-        arrays = getattr(self.threads, "arrays", None)
-        if arrays is None:
-            room = PIECE_FLOATS // len(self.text) * len(self.text)
-            cells = np.zeros((room + 1) * self.width, np.uint8)
-            cells[self.width :].reshape(-1, len(self.text), self.width)[..., _TEXT_COL:] = self.text
-            arrays = self.threads.arrays = np.empty(max(21 * room, -(-cells.size // 8)), np.uint64), cells
-        return arrays
+    def _arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Integer rows and cells for a piece of ``rows`` rows, each cell's literal in place."""
+        room = rows * len(self.text)
+        cells = np.zeros((room + 1) * self.width, np.uint8)
+        cells[self.width :].reshape(-1, len(self.text), self.width)[..., _TEXT_COL:] = self.text
+        return np.empty(max(21 * room, -(-cells.size // 8)), np.uint64), cells
 
     def render(self, block: np.ndarray, start: int) -> list[memoryview]:
         """The texts of ``block``'s rows, rendered one PIECE_FLOATS piece at a time.
 
         Joined, the texts are the rows in the template.  ``start`` is the
         index of the block's first row, and a block after the first
-        (``start`` > 0) begins with the separator.
+        (``start`` > 0) begins with the separator.  The pieces are rendered
+        in one set of arrays, made here for the first, largest piece.
         """
-        pieces = _pieces(slice(0, len(block)), block.shape[1])
-        return [self._piece(block[rows], start + rows.start) for rows in pieces]
+        pieces = list(_pieces(slice(0, len(block)), block.shape[1]))
+        arrays = self._arrays(pieces[0].stop)
+        return [self._piece(block[rows], start + rows.start, *arrays) for rows in pieces]
 
-    def _piece(self, block: np.ndarray, start: int) -> memoryview:
-        """The text of one piece's rows, rendered at once in the calling thread's arrays.
+    def _piece(self, block: np.ndarray, start: int, scratch: np.ndarray, cells: np.ndarray) -> memoryview:
+        """The text of one piece's rows, rendered at once in ``render``'s arrays.
 
         Each float fills a row of byte columns (see ``_DIGIT_COL``).  The 17
         digits d0 d1 ... d16 of |x| = 0.d0d1...d16 x 10^decpt get a zero
@@ -337,7 +333,7 @@ class _Workspace:
         lock while they run.  The text comes back as a memoryview, which
         compares equal to its bytes.
         """
-        width, (scratch, cells) = self.width, self._arrays()
+        width = self.width
         cells = cells[: (block.size + 1) * width]
         u, mask = scratch[: 21 * block.size].reshape(21, -1), scratch.view(bool)[: cells.size]
         words = cells[width:].view(np.int64).reshape(-1, width // 8)

@@ -119,8 +119,10 @@ class Ellipsoid:
 
     ``shape`` must be invertible but need not be triangular or symmetric;
     ``abs_det_shape`` caches |det shape|, the volume scale factor, and the
-    transposed inverse of ``shape`` is cached for the pull-back.  Instances
-    are immutable and safe to share across threads.
+    transposed inverse of ``shape`` is cached for the pull-back, and
+    ``_condition``, the 1-norm condition number of ``shape``, for the
+    tolerance of ``check``.  Instances are immutable and safe to share
+    across threads.
 
     One extent rule serves every box: the halfwidths are the Euclidean norms
     of shape's rows, computed once and scaled (``_row_norms``) so they are
@@ -146,6 +148,7 @@ class Ellipsoid:
     abs_det_shape: float = field(init=False)
     _inverse_t: np.ndarray = field(init=False, repr=False)
     _halfwidths: np.ndarray = field(init=False, repr=False)
+    _condition: float = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = linalg.as_square(self.shape).copy()
@@ -182,6 +185,7 @@ class Ellipsoid:
         object.__setattr__(self, "abs_det_shape", abs(det))
         object.__setattr__(self, "_inverse_t", _lock(np.ascontiguousarray(inverse.T)))
         object.__setattr__(self, "_halfwidths", _lock(halfwidths))
+        object.__setattr__(self, "_condition", condition)
 
     # -- constructors -------------------------------------------------------
 

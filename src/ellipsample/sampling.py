@@ -21,10 +21,10 @@ derived child stream, so a batch is a pure function of (seed, ellipsoid,
 method, count) and a shorter batch is a prefix of a longer one at every
 chunk boundary.  ``_drawn_chunks`` is the one way points are drawn: it
 checks the request (``_check_request``, the MAX_DRAWS budget) and holds the
-one branch on the method.  It draws each chunk into a CHUNK_SIZE-row buffer
-that each thread reuses; ``sample_batch`` copies the chunk into the batch's
-rows, and ``cli``'s ``sample`` and ``check`` render or pull back the same
-points without ever holding the batch.
+one branch on the method.  Each chunk task draws its chunk into a new array
+that it owns; ``sample_batch`` copies the chunk into the batch's rows, and
+``cli``'s ``sample`` and ``check`` render or pull back the same points
+without ever holding the batch.
 
 Chunks are independent, so ``_chunk_results`` is the one driver for every
 stage that maps over them: a batch's chunks, the one pass of ``sample``
@@ -35,19 +35,20 @@ integer sum, so the bytes do not depend on the thread count.  Nothing
 configures it: one usable CPU runs every chunk inline, with no pool.
 
 Each task does its numpy work in pieces of at most PIECE_FLOATS floats
-(``_pieces``), so a thread's temporaries are a small multiple of 128 KiB at
+(``_pieces``), so a task's temporaries are a small multiple of 128 KiB at
 any dimension, and the peak is the output (for ``sample`` and ``check``,
-one chunk's rows per thread, and ``sample``'s texts in flight or KS's 8
-bytes a point) plus O(threads x 128 KiB).  A stream's variates do not
-depend on how a read is split, and the affine maps work in fixed row
-blocks, so the pieces move no bits.
+the rows of the chunks being worked on, one per thread, and ``sample``'s
+texts in flight or KS's 8 bytes a point) plus O(threads x 128 KiB).  A task
+keeps nothing for the next one: what it allocates is freed when its
+result is dropped.  A stream's variates do not depend on how a read is
+split, and the affine maps work in fixed row blocks, so the pieces move no
+bits.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -298,19 +299,14 @@ def _drawn_chunks(e: Ellipsoid, count: int, seed: int, method: str) -> Callable:
     The one way points are drawn, for ``sample_batch`` and ``cli``'s
     ``sample`` and ``check``: the request is checked here
     (``_check_request``), before anything is drawn, and ``points`` holds the
-    one branch on the method.  Each thread draws into one CHUNK_SIZE-row
-    buffer of its own, which its next call overwrites, so a
-    ``_chunk_results`` task must be done with its chunk's points when it
-    returns.
+    one branch on the method.  Each call returns a new (rows, dim) array,
+    which the caller owns.
     """
     rate = _check_request(e, count, method)
     root = RngStream(seed)
-    local = threading.local()
 
     def points(i: int, rows: slice) -> np.ndarray:
-        if not hasattr(local, "buffer"):
-            local.buffer = np.empty((CHUNK_SIZE, e.dim))
-        out = local.buffer[: rows.stop - rows.start]
+        out = np.empty((rows.stop - rows.start, e.dim))
         if method == "ellipsoid_rejection":
             _box_rejection_chunk(e, root.derive(i), rate, out)
             return out

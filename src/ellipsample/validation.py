@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
-from .geometry import Ellipsoid, _sq_norms, unit_ball_volume
+from .geometry import Ellipsoid, _row_norms, _sq_norms, unit_ball_volume
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, RngStream, SampleBatch, _box_proposals, _chunk_results, _pieces,
     _transform_chunk,
@@ -55,7 +55,8 @@ KS_MIN_SAMPLES = 100
 
 MIN_EXPECTED_PER_BIN = 5.0
 
-# Pull-back norms above this signal a corrupted batch, not rounding.
+# The least tolerance of a pull-back norm above 1 (see _pullback_slack): past it,
+# a norm signals a corrupted batch, not rounding.
 PULLBACK_SLACK = 1e-9
 
 _MC_MIN_COUNT = 10_000
@@ -150,6 +151,38 @@ def _batch_points(batch: SampleBatch, e: Ellipsoid) -> Callable:
     return lambda i, rows: batch.points[rows]
 
 
+def _pullback_slack(e: Ellipsoid) -> float:
+    """How far past 1 rounding can carry the pull-back norm of a point of ``e``'s forward map.
+
+    With unit roundoff u = 2^-53, S the shape, X its cached inverse, c the
+    centre and h_i = ||S_i,:||_2 the halfwidths, a point is
+    x = fl(fl(S b) + c) for a ball point b, and its pull-back is
+    v = fl(X fl(x - c)).  To first order in u:
+    - fl(S b) = S b + e with |e_i| <= n u sum_j |S_ij b_j| <= n u h_i, by
+      Cauchy-Schwarz, in any summation order;
+    - adding c rounds x_i by at most u |x_i| <= u (|c_i| + h_i), and
+      subtracting c again by at most u h_i;
+    - these errors d reach v through X, and ||X d|| <= sum_j |d_j| ||X_:,j||_2;
+    - the product by X rounds entry i by at most n u sum_j |X_ij| h_j,
+      a vector whose norm is again at most n u sum_j h_j ||X_:,j||_2;
+    - X S = I + R, where an inverse computed by LU has ||R|| of order
+      n u kappa, kappa = ||S||_1 ||X||_1 (Higham, "Accuracy and Stability
+      of Numerical Algorithms", 2nd ed., ch. 14);
+    - b's own norm exceeds 1 by at most (n/2 + 3) u.
+    So ||v|| - 1 is at most n u kappa + u sum_j ((2n + 2) h_j + |c_j|) ||X_:,j||_2
+    + (n/2 + 3) u.  The tolerance is 2^-52 (n kappa + sum_j ((n + 1) h_j
+    + |c_j|) ||X_:,j||_2), which is that with twice the room for R and the
+    centre, and never less than PULLBACK_SLACK, which covers the last term
+    and keeps a well-scaled ellipsoid at 1e-9.  The unit disc centred at
+    (1e12, 1e12), for one, gets 4.4e-4, while its points reach 2e-5.  Where
+    the sum overflows, the centre swamps every point and the tolerance is inf.
+    """
+    n, cols = e.dim, _row_norms(e._inverse_t)
+    with np.errstate(over="ignore"):
+        spread = ((n + 1) * e._halfwidths + np.abs(e.centre)) @ cols
+    return max(PULLBACK_SLACK, 2.0**-52 * (n * e._condition + float(spread)))
+
+
 def _pull_back_pass(
     e: Ellipsoid, count: int, points: Callable, shells: int | None = None, radii: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -157,14 +190,14 @@ def _pull_back_pass(
 
     points(i, rows) gives chunk i's points; the chunks run on the threads
     of ``_chunk_results`` and each is pulled back a PIECE_FLOATS piece at a
-    time.  A piece whose largest norm exceeds 1 + PULLBACK_SLACK, or is
-    NaN, raises PointOutsideEllipsoid before it is kept.  Each point's
+    time.  A piece whose largest norm exceeds 1 + ``_pullback_slack(e)``,
+    or is NaN, raises PointOutsideEllipsoid before it is kept.  Each point's
     t = ||u||^n is computed once, there.  Returns (observed, t): with
     ``shells`` the integer count of each bin, added to chunk by chunk in
     chunk order, else None; with ``radii`` every point's t in one
     ``count``-long array, else None.  With neither, no point is read.
     """
-    kept = np.empty(count) if radii else None
+    kept, slack = np.empty(count) if radii else None, _pullback_slack(e)
 
     def pull(i: int, rows: slice) -> np.ndarray | None:
         chunk = points(i, rows)
@@ -173,10 +206,8 @@ def _pull_back_pass(
             u = e.pullback(chunk[piece])
             sq = _sq_norms(u)
             worst = math.sqrt(sq.max())
-            if not worst <= 1.0 + PULLBACK_SLACK:
-                raise PointOutsideEllipsoid(
-                    f"pull-back norm {worst!r} exceeds 1 + {PULLBACK_SLACK}"
-                )
+            if not worst <= 1.0 + slack:
+                raise PointOutsideEllipsoid(f"pull-back norm {worst!r} exceeds 1 + {slack!r}")
             t = sq ** (e.dim / 2.0)
             if radii:
                 kept[rows.start + piece.start : rows.start + piece.stop] = t

@@ -128,24 +128,31 @@ class TestSampleCommand:
             assert disc.contains([float(cx), -float(cy)])  # svg y axis is flipped
         assert "<polygon points=" in out  # the outline
 
-    def test_a_multi_chunk_sample_builds_each_threads_workspace_once(self, capsys, monkeypatch):
+    def test_a_render_call_makes_its_arrays_once(self, capsys, monkeypatch):
         # At 3-d a chunk renders as a full piece and a short one, and the last
-        # chunk is shorter still: each views the arrays its thread made first.
-        arrays = formats._Workspace._arrays
-        made = {}
+        # chunk is one short piece: each render call, on whichever thread,
+        # makes one set of arrays and renders every piece of its chunk in it.
+        workspace = formats._Workspace
+        made, piece, render = workspace._arrays, workspace._piece, workspace.render
+        calls = {}  # per thread, each of its render calls' [arrays made, pieces rendered]
 
-        def counted(self):
-            found = arrays(self)
-            mine = made.setdefault(threading.get_ident(), [])
-            if not any(found[1] is seen for seen in mine):
-                mine.append(found[1])
-            return found
+        def tally(i, fn):
+            def counted(self, *args):
+                calls[threading.get_ident()][-1][i] += 1
+                return fn(self, *args)
+            return counted
 
-        monkeypatch.setattr(formats._Workspace, "_arrays", counted)
+        def rendered(self, *args):
+            calls.setdefault(threading.get_ident(), []).append([0, 0])
+            return render(self, *args)
+
+        monkeypatch.setattr(workspace, "render", rendered)
+        monkeypatch.setattr(workspace, "_arrays", tally(0, made))
+        monkeypatch.setattr(workspace, "_piece", tally(1, piece))
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
         argv = ["sample", "--dim", "3", "--count", str(5 * CHUNK_SIZE + 5), "--seed", "1"]
         assert run(argv, capsys)[0] == 0
-        assert made and all(len(mine) == 1 for mine in made.values()), made
+        assert sorted(call for mine in calls.values() for call in mine) == [[1, 1]] + [[1, 2]] * 5, calls
 
     def test_svg_requires_dim_2(self, capsys):
         code, _, err = run(
@@ -568,6 +575,55 @@ class TestCheckCommand:
                 "--tests", "chi2,ks"]
         assert run(argv, capsys)[0] == 0
         assert calls == ["_check_request", "volume", "box_volume"]
+
+
+def ill_conditioned_shape_text() -> str:
+    """q1 diag(geomspace(1, 1e-11, 10)) q2^T, q1 and q2 orthogonal: 1-norm condition about 2e11."""
+    rng = np.random.default_rng(10)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((10, 10)))[0] for _ in range(2))
+    shape = q1 @ np.diag(np.geomspace(1, 1e-11, 10)) @ q2.T
+    return "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in shape)
+
+
+class TestCheckTolerance:
+    """The pull-back tolerance grows with the rounding an ellipsoid's points can carry."""
+
+    @pytest.fixture(params=["centre-1e10", "centre-1e12", "condition-2e11"])
+    def argv(self, request, tmp_path):
+        if request.param == "condition-2e11":
+            path = tmp_path / "shape.txt"
+            path.write_text(ill_conditioned_shape_text())
+            return ["check", "--shape", str(path), "--count", "200000", "--seed", "1",
+                    "--tests", "ks,identity"]
+        centre = request.param.split("-")[1]
+        return ["check", "--dim", "2", f"--centre={centre},{centre}", "--count", "1000000",
+                "--seed", "1", "--tests", "ks"]
+
+    def test_correct_points_pass(self, argv, capsys):
+        # Their correct points reach 2e-7, 2e-5 and 2.4e-6 past norm 1, far above
+        # the least tolerance, 1e-9.
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert all(json.loads(line)["pass"] for line in out.splitlines())
+
+    def test_a_point_at_1_01_of_the_boundary_still_fails(self, argv, capsys, monkeypatch):
+        drawn = cli._drawn_chunks
+
+        def corrupted(e, *args):
+            points = drawn(e, *args)
+
+            def chunk(i, rows):
+                out = points(i, rows)
+                if i == 1:
+                    out[5] = e.forward(1.01 * np.eye(e.dim)[0])
+                return out
+
+            return chunk
+
+        monkeypatch.setattr(cli, "_drawn_chunks", corrupted)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: PointOutsideEllipsoid: pull-back norm 1.0"), err
 
 
 class TestVolumeCommand:

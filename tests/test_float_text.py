@@ -80,9 +80,11 @@ def test_edge_corpus_matches_repr():
 
 
 def test_every_table_is_read_only():
-    # The threads of a sample pass render with the same module tables.
+    # The threads of a sample pass render with the same module tables and the
+    # same workspace's literal bytes.
     tables = [value for value in vars(formats).values() if isinstance(value, np.ndarray)]
     assert len(tables) == 10 and not any(table.flags.writeable for table in tables)
+    assert not _Workspace(*LINE).text.flags.writeable
 
 
 def test_signed_zeros_and_layout_edges():
@@ -185,18 +187,21 @@ def test_one_thread_leaks_no_bytes_from_a_longer_call():
     assert found == [repr_rows(*case) for case in render_cases()]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
-def test_a_steady_render_allocates_only_its_text(fmt):
-    # Once a warm-up call has made this thread's arrays, a call allocates its
-    # text and a few small objects: no transient at the size of the byte cells.
-    e = Ellipsoid.from_spec({"dim": 2, "radii": [2.0, 1.0], "centre": [1.0, -0.5]})
-    block = sample_batch(e, 2 * CHUNK_SIZE, 7).points
-    render = workspace(*_FORMATS[fmt](e, 5, 3, "transform")[1]).render
-    render(block[:CHUNK_SIZE], 0)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_render_allocates_its_text_and_one_piece(fmt):
+    # A 64-d chunk renders as 32 pieces in one set of arrays: a call allocates
+    # its text, those arrays and a few small objects, nothing more per piece.
+    e = Ellipsoid.from_spec({"dim": 64, "shape": dense_shape(64), "centre": np.zeros(64)})
+    block = sample_batch(e, CHUNK_SIZE, 7).points
+    ws = workspace(*_FORMATS[fmt](e, 5, 3, "transform")[1])
+    rows = PIECE_FLOATS // 64
+    arrays = sum(array.nbytes for array in ws._arrays(rows))
+    ws.render(block, CHUNK_SIZE)
     tracemalloc.start()
     try:
-        texts = render(block[CHUNK_SIZE:], CHUNK_SIZE)
+        texts = ws.render(block, CHUNK_SIZE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * sum(map(len, texts)) + 32 * 1024
+    assert len(texts) == CHUNK_SIZE // rows == 32
+    assert peak <= sum(map(len, texts)) + arrays + 64 * 1024, (peak, arrays)

@@ -315,6 +315,18 @@ class TestSampleBatch:
         np.testing.assert_array_equal(rebuilt.shape, e.shape)
         np.testing.assert_array_equal(rebuilt.centre, e.centre)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_chunk_held_by_the_caller_survives_the_next_draw(self, method):
+        # Each draw returns an array of its own, so a caller may keep a chunk
+        # while the same thread draws the next one.
+        points = sampling._drawn_chunks(ellipse_2x1_at_1_0(), 2 * CHUNK_SIZE, 5, method)
+        first = points(0, slice(0, CHUNK_SIZE))
+        kept = first.copy()
+        second = points(1, slice(CHUNK_SIZE, 2 * CHUNK_SIZE))
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(first, points(0, slice(0, CHUNK_SIZE)))
+
     def test_points_immutable(self):
         batch = sample_batch(ellipse_2x1_at_1_0(), 10, 1)
         with pytest.raises(ValueError):

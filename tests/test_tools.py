@@ -1,9 +1,8 @@
 """The scripts under tools/ run and print the lines their docstrings describe.
 
 Beside them, guards that the package keeps no top-level name its code never
-uses, imports no name a module never uses, keeps no thread-local state
-at module level, and that ``cli`` imports neither numpy nor ``formats``
-when it loads.
+uses, imports no name a module never uses, keeps no thread-local state,
+and that ``cli`` imports neither numpy nor ``formats`` when it loads.
 """
 
 import ast
@@ -107,24 +106,27 @@ def test_no_top_level_name_is_dead():
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
 
 
-def test_no_module_level_thread_local_state():
-    # State a pass needs belongs to an object the pass makes: a thread-local
-    # made at import outlives every call and is shared by every caller.  So
-    # no top-level assignment may call threading.local, or a src/ class
-    # derived from it.
+def test_no_thread_local_state():
+    # State a pass needs belongs to the task that needs it: a thread-local
+    # outlives the task and holds memory for the thread's next one.  So no
+    # code in src/ may call threading.local, or a src/ class derived from it,
+    # and sampling and formats, whose code runs inside chunk tasks, do not
+    # import threading at all.
     modules = sorted((TOOLS.parent / "src" / "ellipsample").glob("*.py"))
-    trees = [ast.parse(path.read_text()) for path in modules]
-    classes = {stmt.name: {ast.unparse(base) for base in stmt.bases}
-               for tree in trees for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    trees = {path.stem: ast.parse(path.read_text()) for path in modules}
+    classes = {node.name: {ast.unparse(base) for base in node.bases}
+               for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     local = {"threading.local", "local"}
     while derived := {name for name, bases in classes.items() if bases & local} - local:
         local |= derived
-
-    def makes_one(value: ast.expr) -> bool:
-        return any(isinstance(node, ast.Call) and ast.unparse(node.func) in local for node in ast.walk(value))
-
-    assigned = [stmt for tree in trees for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
-    assert [ast.unparse(stmt) for stmt in assigned if stmt.value and makes_one(stmt.value)] == []
+    calls = [ast.unparse(node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in local]
+    assert calls == []
+    for name in ("sampling", "formats"):
+        imported = {alias.name.split(".")[0] if isinstance(node, ast.Import) else node.module or ""
+                    for node in ast.walk(trees[name]) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "threading" not in imported, name
 
 
 def test_cli_loads_neither_numpy_nor_the_render_on_import():
