@@ -127,11 +127,12 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def resolve_ellipsoid(args) -> Ellipsoid:
-    """Build the ellipsoid described by the command line (exactly one source).
+def resolve_ellipsoid(args) -> tuple[Ellipsoid, dict]:
+    """The ellipsoid described by the command line (exactly one source), and its spec.
 
     The flags become an ellipsoid spec dict, so Ellipsoid.from_spec makes
-    every shape and centre decision, exactly as for a --spec file.
+    every shape and centre decision, exactly as for a --spec file; that
+    dict (or the file's) is returned too, for ``check``'s identity test.
     """
     sources = [
         name
@@ -156,8 +157,8 @@ def resolve_ellipsoid(args) -> Ellipsoid:
 
     try:
         if kind == "spec":
-            return Ellipsoid.from_spec(json.loads(_read_text(args.spec)))
-        if kind == "radii":
+            spec = json.loads(_read_text(args.spec))
+        elif kind == "radii":
             radii = _comma_list(args.radii, "--radii", float)
             spec = {"dim": len(radii), "radii": radii}
             if args.rotation is not None:
@@ -171,7 +172,7 @@ def resolve_ellipsoid(args) -> Ellipsoid:
             spec["centre"] = _comma_list(args.centre, "--centre", float)
         if args.foci is not None:
             spec["foci"] = json.loads(_read_text(args.foci))
-        return Ellipsoid.from_spec(spec)
+        return Ellipsoid.from_spec(spec), spec
     # Malformed JSON values, such as a number for "foci"; every EllipsampleError
     # and ValueError keeps its own class on the way to main.
     except TypeError as exc:
@@ -216,7 +217,7 @@ def _emit(pieces: Iterable[bytes], out: str | None) -> None:
 
 
 def cmd_sample(args) -> int:
-    e = resolve_ellipsoid(args)
+    e = resolve_ellipsoid(args)[0]
     if args.format == "svg" and e.dim != 2:
         raise ConfigError("svg output requires dimension 2")
     # Every refusal comes before --out is opened, so it leaves the file untouched.
@@ -236,20 +237,20 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check(args) -> int:
-    e = resolve_ellipsoid(args)
+    e, spec = resolve_ellipsoid(args)
     selected = _comma_list(args.tests, "--tests")
     if len(set(selected) & set(CHECKS)) < len(selected):
         raise ConfigError(f"--tests entries must be distinct names from {CHECKS}: {selected}")
     # One pass draws each chunk and pulls it back once for every test that reads
     # points, after the request and every input rule pass; the batch is never held.
     points = _drawn_chunks(e, args.count, args.seed, _METHOD_BY_FLAG[args.method])
-    reports = certify(e, args.count, points, selected, args.seed, args.shells, args.alpha)
+    reports = certify(e, args.count, points, selected, args.shells, args.alpha, spec)
     _emit(["".join(r.to_json() + "\n" for r in reports).encode()], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STATISTICAL
 
 
 def cmd_volume(args) -> int:
-    e = resolve_ellipsoid(args)
+    e = resolve_ellipsoid(args)[0]
     closed_form = e.volume()
     lines = [f"volume {closed_form!r}"]
     status = EXIT_OK

@@ -86,9 +86,15 @@ def _block_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.
 
 
 def _finite(volume: float, what: str) -> float:
-    """``volume``, or OverflowError if it is past float64's range."""
+    """``volume`` if it is a normal float64: OverflowError past that range, FloatingPointError below it.
+
+    Below means 0.0 or subnormal, where the volume has lost its digits and
+    1 / volume would overflow or divide by zero.
+    """
     if not math.isfinite(volume):
         raise OverflowError(f"the {what} overflows float64")
+    if volume < np.finfo(float).tiny:
+        raise FloatingPointError(f"the {what} underflows float64")
     return volume
 
 
@@ -118,7 +124,8 @@ class Ellipsoid:
     """An n-dimensional hyperellipsoid, image of the unit ball under x -> shape @ x + centre.
 
     ``shape`` must be invertible but need not be triangular or symmetric;
-    ``abs_det_shape`` caches |det shape|, the volume scale factor, and the
+    ``abs_det_shape`` caches |det shape|, the volume scale factor (inf where
+    it overflows float64, so ``volume`` refuses it when used), and the
     transposed inverse of ``shape`` is cached for the pull-back, and
     ``_condition``, the 1-norm condition number of ``shape``, for the
     tolerance of ``check``.  Instances are immutable and safe to share
@@ -166,8 +173,8 @@ class Ellipsoid:
             reach = 2.0 * (np.abs(centre) + halfwidths)
         if not np.isfinite(reach).all():
             raise ValueError("the bounding box at twice its extent is not finite in float64")
-        # Overflow raises FloatingPointError (exit 2), not a printed RuntimeWarning.
-        with np.errstate(over="raise"):
+        # An overflow is stored as inf, without a RuntimeWarning; volume() refuses it.
+        with np.errstate(over="ignore"):
             det = float(np.linalg.det(shape))
         # An exactly zero LU pivot makes det exactly 0, so inv below cannot fail.
         if det == 0.0:
@@ -358,7 +365,8 @@ class Ellipsoid:
     def volume(self) -> float:
         """Volume of the membership set: unit-ball volume times |det shape|.
 
-        One past float64's range is an OverflowError, never inf.
+        One outside float64's normal range is an error (``_finite``), never
+        inf, 0.0 or a subnormal.
         """
         return _finite(unit_ball_volume(self.dim) * self.abs_det_shape, "volume")
 
@@ -380,7 +388,7 @@ class Ellipsoid:
         return self._halfwidths
 
     def box_volume(self) -> float:
-        """Volume of the bounding box of ``bounding_halfwidths``; OverflowError as ``volume``."""
+        """Volume of the bounding box of ``bounding_halfwidths``; refused as ``volume`` is."""
         with np.errstate(over="ignore"):
             return _finite(float(np.prod(2.0 * self._halfwidths)), "bounding-box volume")
 

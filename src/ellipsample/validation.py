@@ -34,16 +34,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
-from .geometry import Ellipsoid, _row_norms, _sq_norms, unit_ball_volume
+from .geometry import Ellipsoid, _row_norms, _sq_norms
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, RngStream, SampleBatch, _box_proposals, _chunk_results, _pieces,
-    _transform_chunk,
 )
 
 # Upper-tail standard normal quantiles for the supported significance levels.
@@ -64,9 +63,6 @@ _MC_CHUNK = 262_144
 
 # The tests ``certify`` runs, in ``check``'s default order.
 CHECKS = ("chi2", "ks", "identity")
-_IDENTITY_TRIALS = 20
-# Child-stream index for the identity check; far above any batch chunk index.
-_IDENTITY_STREAM = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -223,8 +219,8 @@ def _pull_back_pass(
     return observed, kept
 
 
-def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], seed: int,
-            shells: int = 4, alpha: float = 0.001) -> list[TestReport]:
+def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], shells: int = 4,
+            alpha: float = 0.001, source: Mapping | None = None) -> list[TestReport]:
     """The reports of ``tests`` (names from CHECKS) on ``count`` points of ``e``, in order.
 
     points(i, rows) gives chunk i's points, as in ``_pull_back_pass``.
@@ -232,12 +228,11 @@ def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], seed: 
     test's input rule is checked, in the order of ``tests``, before any
     point is read: chi-square needs 1..62 dimensions and
     MIN_EXPECTED_PER_BIN points per bin, KS KS_MIN_SAMPLES points, and both
-    a supported ``alpha``; too few points is InsufficientSamples, any other
-    break (an unknown test name too) a ValueError.  Then one pass pulls
-    each point back once for chi-square and KS.  "identity" reads no point:
-    it is ``proof_identity_check`` with _IDENTITY_TRIALS trials from the
-    child stream _IDENTITY_STREAM of ``seed``, so its report is
-    deterministic, with alpha 0.0.
+    a supported ``alpha``, and "identity" the ``source`` spec ``e`` was
+    built from; too few points is InsufficientSamples, any other break (an
+    unknown test name too) a ValueError.  Then one pass pulls each point
+    back once for chi-square and KS.  "identity" reads no point and no
+    stream: it is ``proof_identity_check(e, source)``.
     """
     if shells < 1:
         raise ValueError("shells must be positive")
@@ -256,11 +251,13 @@ def certify(e: Ellipsoid, count: int, points: Callable, tests: list[str], seed: 
             _quantile(_KS_SCALE, alpha)
         elif name != "identity":
             raise ValueError(f"tests must be 'chi2', 'ks' or 'identity', got {name!r}")
+        elif source is None:
+            raise ValueError("identity needs the source spec the ellipsoid was built from")
     observed, t = _pull_back_pass(e, count, points, shells if "chi2" in tests else None, "ks" in tests)
 
     def report(name: str) -> TestReport:
         if name == "identity":
-            return proof_identity_check(e, _IDENTITY_TRIALS, RngStream(seed).derive(_IDENTITY_STREAM))
+            return proof_identity_check(e, source)
         return _chi_square_report(observed, count, alpha) if name == "chi2" else _ks_report(t, alpha)
 
     return [report(name) for name in tests]
@@ -278,7 +275,7 @@ def chi_square_uniformity(
     cell probabilities, so sum (obs - exp)^2 / exp is chi-square with
     shells * 2^dim - 1 degrees of freedom.
     """
-    return certify(e, batch.count, _batch_points(batch, e), ["chi2"], batch.seed, shells, alpha)[0]
+    return certify(e, batch.count, _batch_points(batch, e), ["chi2"], shells, alpha)[0]
 
 
 def _chi_square_report(observed: np.ndarray, count: int, alpha: float) -> TestReport:
@@ -326,7 +323,7 @@ def radial_ks(batch: SampleBatch, e: Ellipsoid, alpha: float = 0.001) -> TestRep
     against the asymptotic critical value 1.63/sqrt(N) at alpha 0.01 or
     1.95/sqrt(N) at alpha 0.001.
     """
-    return certify(e, batch.count, _batch_points(batch, e), ["ks"], batch.seed, alpha=alpha)[0]
+    return certify(e, batch.count, _batch_points(batch, e), ["ks"], alpha=alpha)[0]
 
 
 def _ks_report(t: np.ndarray, alpha: float) -> TestReport:
@@ -379,50 +376,46 @@ def mc_volume(e: Ellipsoid, count: int, rng: RngStream) -> tuple[float, float]:
     return estimate, stderr
 
 
-# Tolerances for the exact-identity checks below.
-_PDF_IDENTITY_RTOL = 1e-10
-_JACOBIAN_RTOL = 1e-4
-# Finite-difference step relative to the point's magnitude (see below).
-_FD_REL_STEP = 1e-6
+def proof_identity_check(e: Ellipsoid, source: Mapping) -> TestReport:
+    """The change-of-variables identities of ``e``, checked against the spec it was built from.
 
+    ``source`` is ``Ellipsoid.from_spec``'s input: the user's own matrix,
+    so a slip between it and the built shape (a convention, a transpose)
+    fails.  No point and no stream is read.  The n unit vectors go through
+    the forward map ``_ball_image``, and c is subtracted, giving rows Y:
+    - "shape" S: Y = S^T, entry (i, j) relative to the halfwidth h_j;
+    - "quadratic" M: Y M Y^T = I, relative to the largest entry of
+      |Y| |M| |Y^T|, the magnitude its sums carry;
+    - "radii" r with "rotation" R (the identity by default, so ``--dim``
+      is all radii 1): Y^T Y = R diag(r^2) R^T, entry (k, l) relative to
+      h_k h_l, by Cauchy-Schwarz the largest it can be.
+    Then Y + c must pull back to I through ``pullback``, the centre must be
+    the given one (the midpoint of "foci"), and pdf(c) volume() must be 1.
 
-def proof_identity_check(e: Ellipsoid, trials: int, rng: RngStream) -> TestReport:
-    """Numerical verification of the change-of-variables identities.
-
-    At random interior points this checks that (a) the density equals
-    (1/unit-ball-volume) * |det shape|^-1 with the determinant recomputed
-    from scratch, and (b) the Jacobian of the pull-back map, estimated by
-    central finite differences, matches the inverse of the shape entrywise.
-    That inverse comes from its own linear solve here, not from the
-    ellipsoid's cached one, so the check does not compare the cache with
-    itself.
-
-    Both parts are scale-free.  The step is 1e-6 times the larger of
-    max |x_i| and max |x_i - centre_i|, the magnitudes whose rounding it must
-    dominate, and the Jacobian error is taken relative to the largest entry
-    of the inverse; so neither the ellipsoid's scale nor a centre far from
-    the origin inflates the statistic.
-
-    The reported statistic is the worst error over all trials, normalized
-    by its tolerance ((a) relative to 1e-10, (b) relative to 1e-4), so the
-    report passes iff statistic < 1.
+    The statistic is the worst of these residuals over 2n times
+    ``_pullback_slack(e)``, whose derivation (order n kappa u, plus the
+    centre's rounding) bounds the pull-back's and each entry of Y's.  A
+    Gram form sums Y's errors over n rows and counts them twice, hence the
+    2n.  So the report passes iff statistic < 1; it carries alpha 0.0 and
+    n as its sample count.  A volume past float64's normal range raises,
+    as ``volume`` does.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    n = e.dim
-    det = abs(float(np.linalg.det(np.asarray(e.shape))))
-    expected_pdf = (1.0 / det) / unit_ball_volume(n)
-    inverse_map = np.linalg.solve(np.asarray(e.shape), np.eye(n))
-    inverse_scale = float(np.abs(inverse_map).max())
-    worst = 0.0
-    for _ in range(trials):
-        x = _transform_chunk(e, rng, 1.0 / n, np.empty((1, n)))[0]
-        pdf_err = abs(e.pdf(x) - expected_pdf) / expected_pdf
-        h = _FD_REL_STEP * max(float(np.abs(x).max()), float(np.abs(x - e.centre).max()))
-        # Row j of each half is x +- h along axis j; one pull-back takes all 2n.
-        steps = h * np.eye(n)
-        u = e.pullback(np.concatenate([x + steps, x - steps]))
-        jac = (u[:n] - u[n:]).T / (2.0 * h)
-        jac_err = float(np.abs(jac - inverse_map).max()) / inverse_scale
-        worst = max(worst, pdf_err / _PDF_IDENTITY_RTOL, jac_err / _JACOBIAN_RTOL)
-    return TestReport("proof_identity", worst, None, 1.0, 0.0, trials)
+    n, eye = e.dim, np.eye(e.dim)
+    ends = e._ball_image(eye)
+    y = ends - e.centre
+    given = {key: np.asarray(value, dtype=float) for key, value in source.items()}
+    if "shape" in given:
+        mismatch = (y - given["shape"].T) / e._halfwidths
+    elif "quadratic" in given:
+        m = given["quadratic"]
+        mismatch = (y @ m @ y.T - eye) / (np.abs(y) @ np.abs(m) @ np.abs(y.T)).max()
+    else:
+        rotation = given.get("rotation", eye)
+        target = (rotation * given["radii"] ** 2) @ rotation.T
+        mismatch = (y.T @ y - target) / np.outer(e._halfwidths, e._halfwidths)
+    centre = given["foci"].sum(axis=0) / 2.0 if "foci" in given else given.get("centre", np.zeros(n))
+    residuals = [np.abs(mismatch).max(), np.abs(e.pullback(ends) - eye).max(),
+                 (np.abs(e.centre - centre) / (np.abs(centre) + e._halfwidths)).max(),
+                 abs(e.pdf(e.centre) * e.volume() - 1.0)]
+    statistic = float(max(residuals)) / (2 * n * _pullback_slack(e))
+    return TestReport("proof_identity", statistic, None, 1.0, 0.0, n)

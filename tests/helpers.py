@@ -51,9 +51,14 @@ def dense_shape(n: int) -> np.ndarray:
     return np.eye(n) + gen.standard_normal((n, n)) / (2.0 * np.sqrt(n))
 
 
+def matrix_text(m: np.ndarray) -> str:
+    """``m`` in the matrix text format, each entry written with repr."""
+    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in m)
+
+
 def dense_shape_text(n: int) -> str:
-    """``dense_shape(n)`` in the matrix text format, each entry written with repr."""
-    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in dense_shape(n))
+    """``dense_shape(n)`` in the matrix text format."""
+    return matrix_text(dense_shape(n))
 
 
 def repr_rows(

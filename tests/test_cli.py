@@ -31,7 +31,7 @@ from ellipsample import cli, formats, sampling
 from ellipsample.cli import _METHOD_BY_FLAG, build_parser, main, resolve_ellipsoid
 from ellipsample.sampling import CHUNK_SIZE, METHODS
 from ellipsample.validation import certify
-from helpers import child_env, dense_shape_text
+from helpers import child_env, dense_shape_text, matrix_text, rand_spd
 
 RADII_ARGS = ["--radii", "2,1", "--centre", "1,0"]
 OWN_PEAK = Path(__file__).resolve().parent.parent / "tools" / "own_peak.py"
@@ -339,7 +339,9 @@ class TestCheckCommand:
                 "--tests", "identity"]
         code, out, _ = run(argv, capsys)
         assert code == 0, out
-        assert json.loads(out)["statistic"] < 1e-3
+        # The statistic is the residual over its rounding bound, which the centre's
+        # rounding dominates here: the small far disc reads 0.046 of it.
+        assert json.loads(out)["statistic"] < 0.1
 
     def test_condition_1e6_shape_passes(self, capsys, tmp_path):
         # unit scale and |det| = 1e-30, once rejected as singular
@@ -406,9 +408,9 @@ class TestCheckCommand:
 
         monkeypatch.setattr(Ellipsoid, "pullback", recording)
         argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7", "--tests"]
-        # chi2 and ks share one pull-back of each point; the identity check
-        # pulls back 2n + 1 rows per trial: 100 at n = 2.
-        for tests, pulled_back in (("chi2,ks,identity", 20100), ("ks", 20000), ("identity", 100)):
+        # chi2 and ks share one pull-back of each point; the identity check pulls
+        # back the images of the n unit vectors and, for the density, the centre.
+        for tests, pulled_back in (("chi2,ks,identity", 20003), ("ks", 20000), ("identity", 3)):
             rows.clear()
             assert run([*argv, tests], capsys)[0] == 0
             assert sum(rows) == pulled_back
@@ -479,7 +481,7 @@ class TestCheckCommand:
             raise AssertionError("read a point")
 
         with pytest.raises(Exception) as raised:
-            certify(resolve_ellipsoid(args), args.count, refuse, tests, args.seed, args.shells, args.alpha)
+            certify(resolve_ellipsoid(args)[0], args.count, refuse, tests, args.shells, args.alpha)
         assert f"{type(raised.value).__name__}: {raised.value}" == error
 
     def test_identity_only_check_draws_no_batch(self, capsys, monkeypatch):
@@ -546,7 +548,7 @@ class TestCheckCommand:
         argv = ["check", "--dim", str(dim), "--count", str(count), "--seed", "11",
                 "--shells", "2", "--alpha", "0.01", "--tests", tests, "--method", method]
         code, out, _ = run(argv, capsys)
-        e = cli.resolve_ellipsoid(cli.build_parser().parse_args(argv))
+        e = cli.resolve_ellipsoid(cli.build_parser().parse_args(argv))[0]
         batch = sample_batch(e, count, 11, _METHOD_BY_FLAG[method])
         expected = [radial_ks(batch, e, alpha=0.01)]
         if dim <= 10:
@@ -577,12 +579,15 @@ class TestCheckCommand:
         assert calls == ["_check_request", "volume", "box_volume"]
 
 
-def ill_conditioned_shape_text() -> str:
-    """q1 diag(geomspace(1, 1e-11, 10)) q2^T, q1 and q2 orthogonal: 1-norm condition about 2e11."""
-    rng = np.random.default_rng(10)
-    q1, q2 = (np.linalg.qr(rng.standard_normal((10, 10)))[0] for _ in range(2))
-    shape = q1 @ np.diag(np.geomspace(1, 1e-11, 10)) @ q2.T
-    return "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in shape)
+def ill_conditioned_shape_text(n: int = 10, smallest: float = 1e-11) -> str:
+    """q1 diag(geomspace(1, smallest, n)) q2^T in the matrix text format.
+
+    q1 and q2 are the Q factors of two successive standard normal n x n draws
+    of ``np.random.default_rng(n)``.  The default's 1-norm condition is about 2e11.
+    """
+    rng = np.random.default_rng(n)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return matrix_text(q1 @ np.diag(np.geomspace(1, smallest, n)) @ q2.T)
 
 
 class TestCheckTolerance:
@@ -624,6 +629,110 @@ class TestCheckTolerance:
         code, out, err = run(argv, capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: PointOutsideEllipsoid: pull-back norm 1.0"), err
+
+
+class TestIdentityCheck:
+    """``identity`` compares the built maps with the matrix on the command line."""
+
+    @pytest.fixture(params=[2, 10, 64])
+    def files(self, request, tmp_path):
+        n = request.param
+        paths = {"Q": tmp_path / "quadratic.txt", "S": tmp_path / "shape.txt"}
+        paths["Q"].write_text(matrix_text(rand_spd(n, RngStream(n))))
+        paths["S"].write_text(dense_shape_text(n))
+        return {key: str(path) for key, path in paths.items()}
+
+    @pytest.mark.parametrize("flag", ["--quadratic", "--shape"])
+    def test_correct_builds_pass(self, flag, files, capsys):
+        argv = ["check", flag, files[flag[2].upper()], "--tests", "identity", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["statistic"] < 1e-3
+
+    # A quadratic-form matrix built with the Cholesky convention, or a shape
+    # built from its transpose: both give a valid ellipsoid, but not the user's.
+    @pytest.mark.parametrize("flag, builder, slip", [
+        ("--quadratic", "from_quadratic", lambda m, centre: Ellipsoid.from_cholesky_convention(m, centre)),
+        ("--shape", "from_shape", lambda s, centre: Ellipsoid(np.asarray(s).T, centre)),
+    ])
+    def test_a_slip_in_the_build_fails(self, flag, builder, slip, files, capsys, monkeypatch):
+        monkeypatch.setattr(Ellipsoid, builder, classmethod(lambda cls, m, centre: slip(m, centre)))
+        argv = ["check", flag, files[flag[2].upper()], "--tests", "identity", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (3, "")
+        assert json.loads(out)["statistic"] > 1e3
+
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "2", "--centre=1e10,1e10"],
+        ["--dim", "2", "--centre=1e12,1e12"],
+        ["--radii", "3,0.5", "--foci", "{F}"],
+    ])
+    def test_far_centres_and_foci_pass(self, argv, capsys, tmp_path):
+        foci = tmp_path / "foci.json"
+        foci.write_text(json.dumps([[1e12, -3.0], [1e12 + 2.0, 5.0]]))
+        argv = [arg.format(F=foci) for arg in argv]
+        code, out, err = run(["check", *argv, "--tests", "identity", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+
+    def test_the_ill_conditioned_shape_passes(self, capsys, tmp_path):
+        path = tmp_path / "shape.txt"
+        path.write_text(ill_conditioned_shape_text())
+        for centre in ([], ["--centre", ",".join(["1e12"] * 10)]):
+            code, out, err = run(["check", "--shape", str(path), *centre, "--tests", "identity",
+                                  "--seed", "1"], capsys)
+            assert (code, err) == (0, "")
+
+    def test_the_report_reads_no_seed_and_no_count(self, capsys):
+        lines = {
+            run(["check", "--radii", "2,1", "--centre", "1,0", "--tests", "identity", "--seed", seed,
+                 "--count", count], capsys)[1]
+            for seed in ("0", "7", str(2**64 - 1)) for count in ("1", "1000")
+        }
+        assert len(lines) == 1
+        assert json.loads(lines.pop())["n_samples"] == 2
+
+
+class TestVolumeRange:
+    """A volume outside float64's normal range is refused, never printed as 0.0 or inf."""
+
+    UNDERFLOW = "error: FloatingPointError: the volume underflows float64\n"
+    OVERFLOW = "error: OverflowError: the volume overflows float64\n"
+    SINGULAR = "error: SingularShape: |det| is 0: the shape is singular or its determinant underflows\n"
+
+    # The unit-scale 64-d shape with singular values geomspace(1, 1 / cond, 64):
+    # |det| is 1e-288, 5e-304 and 1e-320 at the first three, and 0.0 at the last.
+    @pytest.mark.parametrize("cond, code, err", [
+        (1e9, 0, ""),
+        (3e9, 2, UNDERFLOW),
+        (1e10, 2, UNDERFLOW),
+        (3e10, 2, SINGULAR),
+    ])
+    def test_unit_scale_64d_volume(self, cond, code, err, capsys, tmp_path):
+        path = tmp_path / "shape.txt"
+        path.write_text(ill_conditioned_shape_text(64, 1 / cond))
+        got = run(["volume", "--shape", str(path), "--seed", "1"], capsys)
+        assert (got[0], got[2]) == (code, err)
+        if code == 0:
+            assert float(got[1].split()[1]) >= sys.float_info.min
+
+    def test_check_past_the_underflow(self, capsys, tmp_path):
+        # Only the density needs the volume: ks passes, and identity names the underflow.
+        path = tmp_path / "shape.txt"
+        path.write_text(ill_conditioned_shape_text(64, 1e-10))
+        argv = ["check", "--shape", str(path), "--count", "20000", "--seed", "1", "--tests"]
+        code, out, err = run([*argv, "ks"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"]
+        assert run([*argv, "ks,identity"], capsys) == (2, "", self.UNDERFLOW)
+
+    def test_radii_past_either_end(self, capsys):
+        small, large = (["--radii", ",".join([radius] * 64), "--seed", "1"] for radius in ("1e-5", "1e5"))
+        assert run(["volume", *small], capsys) == (2, "", self.UNDERFLOW)
+        assert run(["volume", *large], capsys) == (2, "", self.OVERFLOW)
+        # |det| overflows, but only the volume needs it.
+        code, out, err = run(["sample", *large, "--count", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
 
 
 class TestVolumeCommand:
@@ -830,7 +939,7 @@ class TestExitCodeDiscipline:
         assert bool(Ellipsoid.from_shape(np.eye(13), np.zeros(13)).contains_many(points).all())
 
     def test_rejection_rate_that_underflows_is_exit_2_at_once(self, capsys, monkeypatch):
-        # V_64 x 1e-320 underflows to 0, so the rate is 0.0 and no draw count fits
+        # V_64 x 1e-320 underflows to 0, so the volume, and with it the rate, is refused
         def refuse(*args, **kwargs):
             raise AssertionError("drew a proposal")
 
@@ -841,7 +950,7 @@ class TestExitCodeDiscipline:
             capsys,
         )
         assert (code, out) == (2, "")
-        assert err == "error: ValueError: rejection needs inf draws, over the 1000000000 cap\n"
+        assert err == "error: FloatingPointError: the volume underflows float64\n"
 
     @pytest.mark.parametrize("command", ["sample", "check"])
     def test_rejection_past_the_draw_budget_is_exit_2_at_once(self, command, capsys, tmp_path):

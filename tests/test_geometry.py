@@ -96,7 +96,10 @@ class TestConstructors:
 
     def test_smallest_invertible_radius_accepted(self):
         e = Ellipsoid.from_spec({"dim": 1, "radii": [6e-309]})
-        assert e.volume() == pytest.approx(1.2e-308, rel=1e-12)
+        assert e.abs_det_shape == pytest.approx(6e-309, rel=1e-12)
+        # Its volume, 1.2e-308, is below float64's normal range, so it is refused.
+        with pytest.raises(FloatingPointError, match="the volume underflows float64"):
+            e.volume()
 
     def test_from_shape_near_singular_rejected(self):
         with pytest.raises(SingularShape):

@@ -3,18 +3,30 @@
 Each case runs ``cli.main`` on a fixed command line over literal input files
 and compares the hash of its standard output (and its exit code) with a
 pinned value, so any change to the output bytes of ``sample``, ``check`` or
-``volume`` shows up here.  The hashes depend on numpy's PCG64 bit generator
-and its ziggurat Gaussian/uniform streams: a numpy release that changes
-either changes the hashes without any change in this package.
+``volume`` shows up here.  Besides the package, the hashes depend on:
+- numpy's PCG64 bit generator and its ziggurat Gaussian and uniform
+  streams: a numpy release that changes either changes the hashes;
+- numpy's SIMD dispatch of ``power`` (the radius u^(1/n)): with
+  ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, numpy as on
+  an AVX2-only CPU, 6 cases move;
+- the OpenBLAS kernel of the CPU's core type (the affine maps, and LAPACK's
+  ``inv`` and ``det``): ``OPENBLAS_CORETYPE=Haswell`` moves no case here but
+  the 3 pull-back bit pins of ``tests/test_geometry.py``, and
+  ``Sandybridge`` those and 9 cases here.
+Neither the number of threads the package runs on nor OpenBLAS's own thread
+count moves them: ``test_one_blas_thread_gives_the_pinned_bytes`` runs every
+case with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from ellipsample.cli import main
-from helpers import dense_shape_text
+from helpers import child_env, dense_shape_text
 
 ROTATION = "0.6 -0.8\n0.8 0.6\n"
 QUADRATIC = "4 1 0.5\n1 3 0.25\n0.5 0.25 2\n"
@@ -75,23 +87,23 @@ CASES = {
     "check-default": (
         "check --radii 2,1 --centre 1,0 --count 20000 --seed 7",
         0,
-        "aa61699f144cd6f98527a38ecdde6fb16ba03766f36d97b735f0bfd0ea9f918e",
+        "87e725150f8a1365151a0bc18dc2c31983e1389b11f56ccda039e5bf2d8a07b3",
     ),
     "check-ks-identity": (
         "check --quadratic {Q} --count 5000 --seed 7 --tests ks,identity",
         0,
-        "69363bc641a548300f417cd501f62ed64bf610da55f4041fc1321c329956c43d",
+        "ef390ee11de854550bcd8aa023cbdf539d1ef0719782b80cffc2685d04583b5a",
     ),
     # Reports come in --tests order, identity first or between the pull-back tests.
     "check-identity-first": (
         "check --radii 2,1 --count 3000 --seed 4 --tests identity,chi2,ks",
         0,
-        "b0865662d7c871c84441e74929250b911560eaff1a5183d1434255daf71716e8",
+        "e9b8b448243bf6da1b171ca40da78ba1eff16ab397fc44da70095119b443e4cd",
     ),
     "check-identity-middle": (
         "check --dim 3 --count 5000 --seed 6 --tests chi2,identity,ks",
         0,
-        "bce8202291e3b6a26e1ef5081ec74db64a530b0f30b1265bcba81470c1c64d2e",
+        "db42579d50b7d7c08a02ceda77d4407026df0d7e623d8c6f2903f327072a362a",
     ),
     # Counts past CHUNK_SIZE (8192) so the rows cross chunk boundaries.
     "sample-csv-chunks": (
@@ -122,7 +134,7 @@ CASES = {
     "check-10d-chunks": (
         "check --dim 10 --count 40961 --seed 2",
         0,
-        "d894b6ea91bd51df1f2ce16fbefedf3454e5c6fbcecbf69858d3a4a665d03109",
+        "b762494c85cfb9d5af5cdb7b5900bfc3727310581f818786f6cd8b08cda06602",
     ),
     # Above 62 dimensions there are no orthant codes; KS alone.
     "check-64d-ks-chunks": (
@@ -220,3 +232,28 @@ def test_out_file_bytes_equal_stdout(tmp_path, capsys):
     assert main([*argv, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == out.encode("utf-8")
+
+
+# Runs each (name, argv) of a JSON list on sys.argv[1] through cli.main and prints
+# one JSON object of name -> [exit code, sha256 of standard output].
+_CHILD = """
+import hashlib, io, json, sys
+from ellipsample.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[1]):
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    code = main(argv)
+    sys.stdout.flush()
+    results[name] = [code, hashlib.sha256(sys.stdout.buffer.getvalue()).hexdigest()]
+sys.stdout = sys.__stdout__
+print(json.dumps(results))
+"""
+
+
+def test_one_blas_thread_gives_the_pinned_bytes(files):
+    # The setting is on the child only: OpenBLAS reads it once, when numpy loads.
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
+    cases = [[name, template.format(**files).split()] for name, (template, _, _) in sorted(CASES.items())]
+    result = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases)], env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == {name: [code, digest] for name, (_, code, digest) in CASES.items()}

@@ -20,6 +20,7 @@ from ellipsample import (
     mc_volume,
     proof_identity_check,
     radial_ks,
+    random_rotation,
     sample_batch,
     unit_ball_volume,
     wilson_hilferty_critical,
@@ -351,7 +352,7 @@ class TestCertify:
         e = rand_ellipsoid(dim, RngStream(94 + dim))
         batch = sample_batch(e, 2 * CHUNK_SIZE + 77, 27)
         ks, chi2 = certify(
-            e, batch.count, lambda i, rows: batch.points[rows], ["ks", "chi2"], 27, shells=2, alpha=0.01
+            e, batch.count, lambda i, rows: batch.points[rows], ["ks", "chi2"], shells=2, alpha=0.01
         )
         assert ks.as_dict() == radial_ks(batch, e, alpha=0.01).as_dict()
         assert chi2.as_dict() == chi_square_uniformity(batch, e, shells=2, alpha=0.01).as_dict()
@@ -359,15 +360,15 @@ class TestCertify:
     @pytest.mark.parametrize("tests", [["anderson"], ["ks", "anderson"]])
     def test_unknown_test_name_rejected_before_any_point(self, tests):
         with pytest.raises(ValueError, match="tests must be 'chi2', 'ks' or 'identity'"):
-            certify(ellipse_2x1(), 1000, self.refuse, tests, 1)
+            certify(ellipse_2x1(), 1000, self.refuse, tests)
 
     @pytest.mark.parametrize("tests", [["chi2"], ["ks"]])
     def test_unsupported_alpha_rejected_before_any_point(self, tests):
         with pytest.raises(ValueError, match="alpha must be one of"):
-            certify(ellipse_2x1(), 1000, self.refuse, tests, 1, alpha=0.5)
+            certify(ellipse_2x1(), 1000, self.refuse, tests, alpha=0.5)
 
     def test_no_test_reads_no_point(self):
-        assert certify(ellipse_2x1(), 1000, self.refuse, [], 1) == []
+        assert certify(ellipse_2x1(), 1000, self.refuse, []) == []
 
     @staticmethod
     def binomial_bounds(n: int, p: float, tail: float) -> tuple[int, int]:
@@ -390,7 +391,7 @@ class TestCertify:
         rejections = dict.fromkeys(tests, 0)
         for seed in range(trials):
             batch = sample_batch(e, count, seed)
-            reports = certify(e, count, lambda i, rows: batch.points[rows], tests, seed, alpha=alpha)
+            reports = certify(e, count, lambda i, rows: batch.points[rows], tests, alpha=alpha)
             for name, report in zip(tests, reports):
                 rejections[name] += not report.passed
         assert all(lo <= n <= hi for n in rejections.values()), rejections
@@ -446,13 +447,13 @@ class TestProofIdentityCheck:
     def test_unit_ball_any_dimension(self):
         for n in [1, 2, 5]:
             ball = Ellipsoid.from_shape(np.eye(n), np.zeros(n))
-            report = proof_identity_check(ball, 10, RngStream(30 + n))
+            report = proof_identity_check(ball, {"dim": n, "shape": np.eye(n), "centre": np.zeros(n)})
             assert report.passed, report.as_dict()
             assert ball.pdf(np.zeros(n)) == pytest.approx(1.0 / unit_ball_volume(n), rel=1e-15)
 
     def test_random_3d_ellipsoid(self):
         e = rand_ellipsoid(3, RngStream(93))
-        report = proof_identity_check(e, 25, RngStream(34))
+        report = proof_identity_check(e, e.spec_dict())
         assert report.passed, report.as_dict()
 
     def test_rotated_2x1_density_and_jacobian(self):
@@ -460,7 +461,7 @@ class TestProofIdentityCheck:
         rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
         e = Ellipsoid.from_radii_rotation([2.0, 1.0], rot, np.zeros(2))
         assert e.pdf(e.centre) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
-        assert proof_identity_check(e, 10, RngStream(35)).passed
+        assert proof_identity_check(e, {"dim": 2, "radii": [2.0, 1.0], "rotation": rot}).passed
         # finite-difference Jacobian determinant of the pull-back is 1/(2*1)
         x = e.centre + 0.1
         h = 1e-6
@@ -476,12 +477,38 @@ class TestProofIdentityCheck:
         for trial in range(100):
             n = 1 + trial % 10
             e = rand_ellipsoid(n, rng.derive(trial))
-            report = proof_identity_check(e, 2, rng.derive(1000 + trial))
+            report = proof_identity_check(e, e.spec_dict())
             assert report.passed, (trial, n, report.as_dict())
 
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            proof_identity_check(ellipse_2x1(), 0, RngStream(36))
+    @pytest.mark.parametrize("n", [2, 10, 64])
+    def test_radii_against_a_transposed_rotation_fail(self, n):
+        radii, rotation = np.geomspace(0.5, 2.0, n), random_rotation(n, RngStream(40 + n))
+        source = {"dim": n, "radii": radii, "rotation": rotation, "centre": np.ones(n)}
+        assert proof_identity_check(Ellipsoid.from_spec(source), source).statistic < 1e-3
+        slip = Ellipsoid.from_radii_rotation(radii, rotation.T, np.ones(n))
+        assert proof_identity_check(slip, source).statistic > 1e3
+
+    def test_a_centre_other_than_the_foci_midpoint_fails(self):
+        source = {"dim": 2, "radii": [3.0, 0.5], "foci": [[-1.0, 0.0], [1.0, 2.0]]}
+        e = Ellipsoid.from_spec(source)
+        np.testing.assert_array_equal(e.centre, [0.0, 1.0])
+        assert proof_identity_check(e, source).passed
+        assert not proof_identity_check(Ellipsoid.from_radii_rotation([3.0, 0.5], np.eye(2), [0.0, 0.0]),
+                                        source).passed
+
+    def test_binary_rescaling_keeps_the_report(self):
+        # x -> 2^k x rounds every step the same way, so the statistic is unchanged.
+        rotation = random_rotation(3, RngStream(41))
+        reports = set()
+        for k in (-100, 0, 100):
+            source = {"dim": 3, "radii": np.ldexp([3.0, 1.0, 0.25], k), "rotation": rotation,
+                      "centre": np.ldexp([5.0, -1.0, 2.0], k)}
+            reports.add(proof_identity_check(Ellipsoid.from_spec(source), source).to_json())
+        assert len(reports) == 1, reports
+
+    def test_source_required(self):
+        with pytest.raises(ValueError, match="identity needs the source spec"):
+            certify(ellipse_2x1(), 1000, TestCertify.refuse, ["identity"])
 
     def test_dimension_mismatch_detected(self):
         e2, e3 = ellipse_2x1(), rand_ellipsoid(3, RngStream(95))

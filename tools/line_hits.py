@@ -43,26 +43,27 @@ PACKAGE = SRC / "ellipsample"
 def run_traced(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
     """pytest's exit code for ``args`` and the lines run in each package module, by resolved path."""
     hits: dict[Path, set[int]] = {}
-    # Each code object's file, resolved once: the module's line set, or None outside the package.
-    lines_of: dict[str, set[int] | None] = {}
+    # Each code object's file, resolved once: the local tracer that records
+    # into the module's line set, or None outside the package.  A call only
+    # looks its tracer up, and allocates nothing that a test measuring its own
+    # allocations (with tracemalloc, say) could count.
+    tracer_of: dict[str, object] = {}
 
-    def lines(filename: str) -> set[int] | None:
-        if filename not in lines_of:
-            path = Path(filename).resolve()
-            lines_of[filename] = hits.setdefault(path, set()) if path.parent == PACKAGE else None
-        return lines_of[filename]
-
-    def trace(frame, event, arg):
-        found = lines(frame.f_code.co_filename)
-        if found is None:
-            return None
-
+    def local_tracer(found: set[int]):
         def local(frame, event, arg):
             if event == "line":
                 found.add(frame.f_lineno)
             return local
 
         return local
+
+    def trace(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if filename not in tracer_of:
+            path = Path(filename).resolve()
+            inside = path.parent == PACKAGE
+            tracer_of[filename] = local_tracer(hits.setdefault(path, set())) if inside else None
+        return tracer_of[filename]
 
     threading.settrace(trace)
     sys.settrace(trace)
