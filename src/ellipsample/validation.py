@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, PointOutsideEllipsoid
-from .geometry import Ellipsoid, _row_norms, _sq_norms
+from .geometry import Ellipsoid, _row_norms, _sq_norms, unit_ball_volume
 from .sampling import (
     CHUNK_SIZE, MAX_DRAWS, RngStream, SampleBatch, _box_proposals, _chunk_results, _pieces,
 )
@@ -383,39 +383,38 @@ def proof_identity_check(e: Ellipsoid, source: Mapping) -> TestReport:
     so a slip between it and the built shape (a convention, a transpose)
     fails.  No point and no stream is read.  The n unit vectors go through
     the forward map ``_ball_image``, and c is subtracted, giving rows Y:
-    - "shape" S: Y = S^T, entry (i, j) relative to the halfwidth h_j;
+    - "shape" S, or "radii" r with "rotation" R (the identity by default,
+      so ``--dim`` is all radii 1), for which the constructor builds
+      S = R diag(r) exactly: Y = S^T, entry (i, j) relative to the
+      halfwidth h_j, so the comparison holds at every scale;
     - "quadratic" M: Y M Y^T = I, relative to the largest entry of
-      |Y| |M| |Y^T|, the magnitude its sums carry;
-    - "radii" r with "rotation" R (the identity by default, so ``--dim``
-      is all radii 1): Y^T Y = R diag(r^2) R^T, entry (k, l) relative to
-      h_k h_l, by Cauchy-Schwarz the largest it can be.
+      |Y| |M| |Y^T|, the magnitude its sums carry.
     Then Y + c must pull back to I through ``pullback``, the centre must be
-    the given one (the midpoint of "foci"), and pdf(c) volume() must be 1.
+    the given one (the midpoint of "foci"), and the density 1 / volume()
+    must be 1 / (V_n |det S|), with S the user's matrix.  For a quadratic,
+    S is the built shape: Y M Y^T = I already gives |det S|^2 det M = 1.
 
-    The statistic is the worst of these residuals over 2n times
-    ``_pullback_slack(e)``, whose derivation (order n kappa u, plus the
-    centre's rounding) bounds the pull-back's and each entry of Y's.  A
-    Gram form sums Y's errors over n rows and counts them twice, hence the
-    2n.  So the report passes iff statistic < 1; it carries alpha 0.0 and
-    n as its sample count.  A volume past float64's normal range raises,
-    as ``volume`` does.
+    Each residual is divided by ``_pullback_slack(e)``, whose derivation
+    (order n kappa u, plus the centre's rounding) bounds the pull-back's,
+    each entry of Y's relative to h_j, and the determinant's.  The Gram
+    form also sums Y's errors over n rows and counts them twice, so its
+    residual is divided by 2n more.  The report passes iff the worst of
+    them is < 1; it carries alpha 0.0 and n as its sample count.  A volume
+    past float64's normal range raises, as ``volume`` does.
     """
-    n, eye = e.dim, np.eye(e.dim)
+    n, eye, volume = e.dim, np.eye(e.dim), e.volume()
     ends = e._ball_image(eye)
     y = ends - e.centre
     given = {key: np.asarray(value, dtype=float) for key, value in source.items()}
-    if "shape" in given:
-        mismatch = (y - given["shape"].T) / e._halfwidths
-    elif "quadratic" in given:
-        m = given["quadratic"]
-        mismatch = (y @ m @ y.T - eye) / (np.abs(y) @ np.abs(m) @ np.abs(y.T)).max()
+    if "quadratic" in given:
+        m, s = given["quadratic"], e.shape
+        mismatch = (y @ m @ y.T - eye) / (np.abs(y) @ np.abs(m) @ np.abs(y.T)).max() / (2 * n)
     else:
-        rotation = given.get("rotation", eye)
-        target = (rotation * given["radii"] ** 2) @ rotation.T
-        mismatch = (y.T @ y - target) / np.outer(e._halfwidths, e._halfwidths)
+        s = given["shape"] if "shape" in given else given.get("rotation", eye) * given["radii"]
+        mismatch = (y - s.T) / e._halfwidths
     centre = given["foci"].sum(axis=0) / 2.0 if "foci" in given else given.get("centre", np.zeros(n))
     residuals = [np.abs(mismatch).max(), np.abs(e.pullback(ends) - eye).max(),
                  (np.abs(e.centre - centre) / (np.abs(centre) + e._halfwidths)).max(),
-                 abs(e.pdf(e.centre) * e.volume() - 1.0)]
-    statistic = float(max(residuals)) / (2 * n * _pullback_slack(e))
+                 abs(unit_ball_volume(n) * abs(np.linalg.det(s)) / volume - 1.0)]
+    statistic = float(max(residuals)) / _pullback_slack(e)
     return TestReport("proof_identity", statistic, None, 1.0, 0.0, n)

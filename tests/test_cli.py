@@ -340,7 +340,7 @@ class TestCheckCommand:
         code, out, _ = run(argv, capsys)
         assert code == 0, out
         # The statistic is the residual over its rounding bound, which the centre's
-        # rounding dominates here: the small far disc reads 0.046 of it.
+        # rounding dominates here: the small far disc reads 0.092 of it.
         assert json.loads(out)["statistic"] < 0.1
 
     def test_condition_1e6_shape_passes(self, capsys, tmp_path):
@@ -409,8 +409,8 @@ class TestCheckCommand:
         monkeypatch.setattr(Ellipsoid, "pullback", recording)
         argv = ["check", "--radii", "2,1", "--count", "20000", "--seed", "7", "--tests"]
         # chi2 and ks share one pull-back of each point; the identity check pulls
-        # back the images of the n unit vectors and, for the density, the centre.
-        for tests, pulled_back in (("chi2,ks,identity", 20003), ("ks", 20000), ("identity", 3)):
+        # back the images of the n unit vectors.
+        for tests, pulled_back in (("chi2,ks,identity", 20002), ("ks", 20000), ("identity", 2)):
             rows.clear()
             assert run([*argv, tests], capsys)[0] == 0
             assert sum(rows) == pulled_back
@@ -579,15 +579,15 @@ class TestCheckCommand:
         assert calls == ["_check_request", "volume", "box_volume"]
 
 
-def ill_conditioned_shape_text(n: int = 10, smallest: float = 1e-11) -> str:
-    """q1 diag(geomspace(1, smallest, n)) q2^T in the matrix text format.
+def ill_conditioned_shape_text(n: int = 10, smallest: float = 1e-11, largest: float = 1.0) -> str:
+    """q1 diag(geomspace(largest, largest * smallest, n)) q2^T in the matrix text format.
 
     q1 and q2 are the Q factors of two successive standard normal n x n draws
     of ``np.random.default_rng(n)``.  The default's 1-norm condition is about 2e11.
     """
     rng = np.random.default_rng(n)
     q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
-    return matrix_text(q1 @ np.diag(np.geomspace(1, smallest, n)) @ q2.T)
+    return matrix_text(q1 @ np.diag(np.geomspace(largest, largest * smallest, n)) @ q2.T)
 
 
 class TestCheckTolerance:
@@ -673,6 +673,16 @@ class TestIdentityCheck:
         argv = [arg.format(F=foci) for arg in argv]
         code, out, err = run(["check", *argv, "--tests", "identity", "--seed", "1"], capsys)
         assert (code, err) == (0, "")
+
+    def test_a_transposed_64d_ill_conditioned_shape_fails(self, capsys, tmp_path, monkeypatch):
+        # 1-norm condition 5e11, where the bound is largest, and |det| 1e-224
+        # (at largest 1, 1e-352 would underflow the volume).
+        path = tmp_path / "shape.txt"
+        path.write_text(ill_conditioned_shape_text(64, 1e-11, 100.0))
+        argv = ["check", "--shape", str(path), "--tests", "identity", "--seed", "1"]
+        assert run(argv, capsys)[:3:2] == (0, "")
+        monkeypatch.setattr(Ellipsoid, "from_shape", classmethod(lambda cls, s, c: cls(np.asarray(s).T, c)))
+        assert run(argv, capsys)[:3:2] == (3, "")
 
     def test_the_ill_conditioned_shape_passes(self, capsys, tmp_path):
         path = tmp_path / "shape.txt"
@@ -1017,6 +1027,8 @@ class TestExitCodeDiscipline:
         ("volume --radii 1e-200 --mc 10000", "verdict agree\n"),
         ("volume --radii 1e-160 --mc 10000", "verdict agree\n"),
         ("check --radii 1e-170 --count 1000 --method reject --tests ks", '"pass": true'),
+        ("check --radii 1e200 --tests identity", '"pass": true'),
+        ("check --radii 1e-170 --tests identity", '"pass": true'),
     ]
 
     @pytest.mark.parametrize("argv, marker", EXTREME_SCALES, ids=[a for a, _ in EXTREME_SCALES])

@@ -92,7 +92,7 @@ CASES = {
     "check-ks-identity": (
         "check --quadratic {Q} --count 5000 --seed 7 --tests ks,identity",
         0,
-        "ef390ee11de854550bcd8aa023cbdf539d1ef0719782b80cffc2685d04583b5a",
+        "ba0f18a2bc3ae8a229bf0fa6bd7a6e771f9a2b55cf9f20aabc405c773193e06a",
     ),
     # Reports come in --tests order, identity first or between the pull-back tests.
     "check-identity-first": (

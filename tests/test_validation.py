@@ -496,6 +496,13 @@ class TestProofIdentityCheck:
         assert not proof_identity_check(Ellipsoid.from_radii_rotation([3.0, 0.5], np.eye(2), [0.0, 0.0]),
                                         source).passed
 
+    def test_a_wrong_determinant_fails(self):
+        source = {"dim": 3, "radii": [3.0, 1.0, 0.25]}
+        e = Ellipsoid.from_spec(source)
+        assert proof_identity_check(e, source).passed
+        object.__setattr__(e, "abs_det_shape", e.abs_det_shape * (1.0 + 1e-6))
+        assert not proof_identity_check(e, source).passed
+
     def test_binary_rescaling_keeps_the_report(self):
         # x -> 2^k x rounds every step the same way, so the statistic is unchanged.
         rotation = random_rotation(3, RngStream(41))
