@@ -7,31 +7,39 @@ provides the geometry (constructors for the common matrix conventions,
 membership, exact densities), the samplers (transform-based, rejection
 oracles, a biased negative control), and the statistical machinery to
 certify uniformity.
+
+The namespace is lazy (PEP 562): each public name's module is imported on
+first access, so ``import ellipsample`` loads no numpy, and ``__main__``
+can cap OpenBLAS's threads before numpy starts them.
 """
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOutOfRange,
-    EllipsampleError,
-    InsufficientSamples,
-    NonpositiveRadius,
-    NotARotation,
-    NotPositiveDefinite,
-    NotSymmetric,
-    PointOutsideEllipsoid,
-    SingularShape,
-)
-from .geometry import Ellipsoid, centre_from_foci, unit_ball_volume
-from .sampling import RngStream, SampleBatch, random_rotation, sample_batch
-from .validation import (
-    TestReport,
-    chi_square_two_sample,
-    chi_square_uniformity,
-    mc_volume,
-    proof_identity_check,
-    radial_ks,
-    wilson_hilferty_critical,
-)
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # what static tools see; at run time __getattr__ imports these
+    from .errors import (
+        DimensionMismatch,
+        DimensionOutOfRange,
+        EllipsampleError,
+        InsufficientSamples,
+        NonpositiveRadius,
+        NotARotation,
+        NotPositiveDefinite,
+        NotSymmetric,
+        PointOutsideEllipsoid,
+        SingularShape,
+    )
+    from .geometry import Ellipsoid, centre_from_foci, unit_ball_volume
+    from .sampling import RngStream, SampleBatch, random_rotation, sample_batch
+    from .validation import (
+        TestReport,
+        chi_square_two_sample,
+        chi_square_uniformity,
+        mc_volume,
+        proof_identity_check,
+        radial_ks,
+        wilson_hilferty_critical,
+    )
 
 __version__ = "0.1.0"
 
@@ -61,3 +69,28 @@ __all__ = [
     "unit_ball_volume",
     "wilson_hilferty_critical",
 ]
+
+# Each public name's defining module, imported by __getattr__ on first access.
+_HOME = {
+    **dict.fromkeys(
+        ["DimensionMismatch", "DimensionOutOfRange", "EllipsampleError", "InsufficientSamples",
+         "NonpositiveRadius", "NotARotation", "NotPositiveDefinite", "NotSymmetric",
+         "PointOutsideEllipsoid", "SingularShape"],
+        "errors",
+    ),
+    **dict.fromkeys(["Ellipsoid", "centre_from_foci", "unit_ball_volume"], "geometry"),
+    **dict.fromkeys(["RngStream", "SampleBatch", "random_rotation", "sample_batch"], "sampling"),
+    **dict.fromkeys(
+        ["TestReport", "chi_square_two_sample", "chi_square_uniformity", "mc_volume",
+         "proof_identity_check", "radial_ks", "wilson_hilferty_critical"],
+        "validation",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -142,7 +142,9 @@ class Ellipsoid:
     by the ``shape.T`` view, the pull-back (``pullback``) by the cached
     contiguous inverse ``_inverse_t``.  A 64-row block of a 64-d map is 2^18
     multiply-adds, and OpenBLAS hands a product to a second thread only above
-    that, so both maps stay on the calling thread.  The height and the two
+    that, so both maps stay on the calling thread.  So the program
+    (``__main__``) runs OpenBLAS on one thread unless the caller set
+    OPENBLAS_NUM_THREADS, with the same bits.  The height and the two
     operands are not interchangeable: 64 rows against the view give the bits
     of one product over a whole sampling chunk at every n = 1..64, where 16
     rows or a contiguous ``shape.T`` differ at 24 to 33 of them; and against

@@ -15,7 +15,8 @@ runs the tests in the order given and reads the points through one pass,
 chunk on the threads of ``sampling._chunk_results``, each chunk in
 PIECE_FLOATS pieces, each point is pulled back once, checked against the
 unit ball, and its t = ||u||^n computed once for every test.  The pass
-keeps only what the tests need: chi-square's integer bin counts, and
+keeps only what the tests need: chi-square's integer bin counts, made by
+each chunk's task for its own points and added as the tasks return, and
 KS's t, 8 bytes a point, because its statistic needs one sort of all of
 them.  The public tests run it over a held batch; ``check`` runs it once
 for all its tests over chunks drawn as it goes, so it holds no batch.
@@ -189,15 +190,26 @@ def _pull_back_pass(
     time.  A piece whose largest norm exceeds 1 + ``_pullback_slack(e)``,
     or is NaN, raises PointOutsideEllipsoid before it is kept.  Each point's
     t = ||u||^n is computed once, there.  Returns (observed, t): with
-    ``shells`` the integer count of each bin, added to chunk by chunk in
-    chunk order, else None; with ``radii`` every point's t in one
-    ``count``-long array, else None.  With neither, no point is read.
+    ``shells`` the integer count of each bin, else None; with ``radii``
+    every point's t in one ``count``-long array, else None.  With neither,
+    no point is read.
+
+    Each chunk task counts its own points' bins, piece by piece, and the
+    consumer adds the tasks' counts; integer sums do not depend on order.
+    Past CHUNK_SIZE bins (12-d at 4 shells) a bins-long array per task
+    would outweigh the chunk's points, so there a task returns its points'
+    bin indices and the consumer adds them one by one.
     """
     kept, slack = np.empty(count) if radii else None, _pullback_slack(e)
+    bins = 0 if shells is None else _bin_total(e.dim, shells)
+    dense = bins <= CHUNK_SIZE
 
     def pull(i: int, rows: slice) -> np.ndarray | None:
         chunk = points(i, rows)
-        index = None if shells is None else np.empty(len(chunk), np.int64)
+        if shells is None:
+            binned = None
+        else:
+            binned = np.zeros(bins, np.int64) if dense else np.empty(len(chunk), np.int64)
         for piece in _pieces(slice(0, len(chunk)), e.dim):
             u = e.pullback(chunk[piece])
             sq = _sq_norms(u)
@@ -208,14 +220,20 @@ def _pull_back_pass(
             if radii:
                 kept[rows.start + piece.start : rows.start + piece.stop] = t
             if shells is not None:
-                index[piece] = _bin_index(u, t, shells)
-        return index
+                index = _bin_index(u, t, shells)
+                if dense:
+                    binned += np.bincount(index, minlength=bins)
+                else:
+                    binned[piece] = index
+        return binned
 
-    observed = None if shells is None else np.zeros(_bin_total(e.dim, shells), np.int64)
+    observed = None if shells is None else np.zeros(bins, np.int64)
     with _chunk_results(count if shells is not None or radii else 0, pull) as pulled:
-        for index in pulled:
-            if index is not None:
-                np.add.at(observed, index, 1)
+        for binned in pulled:
+            if binned is not None and dense:
+                observed += binned
+            elif binned is not None:
+                np.add.at(observed, binned, 1)
     return observed, kept
 
 

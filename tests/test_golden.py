@@ -14,8 +14,10 @@ pinned value, so any change to the output bytes of ``sample``, ``check`` or
   the 3 pull-back bit pins of ``tests/test_geometry.py``, and
   ``Sandybridge`` those and 9 cases here.
 Neither the number of threads the package runs on nor OpenBLAS's own thread
-count moves them: ``test_one_blas_thread_gives_the_pinned_bytes`` runs every
-case with ``OPENBLAS_NUM_THREADS=1``.
+count moves them.  The cases run in this process, with OpenBLAS's default
+thread count, and ``test_one_blas_thread_gives_the_pinned_bytes`` runs every
+case with ``OPENBLAS_NUM_THREADS=1``, the setting ``python -m ellipsample``
+runs with unless its caller set another.
 """
 
 import hashlib

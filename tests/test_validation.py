@@ -26,7 +26,8 @@ from ellipsample import (
     wilson_hilferty_critical,
 )
 from ellipsample.sampling import CHUNK_SIZE, MAX_DRAWS
-from ellipsample.validation import _bin_index, _bin_total, certify
+from ellipsample import sampling
+from ellipsample.validation import _bin_index, _bin_total, _pull_back_pass, certify
 from helpers import rand_ellipsoid
 
 
@@ -325,6 +326,18 @@ class TestChunkedPullBack:
         e = rand_ellipsoid(dim, RngStream(93 + dim))
         batch = sample_batch(e, 3 * CHUNK_SIZE + 1, 26)
         self.assert_statistics_equal_one_shot_reference(e, batch)
+
+    # 16 and 4096 bins are counted per chunk task; 16384 (past CHUNK_SIZE) as indices.
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("dim, shells", [(2, 4), (10, 4), (2, 4096)])
+    def test_bin_counts_equal_one_count_of_the_batch(self, dim, shells, workers, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
+        e = rand_ellipsoid(dim, RngStream(95 + dim))
+        batch = sample_batch(e, self.COUNT, 28)
+        observed, _ = _pull_back_pass(e, batch.count, lambda i, rows: batch.points[rows], shells)
+        bins = _bin_total(dim, shells)
+        expected = np.bincount(bins_of(e.pullback(batch.points), shells), minlength=bins)
+        assert observed.dtype == np.int64 and observed.tolist() == expected.tolist()
 
     def test_outside_point_in_last_partial_chunk_detected(self):
         e = ellipse_2x1()
