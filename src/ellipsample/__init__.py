@@ -94,3 +94,7 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

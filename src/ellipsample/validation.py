@@ -62,6 +62,12 @@ PULLBACK_SLACK = 1e-9
 _MC_MIN_COUNT = 10_000
 _MC_CHUNK = 262_144
 
+# The most chi-square bins ``_pull_back_pass`` counts in each chunk task; past
+# it, tasks return bin indices.  Counts matched indices in CPU time and page
+# faults at 16384 bins (12-d at 4 shells) and lost from 32768 bins (13-d) on:
+# about 10% more CPU and faults there, twice the faults at 14-d, 1.9x the CPU at 16-d.
+COUNTED_BINS = 16384
+
 # The tests ``certify`` runs, in ``check``'s default order.
 CHECKS = ("chi2", "ks", "identity")
 
@@ -194,15 +200,15 @@ def _pull_back_pass(
     every point's t in one ``count``-long array, else None.  With neither,
     no point is read.
 
-    Each chunk task counts its own points' bins, piece by piece, and the
-    consumer adds the tasks' counts; integer sums do not depend on order.
-    Past CHUNK_SIZE bins (12-d at 4 shells) a bins-long array per task
-    would outweigh the chunk's points, so there a task returns its points'
-    bin indices and the consumer adds them one by one.
+    Up to COUNTED_BINS bins, each chunk task counts its own points' bins,
+    piece by piece, and the consumer adds the tasks' counts; integer sums
+    do not depend on order.  Past it, a bins-long count per piece costs
+    more than the piece's points, so a task returns its points' bin
+    indices and the consumer adds them one by one.
     """
     kept, slack = np.empty(count) if radii else None, _pullback_slack(e)
     bins = 0 if shells is None else _bin_total(e.dim, shells)
-    dense = bins <= CHUNK_SIZE
+    dense = bins <= COUNTED_BINS
 
     def pull(i: int, rows: slice) -> np.ndarray | None:
         chunk = points(i, rows)

@@ -68,6 +68,13 @@ def test_import_loads_no_numpy():
     assert in_child("import json, sys, ellipsample; print(json.dumps('numpy' in sys.modules))") is False
 
 
+def test_dir_lists_every_public_name_before_any_is_used():
+    script = "import json, sys, ellipsample; print(json.dumps([dir(ellipsample), 'numpy' in sys.modules]))"
+    names, numpy_loaded = in_child(script)
+    assert set(ellipsample.__all__) <= set(names) and names == sorted(names)
+    assert not numpy_loaded
+
+
 def test_each_public_name_is_its_defining_module_object():
     script = """
 import json, sys, ellipsample

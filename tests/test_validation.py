@@ -327,9 +327,9 @@ class TestChunkedPullBack:
         batch = sample_batch(e, 3 * CHUNK_SIZE + 1, 26)
         self.assert_statistics_equal_one_shot_reference(e, batch)
 
-    # 16 and 4096 bins are counted per chunk task; 16384 (past CHUNK_SIZE) as indices.
+    # (2, 4096) has COUNTED_BINS bins, the most counted per chunk task; (2, 8192)'s are indices.
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("dim, shells", [(2, 4), (10, 4), (2, 4096)])
+    @pytest.mark.parametrize("dim, shells", [(2, 4), (10, 4), (2, 4096), (2, 8192)])
     def test_bin_counts_equal_one_count_of_the_batch(self, dim, shells, workers, monkeypatch):
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: workers)
         e = rand_ellipsoid(dim, RngStream(95 + dim))
