@@ -8,9 +8,13 @@ membership, exact densities), the samplers (transform-based, rejection
 oracles, a biased negative control), and the statistical machinery to
 certify uniformity.
 
-The namespace is lazy (PEP 562): each public name's module is imported on
-first access, so ``import ellipsample`` loads no numpy, and ``__main__``
-can cap OpenBLAS's threads before numpy starts them.
+The namespace is lazy (PEP 562): a name in ``__all__`` is looked up on
+first access in ``errors``, ``geometry``, ``sampling`` and ``validation``,
+in that order, importing each in turn.  Each of them imports only from the
+ones before it (and the private ``linalg``), so the first that holds the
+name is its defining module, and an error class loads no numpy.  So
+``import ellipsample`` loads no numpy either, and ``__main__`` can cap
+OpenBLAS's threads before numpy starts them.
 """
 
 import importlib
@@ -70,31 +74,18 @@ __all__ = [
     "wilson_hilferty_critical",
 ]
 
-# Each public name's defining module, imported by __getattr__ on first access.
-_HOME = {
-    **dict.fromkeys(
-        ["DimensionMismatch", "DimensionOutOfRange", "EllipsampleError", "InsufficientSamples",
-         "NonpositiveRadius", "NotARotation", "NotPositiveDefinite", "NotSymmetric",
-         "PointOutsideEllipsoid", "SingularShape"],
-        "errors",
-    ),
-    **dict.fromkeys(["Ellipsoid", "centre_from_foci", "unit_ball_volume"], "geometry"),
-    **dict.fromkeys(["RngStream", "SampleBatch", "random_rotation", "sample_batch"], "sampling"),
-    **dict.fromkeys(
-        ["TestReport", "chi_square_two_sample", "chi_square_uniformity", "mc_volume",
-         "proof_identity_check", "radial_ks", "wilson_hilferty_critical"],
-        "validation",
-    ),
-}
+_MODULES = ("errors", "geometry", "sampling", "validation")
 
 
 def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    if name in __all__:
+        for module in _MODULES:
+            namespace = vars(importlib.import_module(f".{module}", __name__))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_HOME})
+    return sorted({*globals(), *__all__})

@@ -30,8 +30,9 @@ from .errors import DimensionMismatch, NonpositiveRadius, NotARotation, Singular
 # Samples on the boundary must test as contained despite rounding.
 MEMBERSHIP_SLACK = 1e-12
 
-# A shape whose 1-norm condition number ||S|| ||S^-1|| exceeds this is
-# treated as singular; the test is scale-free, unlike one on |det S|.
+# A shape whose 1-norm condition number ||S|| ||S^-1|| exceeds this, or
+# with an exactly zero LU pivot, is singular; the test is scale-free, so a
+# |det S| that underflows float64 is no reason to refuse a shape.
 CONDITION_MAX = 1e12
 
 # Both affine maps multiply zero-padded blocks of exactly this many rows (see Ellipsoid).
@@ -88,8 +89,9 @@ def _block_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.
 def _finite(volume: float, what: str) -> float:
     """``volume`` if it is a normal float64: OverflowError past that range, FloatingPointError below it.
 
-    Below means 0.0 or subnormal, where the volume has lost its digits and
-    1 / volume would overflow or divide by zero.
+    Below means 0.0 (as where |det shape| underflows) or subnormal, where
+    the volume has lost its digits and 1 / volume would overflow or divide
+    by zero.
     """
     if not math.isfinite(volume):
         raise OverflowError(f"the {what} overflows float64")
@@ -125,7 +127,8 @@ class Ellipsoid:
 
     ``shape`` must be invertible but need not be triangular or symmetric;
     ``abs_det_shape`` caches |det shape|, the volume scale factor (inf where
-    it overflows float64, so ``volume`` refuses it when used), and the
+    it overflows float64 and 0.0 where it underflows, so ``volume`` refuses
+    it when used, and sampling, which never reads it, does not), and the
     transposed inverse of ``shape`` is cached for the pull-back, and
     ``_condition``, the 1-norm condition number of ``shape``, for the
     tolerance of ``check``.  Instances are immutable and safe to share
@@ -175,13 +178,14 @@ class Ellipsoid:
             reach = 2.0 * (np.abs(centre) + halfwidths)
         if not np.isfinite(reach).all():
             raise ValueError("the bounding box at twice its extent is not finite in float64")
-        # An overflow is stored as inf, without a RuntimeWarning; volume() refuses it.
+        # An overflow is stored as inf, without a RuntimeWarning, and an
+        # underflow as 0.0; volume() refuses either.
         with np.errstate(over="ignore"):
             det = float(np.linalg.det(shape))
-        # An exactly zero LU pivot makes det exactly 0, so inv below cannot fail.
-        if det == 0.0:
-            raise SingularShape("|det| is 0: the shape is singular or its determinant underflows")
-        inverse = np.linalg.inv(shape)
+        try:
+            inverse = np.linalg.inv(shape)
+        except np.linalg.LinAlgError:
+            raise SingularShape("an LU pivot is exactly 0: the shape is singular") from None
         # A tiny shape can be perfectly conditioned and still have an inverse
         # past float64's range, which the condition number would read as inf.
         if not np.isfinite(inverse).all():

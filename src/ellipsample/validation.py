@@ -423,13 +423,23 @@ def proof_identity_check(e: Ellipsoid, source: Mapping) -> TestReport:
     each entry of Y's relative to h_j, and the determinant's.  The Gram
     form also sums Y's errors over n rows and counts them twice, so its
     residual is divided by 2n more.  The report passes iff the worst of
-    them is < 1; it carries alpha 0.0 and n as its sample count.  A volume
+    them is < 1; it carries alpha 0.0 and n as its sample count.  A source
+    without exactly one of "shape", "quadratic" and "radii" is a ValueError,
+    one whose arrays do not fit ``e.dim`` a DimensionMismatch, and a volume
     past float64's normal range raises, as ``volume`` does.
     """
-    n, eye, volume = e.dim, np.eye(e.dim), e.volume()
+    kinds = [key for key in ("shape", "quadratic", "radii") if key in source]
+    if len(kinds) != 1:
+        raise ValueError(f"the source needs exactly one of 'shape', 'quadratic', 'radii', got {kinds}")
+    n, eye = e.dim, np.eye(e.dim)
+    given = {key: np.asarray(value, dtype=float) for key, value in source.items()}
+    for key, shape in {"shape": (n, n), "quadratic": (n, n), "radii": (n,), "rotation": (n, n),
+                       "centre": (n,), "foci": (2, n)}.items():
+        if key in given and given[key].shape != shape:
+            raise DimensionMismatch(f"the source's '{key}' has shape {given[key].shape}, expected {shape}")
+    volume = e.volume()
     ends = e._ball_image(eye)
     y = ends - e.centre
-    given = {key: np.asarray(value, dtype=float) for key, value in source.items()}
     if "quadratic" in given:
         m, s = given["quadratic"], e.shape
         mismatch = (y @ m @ y.T - eye) / (np.abs(y) @ np.abs(m) @ np.abs(y.T)).max() / (2 * n)

@@ -94,6 +94,15 @@ print(json.dumps(homes))
     assert static == {name: module for name, (module, _) in homes.items()}
 
 
+def test_error_classes_load_no_numpy():
+    script = """
+import json, sys, ellipsample
+from ellipsample import NotSymmetric
+print(json.dumps([ellipsample.EllipsampleError.__module__, NotSymmetric.__module__, 'numpy' in sys.modules]))
+"""
+    assert in_child(script) == ["ellipsample.errors", "ellipsample.errors", False]
+
+
 def test_star_import_binds_exactly_all():
     script = "import json; ns = {}; exec('from ellipsample import *', ns); print(json.dumps(sorted(ns)))"
     assert in_child(script) == sorted([*ellipsample.__all__, "__builtins__"])

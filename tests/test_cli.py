@@ -707,7 +707,7 @@ class TestVolumeRange:
 
     UNDERFLOW = "error: FloatingPointError: the volume underflows float64\n"
     OVERFLOW = "error: OverflowError: the volume overflows float64\n"
-    SINGULAR = "error: SingularShape: |det| is 0: the shape is singular or its determinant underflows\n"
+    SINGULAR = "error: SingularShape: an LU pivot is exactly 0: the shape is singular\n"
 
     # The unit-scale 64-d shape with singular values geomspace(1, 1 / cond, 64):
     # |det| is 1e-288, 5e-304 and 1e-320 at the first three, and 0.0 at the last.
@@ -715,7 +715,7 @@ class TestVolumeRange:
         (1e9, 0, ""),
         (3e9, 2, UNDERFLOW),
         (1e10, 2, UNDERFLOW),
-        (3e10, 2, SINGULAR),
+        (3e10, 2, UNDERFLOW),
     ])
     def test_unit_scale_64d_volume(self, cond, code, err, capsys, tmp_path):
         path = tmp_path / "shape.txt"
@@ -734,6 +734,22 @@ class TestVolumeRange:
         assert (code, err) == (0, "")
         assert json.loads(out)["pass"]
         assert run([*argv, "ks,identity"], capsys) == (2, "", self.UNDERFLOW)
+
+    def test_an_exactly_singular_shape(self, capsys, tmp_path):
+        path = tmp_path / "shape.txt"
+        path.write_text("1 2 0\n0 0 0\n3 0 1\n")
+        assert run(["volume", "--shape", str(path), "--seed", "1"], capsys) == (2, "", self.SINGULAR)
+
+    def test_a_determinant_that_underflows_samples_and_checks(self, capsys):
+        # 40 radii of 1e-9 are perfectly conditioned; only |det| (1e-360) underflows.
+        radii = ["--radii", ",".join(["1e-9"] * 40), "--seed", "1"]
+        assert run(["volume", *radii], capsys) == (2, "", self.UNDERFLOW)
+        code, out, err = run(["check", *radii, "--count", "20000", "--tests", "ks"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"]
+        code, out, err = run(["sample", *radii, "--count", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
 
     def test_radii_past_either_end(self, capsys):
         small, large = (["--radii", ",".join([radius] * 64), "--seed", "1"] for radius in ("1e-5", "1e5"))

@@ -73,6 +73,21 @@ class TestConstructors:
         with pytest.raises(SingularShape):
             Ellipsoid.from_shape([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_a_zero_row_is_singular_at_every_scale(self, scale):
+        shape = scale * np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+        with pytest.raises(SingularShape, match="an LU pivot is exactly 0"):
+            Ellipsoid.from_shape(shape, np.zeros(3))
+
+    def test_a_determinant_that_underflows_is_stored_as_zero(self):
+        # 40 radii of 1e-9: perfectly conditioned, |det| 1e-360.
+        e = Ellipsoid.from_spec({"dim": 40, "radii": [1e-9] * 40})
+        assert e.abs_det_shape == 0.0
+        with pytest.raises(FloatingPointError, match="the volume underflows float64"):
+            e.volume()
+        batch = sample_batch(e, 100, 1)
+        assert e.contains_many(batch.points).all()
+
     @pytest.mark.parametrize(
         "radii, centre",
         [([1e308], [0.0]), ([1.0], [1e308]), ([1e308], [1e308]), ([1e308, 1.0], [0.0, 0.0])],

@@ -526,6 +526,23 @@ class TestProofIdentityCheck:
             reports.add(proof_identity_check(Ellipsoid.from_spec(source), source).to_json())
         assert len(reports) == 1, reports
 
+    @pytest.mark.parametrize("source", [{"dim": 2}, {"radii": [2.0, 1.0], "shape": np.eye(2)}])
+    def test_a_source_without_one_shape_definition_is_refused(self, source):
+        with pytest.raises(ValueError, match="exactly one of 'shape', 'quadratic', 'radii'"):
+            proof_identity_check(ellipse_2x1(), source)
+
+    @pytest.mark.parametrize("source", [
+        {"radii": [2.0, 1.0, 1.0]},
+        {"shape": np.eye(3)},
+        {"quadratic": np.eye(3)},
+        {"radii": [2.0, 1.0], "rotation": np.eye(3)},
+        {"radii": [2.0, 1.0], "centre": [1.0, 0.0, 0.0]},
+        {"radii": [2.0, 1.0], "foci": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
+    ])
+    def test_a_source_of_another_dimension_is_refused(self, source):
+        with pytest.raises(DimensionMismatch, match="the source's"):
+            proof_identity_check(ellipse_2x1(), source)
+
     def test_source_required(self):
         with pytest.raises(ValueError, match="identity needs the source spec"):
             certify(ellipse_2x1(), 1000, TestCertify.refuse, ["identity"])
